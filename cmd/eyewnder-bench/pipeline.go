@@ -66,7 +66,7 @@ func measure(fn func(b *testing.B)) pipelineResult {
 
 // runPipeline benchmarks every stage of the privacy hot path — sketch
 // update/query, report (de)serialization, report ingestion over loopback
-// TCP (JSON vs streamed), same-round merge contention (locked vs
+// TCP (per-frame vs batched acks), same-round merge contention (locked vs
 // striped), blinding-vector computation, aggregate merge, and the
 // back-end close-round enumeration — and writes the results to outPath.
 // With checkPct/checkNsPct > 0 it then gates against the baseline (the
@@ -216,7 +216,7 @@ func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) err
 	rep.Benchmarks["cms_merge"] = measure(mergeBench)
 	rep.Benchmarks["cms_merge_purego"] = generic(mergeBench)
 
-	fmt.Fprintln(os.Stderr, "pipeline: report ingestion, JSON vs streamed (loopback TCP) ...")
+	fmt.Fprintln(os.Stderr, "pipeline: report ingestion, per-frame vs batched acks (loopback TCP) ...")
 	if err := benchIngestion(rep, newCMS, key); err != nil {
 		return err
 	}
@@ -365,27 +365,14 @@ func (s *discardSink) ConsumeReport(f *wire.ReportFrame) error {
 }
 
 // benchIngestion measures one report's full submit round trip over
-// loopback TCP for both ingestion paths — the JSON envelope (base64
-// sketch inside a parsed message, then UnmarshalBinary) and the streamed
-// binary frame (cells read straight into pooled slices). Client and
-// server run in-process, so allocs/op is the whole path's allocation
-// bill; the streamed path must come in far below the JSON one.
+// loopback TCP as a streamed binary frame (cells read straight into
+// pooled slices), first with one JSON ack per frame, then with batched
+// binary acks. Client and server run in-process, so allocs/op is the
+// whole path's allocation bill.
 func benchIngestion(rep *pipelineReport, newCMS func() *sketch.CMS, key []byte) error {
 	sink := &discardSink{}
 	handler := func(m *wire.Msg) (string, interface{}, error) {
-		if m.Type != wire.TypeSubmitReport {
-			return "", nil, fmt.Errorf("bench: unexpected message %q", m.Type)
-		}
-		var req wire.SubmitReportReq
-		if err := m.Decode(&req); err != nil {
-			return "", nil, err
-		}
-		var cms sketch.CMS
-		if err := cms.UnmarshalBinary(req.Sketch); err != nil {
-			return "", nil, err
-		}
-		sink.sum += cms.N()
-		return wire.TypeSubmitReportOK, struct{}{}, nil
+		return "", nil, fmt.Errorf("bench: unexpected message %q", m.Type)
 	}
 	// The ack batch is pinned (not adaptive): the adaptive cadence reacts
 	// to idle flushes, which are timing-dependent, and the regression
@@ -405,18 +392,6 @@ func benchIngestion(rep *pipelineReport, newCMS func() *sketch.CMS, key []byte) 
 
 	cms := newCMS()
 	cms.Update(key)
-	raw, err := cms.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	rep.Benchmarks["submit_report_json"] = measure(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := cli.Do(wire.TypeSubmitReport,
-				wire.SubmitReportReq{User: 1, Round: 1, Sketch: raw}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	frame := &wire.ReportFrame{
 		User: 1, Round: 1,
 		D: cms.Depth(), W: cms.Width(), N: cms.N(), Seed: cms.Seed(),
@@ -430,7 +405,7 @@ func benchIngestion(rep *pipelineReport, newCMS func() *sketch.CMS, key []byte) 
 		}
 	})
 
-	// Batched acks + pipelining, on a dedicated connection so the legacy
+	// Batched acks + pipelining, on a dedicated connection so the
 	// row above keeps measuring the per-frame JSON ack round trip: the
 	// client keeps a window of frames in flight, the server folds frame k
 	// while decoding frame k+1 and answers once per ack batch, so the

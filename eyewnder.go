@@ -155,7 +155,7 @@ func (s *System) SubmitAllReports(round uint64) error {
 // CloseRound finalizes a reporting round at the back-end: unblind the
 // aggregate and publish Users_th.
 func (s *System) CloseRound(round uint64) (usersTh float64, distinctAds int, err error) {
-	return s.Backend.CloseRound(round)
+	return s.Backend.CloseRound(0, round, 0)
 }
 
 // ServeTCP exposes the back-end and the oprf-server on TCP addresses

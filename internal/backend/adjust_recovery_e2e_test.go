@@ -37,20 +37,20 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 	// Uninterrupted control, in-process.
 	control := newStoreBackend(t, params, e2eUsers, nil)
 	for _, r := range reports[:reporters] {
-		if err := control.ConsumeReport(frameOf(r)); err != nil {
+		if err := control.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for u := 0; u < reporters; u++ {
-		if err := control.SubmitAdjustment(u, round, shares[u]); err != nil {
+		if err := control.SubmitAdjustment(0, u, round, 0, shares[u]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	controlTh, controlAds, err := control.CloseRound(round)
+	controlTh, controlAds, err := control.CloseRound(0, round, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	controlCounts, err := control.UserCountsOfRound(round)
+	controlCounts, err := control.UserCounts(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reports[:reporters] {
-		if err := rs.Submit(frameOf(r)); err != nil {
+		if err := rs.Submit(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 	if closed.DistinctAds != controlAds {
 		t.Fatalf("distinct ads: recovered %d, control %d", closed.DistinctAds, controlAds)
 	}
-	if d := closed.UsersTh - controlTh; d > 1e-9 || d < -1e-9 {
+	if closed.UsersTh != controlTh {
 		t.Fatalf("Users_th: recovered %v, control %v", closed.UsersTh, controlTh)
 	}
 	var counts wire.RoundCountsResp

@@ -53,89 +53,89 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 
 	// A share can never open a round: before any report, the round is
 	// unknown.
-	if err := b.SubmitAdjustment(0, round, shares[0]); !errors.Is(err, ErrUnknownRound) {
+	if err := b.SubmitAdjustment(0, 0, round, 0, shares[0]); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("pre-report share err = %v, want ErrUnknownRound", err)
 	}
 
 	for _, rep := range reports {
-		if err := b.SubmitReport(rep); err != nil {
+		if err := submit(b, rep); err != nil {
 			t.Fatal(err)
 		}
-		if err := control.SubmitReport(rep); err != nil {
+		if err := submit(control, rep); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// Out-of-range user, checked before anything else.
-	if err := b.SubmitAdjustment(-1, round, shares[0]); !errors.Is(err, ErrBadUser) {
+	if err := b.SubmitAdjustment(0, -1, round, 0, shares[0]); !errors.Is(err, ErrBadUser) {
 		t.Fatalf("negative user err = %v, want ErrBadUser", err)
 	}
-	if err := b.SubmitAdjustment(len(ros.Parties), round, shares[0]); !errors.Is(err, ErrBadUser) {
+	if err := b.SubmitAdjustment(0, len(ros.Parties), round, 0, shares[0]); !errors.Is(err, ErrBadUser) {
 		t.Fatalf("out-of-roster user err = %v, want ErrBadUser", err)
 	}
 	// Wrong cell count, rejected at upload time rather than poisoning
 	// every later close.
-	if err := b.SubmitAdjustment(0, round, make([]uint64, cells-1)); err == nil {
+	if err := b.SubmitAdjustment(0, 0, round, 0, make([]uint64, cells-1)); err == nil {
 		t.Fatal("short share accepted")
 	}
 	// A share for a round nobody has touched is still unknown.
-	if err := b.SubmitAdjustment(0, round+1, shares[0]); !errors.Is(err, ErrUnknownRound) {
+	if err := b.SubmitAdjustment(0, 0, round+1, 0, shares[0]); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("unknown round err = %v, want ErrUnknownRound", err)
 	}
 	// User 3 never reported: its share has nothing to cancel.
-	if err := b.SubmitAdjustment(3, round, shares[0]); !errors.Is(err, ErrAdjustNotReporter) {
+	if err := b.SubmitAdjustment(0, 3, round, 0, shares[0]); !errors.Is(err, ErrAdjustNotReporter) {
 		t.Fatalf("non-reporter err = %v, want ErrAdjustNotReporter", err)
 	}
 	// A close with a report missing and no shares fails and must leave
 	// the round retryable (the clone invariant: shares only ever apply
 	// to a clone of the aggregate, never the live one).
-	if _, _, err := b.CloseRound(round); !errors.Is(err, ErrAdjustIncomplete) {
+	if _, _, err := b.CloseRound(0, round, 0); !errors.Is(err, ErrAdjustIncomplete) {
 		t.Fatalf("premature close err = %v, want ErrAdjustIncomplete", err)
 	}
 
 	// Clean shares land; an identical re-upload is an idempotent retry,
 	// a differing one is a conflict.
 	for i, adj := range shares {
-		if err := b.SubmitAdjustment(i, round, adj); err != nil {
+		if err := b.SubmitAdjustment(0, i, round, 0, adj); err != nil {
 			t.Fatal(err)
 		}
-		if err := control.SubmitAdjustment(i, round, adj); err != nil {
+		if err := control.SubmitAdjustment(0, i, round, 0, adj); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.SubmitAdjustment(0, round, shares[0]); err != nil {
+	if err := b.SubmitAdjustment(0, 0, round, 0, shares[0]); err != nil {
 		t.Fatalf("idempotent re-upload err = %v", err)
 	}
 	mutated := append([]uint64(nil), shares[0]...)
 	mutated[0]++
-	if err := b.SubmitAdjustment(0, round, mutated); !errors.Is(err, ErrAdjustConflict) {
+	if err := b.SubmitAdjustment(0, 0, round, 0, mutated); !errors.Is(err, ErrAdjustConflict) {
 		t.Fatalf("conflicting re-upload err = %v, want ErrAdjustConflict", err)
 	}
 
-	th, ads, err := b.CloseRound(round)
+	th, ads, err := b.CloseRound(0, round, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Closed rounds refuse further shares.
-	if err := b.SubmitAdjustment(1, round, shares[1]); !errors.Is(err, ErrRoundClosed) {
+	if err := b.SubmitAdjustment(0, 1, round, 0, shares[1]); !errors.Is(err, ErrRoundClosed) {
 		t.Fatalf("post-close share err = %v, want ErrRoundClosed", err)
 	}
 
 	// The control backend saw none of the failed uploads, the conflict
 	// attempt, or the failed close; if any of them had leaked into the
 	// live aggregate, these finalized counts would differ.
-	thC, adsC, err := control.CloseRound(round)
+	thC, adsC, err := control.CloseRound(0, round, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if th != thC || ads != adsC {
 		t.Fatalf("edge-case traffic changed the close: th %v vs %v, ads %d vs %d", th, thC, ads, adsC)
 	}
-	counts, err := b.UserCountsOfRound(round)
+	counts, err := b.UserCounts(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
-	countsC, err := control.UserCountsOfRound(round)
+	countsC, err := control.UserCounts(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,13 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCloseRoundWaitDeadline pins the deadline close: it seals the
+// TestCloseRoundDeadline pins the deadline close: it seals the
 // round (late reports get ErrRoundSealed), times out with
 // ErrAdjustIncomplete while reporters' shares are outstanding, leaves
 // the round retryable, and finalizes once the shares land — including
 // a share landing mid-wait, which must wake the close rather than let
 // it sleep to its deadline.
-func TestCloseRoundWaitDeadline(t *testing.T) {
+func TestCloseRoundDeadline(t *testing.T) {
 	b, clients := newBackend(t)
 	const round = 11
 	cms, _ := testParams().NewSketch()
@@ -162,13 +162,13 @@ func TestCloseRoundWaitDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SubmitReport(rep); err != nil {
+		if err := submit(b, rep); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// No shares yet: the deadline expires and the close gives up.
-	if _, _, err := b.CloseRoundWait(round, 20*time.Millisecond); !errors.Is(err, ErrAdjustIncomplete) {
+	if _, _, err := b.CloseRound(0, round, 20*time.Millisecond); !errors.Is(err, ErrAdjustIncomplete) {
 		t.Fatalf("deadline close err = %v, want ErrAdjustIncomplete", err)
 	}
 	// The failed close sealed the round: late reports are refused, so
@@ -177,10 +177,10 @@ func TestCloseRoundWaitDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SubmitReport(rep); !errors.Is(err, ErrRoundSealed) {
+	if err := submit(b, rep); !errors.Is(err, ErrRoundSealed) {
 		t.Fatalf("post-seal report err = %v, want ErrRoundSealed", err)
 	}
-	p, err := b.RoundProgressOf(round)
+	p, err := b.RoundProgressOf(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCloseRoundWaitDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SubmitAdjustment(0, round, adj0); err != nil {
+	if err := b.SubmitAdjustment(0, 0, round, 0, adj0); err != nil {
 		t.Fatal(err)
 	}
 	adj1, err := clients[1].Adjust(round, cms.Cells(), missing)
@@ -205,10 +205,10 @@ func TestCloseRoundWaitDeadline(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		b.SubmitAdjustment(1, round, adj1)
+		b.SubmitAdjustment(0, 1, round, 0, adj1)
 	}()
 	start := time.Now()
-	th, ads, err := b.CloseRoundWait(round, 30*time.Second)
+	th, ads, err := b.CloseRound(0, round, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestCloseRoundWaitDeadline(t *testing.T) {
 		t.Fatalf("close = th %v, ads %d", th, ads)
 	}
 	// Idempotent re-close returns the cached result without waiting.
-	th2, ads2, err := b.CloseRoundWait(round, time.Millisecond)
+	th2, ads2, err := b.CloseRound(0, round, time.Millisecond)
 	if err != nil || th2 != th || ads2 != ads {
 		t.Fatalf("re-close = %v/%d, %v", th2, ads2, err)
 	}
@@ -251,7 +251,7 @@ func TestRoundProgressConsistentUnderLoad(t *testing.T) {
 		cms.Update([]byte{byte(u)})
 		return &privacy.Report{User: u, Round: round, Sketch: cms}
 	}
-	if err := b.SubmitReport(makeReport(0)); err != nil {
+	if err := submit(b, makeReport(0)); err != nil {
 		t.Fatal(err) // the round must exist before the pollers start
 	}
 	cms, _ := params.NewSketch()
@@ -271,7 +271,7 @@ func TestRoundProgressConsistentUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				p, err := b.RoundProgressOf(round)
+				p, err := b.RoundProgressOf(0, round)
 				if err != nil {
 					continue
 				}
@@ -293,13 +293,13 @@ func TestRoundProgressConsistentUnderLoad(t *testing.T) {
 		writers.Add(1)
 		go func(u int) {
 			defer writers.Done()
-			if err := b.SubmitReport(makeReport(u)); err != nil {
+			if err := submit(b, makeReport(u)); err != nil {
 				t.Error(err)
 				return
 			}
 			// Immediately follow with this reporter's (placeholder)
 			// share, racing the pollers' Adjusted reads.
-			if err := b.SubmitAdjustment(u, round, make([]uint64, cells)); err != nil {
+			if err := b.SubmitAdjustment(0, u, round, 0, make([]uint64, cells)); err != nil {
 				t.Error(err)
 			}
 		}(u)
@@ -310,7 +310,7 @@ func TestRoundProgressConsistentUnderLoad(t *testing.T) {
 	if pollErr != nil {
 		t.Fatal(pollErr)
 	}
-	p, err := b.RoundProgressOf(round)
+	p, err := b.RoundProgressOf(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}

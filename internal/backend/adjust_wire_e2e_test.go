@@ -2,19 +2,20 @@ package backend
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"eyewnder/internal/wire"
 )
 
 // TestAdjustmentRoundOverWireOps drives a complete k-of-n adjustment
-// round purely through the JSON control ops a remote operator would
-// use — submit_report, round_status, submit_adjustment, close_round
-// (with the adjustment-wait shutter), round_counts — and checks the
-// finalized per-ad counts byte-match an all-n control round in which
-// the silent user reports an empty sketch: the adjustment path must
-// reconstruct exactly the aggregate the full roster would have
-// produced.
+// round over one connection the way a remote operator would — reports
+// as streamed frames, then the JSON control ops round_status,
+// submit_adjustment, close_round (with the adjustment-wait shutter),
+// round_counts — and checks the finalized per-ad counts byte-match an
+// all-n control round in which the silent user reports an empty
+// sketch: the adjustment path must reconstruct exactly the aggregate
+// the full roster would have produced.
 func TestAdjustmentRoundOverWireOps(t *testing.T) {
 	b, clients := newBackend(t)
 	srv, err := b.Serve("127.0.0.1:0")
@@ -29,7 +30,7 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 	defer ctl.Close()
 
 	cms, _ := testParams().NewSketch()
-	submit := func(user int, round uint64) {
+	report := func(user int, round uint64) {
 		t.Helper()
 		if user < 3 { // user 3's control-round report is an empty sketch
 			if _, err := clients[user].ObserveAd("https://ads.example/wire-adjust"); err != nil {
@@ -40,14 +41,7 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := rep.Sketch.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctl.Do(wire.TypeSubmitReport, wire.SubmitReportReq{
-			User: user, Round: round, Sketch: raw,
-			Keystream: byte(rep.Keystream), ConfigVersion: rep.ConfigVersion,
-		}, nil); err != nil {
+		if err := ctl.SubmitReportFrame(wire.ReportFrameOf(rep)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,10 +54,19 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 		return st
 	}
 
-	// k-of-n round: users 0..2 report, user 3 stays dark.
 	const kRound uint64 = 21
+
+	// A client old enough to send its report as JSON gets an ordinary
+	// error naming the message it no longer finds — not a dropped socket
+	// or a hang — and everything below runs on this same connection.
+	err = ctl.Do("backend.submit_report", map[string]interface{}{"user": 0, "round": kRound, "sketch": []byte{1}}, nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown message "backend.submit_report"`) {
+		t.Fatalf("JSON report err = %v, want a remote unknown-message error", err)
+	}
+
+	// k-of-n round: users 0..2 report, user 3 stays dark.
 	for u := 0; u < 3; u++ {
-		submit(u, kRound)
+		report(u, kRound)
 	}
 	st := status(kRound)
 	if st.Reported != 3 || len(st.Missing) != 1 || st.Missing[0] != 3 || st.Closed {
@@ -109,7 +112,7 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 	// sketch — it observed nothing), so no shares are owed.
 	const nRound uint64 = 22
 	for u := 0; u < 4; u++ {
-		submit(u, nRound)
+		report(u, nRound)
 	}
 	if st = status(nRound); len(st.Missing) != 0 {
 		t.Fatalf("control status = %+v", st)

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,9 +35,9 @@ var (
 	ErrUnknownRound   = errors.New("backend: unknown round")
 	ErrBadUser        = errors.New("backend: user index out of range")
 	// ErrRoundSealed rejects a report into a round that a deadline close
-	// (CloseRoundWait) has sealed: the missing set is frozen so reporters
-	// can compute adjustment shares against it, and a late report would
-	// invalidate every share already computed.
+	// (CloseRound, wait > 0) has sealed: the missing set is frozen so
+	// reporters can compute adjustment shares against it, and a late
+	// report would invalidate every share already computed.
 	ErrRoundSealed = errors.New("backend: round sealed for closing")
 	// ErrAdjustIncomplete is a deadline close giving up: the wait expired
 	// with reporters' second-round shares still outstanding. The round
@@ -218,9 +219,9 @@ type round struct {
 	agg     *privacy.Aggregator
 	adjusts map[int][]uint64 // second-round shares by reporter
 	// sealed stops report admission without closing: a deadline close
-	// (CloseRoundWait) seals first so the missing set is frozen while
-	// reporters compute and upload their adjustment shares. Sealing is
-	// in-memory only — after a crash the round recovers open, and the
+	// (CloseRound, wait > 0) seals first so the missing set is frozen
+	// while reporters compute and upload their adjustment shares. Sealing
+	// is in-memory only — after a crash the round recovers open, and the
 	// retried deadline close simply seals it again.
 	sealed bool
 	// adjCond (lazily created under mu's write side) wakes deadline
@@ -835,30 +836,6 @@ func (b *Backend) lookupRound(c uint32, id uint64) (*round, bool) {
 	return r, ok
 }
 
-// SubmitReport folds one blinded report into the round aggregate.
-// Reporters hold only the round's read lock: the aggregator's own
-// bookkeeping lock and striped cell merge admit concurrent submissions
-// into the same round, while the write lock (CloseRound) excludes them.
-//
-// The sequence is reserve → log → fold: the aggregator first validates
-// and reserves the user's slot (so the WAL only ever records reports
-// the aggregate will absorb, and records them in acceptance order),
-// then the report is logged, then the cells merge. This path also syncs
-// before returning — its callers (JSON wire handler, in-process
-// clients) treat the return as the acknowledgement.
-func (b *Backend) SubmitReport(rep *privacy.Report) error {
-	err := b.submitReport(rep)
-	if err != nil {
-		b.m.reportReason(err).Inc()
-	} else {
-		b.m.accepted.Inc()
-		if ctr := b.campaignAcceptedCounter(rep.Campaign); ctr != nil {
-			ctr.Inc()
-		}
-	}
-	return err
-}
-
 // campaignAcceptedCounter resolves a campaign's pre-registered
 // accepted-report counter (nil for an unprovisioned nonzero ID, which
 // can only happen on paths that already rejected the report).
@@ -874,60 +851,25 @@ func (b *Backend) campaignAcceptedCounter(c uint32) *obs.Counter {
 	return nil
 }
 
-// submitReport is SubmitReport's body; the wrapper owns the
-// accept/reject accounting so every return path is counted exactly
-// once.
-func (b *Backend) submitReport(rep *privacy.Report) error {
-	if b.cfg.Replica {
-		return ErrReadOnlyReplica
-	}
-	r, err := b.getRound(rep.Campaign, rep.Round)
-	if err != nil {
-		return err
-	}
-	r.mu.RLock()
-	if r.closed {
-		r.mu.RUnlock()
-		return ErrRoundClosed
-	}
-	if r.sealed {
-		r.mu.RUnlock()
-		return ErrRoundSealed
-	}
-	if err := r.agg.Reserve(rep); err != nil {
-		r.mu.RUnlock()
-		return err
-	}
-	sk := rep.Sketch
-	if err := b.store.AppendReport(rep.Campaign, rep.Round, rep.User, sk.Depth(), sk.Width(), sk.N(), sk.Seed(),
-		byte(rep.Keystream), rep.ConfigVersion, sk.FlatCells()); err != nil {
-		r.agg.Unreserve(rep.User, sk.N())
-		r.mu.RUnlock()
-		return err
-	}
-	r.agg.FoldReserved(sk.FlatCells())
-	// The fsync barrier runs outside the round lock: a close or snapshot
-	// queued on the write side would otherwise block every reporter
-	// behind this submission's disk flush.
-	r.mu.RUnlock()
-	if err := b.store.Sync(); err != nil {
-		return err
-	}
-	b.maybeSnapshot()
-	return nil
-}
-
-// ConsumeReport implements wire.ReportSink: a streamed report's pooled
-// cell vector folds straight into the round aggregate, with no
-// intermediate []byte or CMS ever materialized. The frame's keystream
-// suite byte is enforced against the round's: a report blinded under a
-// different suite would not cancel and would silently corrupt the
-// aggregate.
+// ConsumeReport implements wire.ReportSink and is the only way a report
+// enters the back-end — over TCP and in process alike: the frame's cell
+// vector folds straight into the round aggregate, with no intermediate
+// []byte or CMS ever materialized. The frame's keystream suite byte is
+// enforced against the round's: a report blinded under a different
+// suite would not cancel and would silently corrupt the aggregate.
 //
-// Durability: the frame is logged (reserve → log → fold, like
-// SubmitReport) while its cells are still the pooled wire buffer, but
-// NOT synced here — the wire layer calls SyncReports immediately before
-// each acknowledgement, so one group-committed fsync covers a whole
+// Reporters hold only the round's read lock: the aggregator's own
+// bookkeeping lock and striped cell merge admit concurrent submissions
+// into the same round, while the write lock (CloseRound) excludes them.
+// The sequence is reserve → log → fold: the aggregator first validates
+// and reserves the user's slot (so the WAL only ever records reports
+// the aggregate will absorb, and records them in acceptance order),
+// then the frame is logged while its cells are still the caller's
+// buffer, then the cells merge.
+//
+// Durability: the frame is logged but NOT synced here — the caller
+// runs SyncReports before it acknowledges (the wire layer immediately
+// before each ack), so one group-committed fsync covers a whole
 // batched-ack window instead of every report paying its own.
 func (b *Backend) ConsumeReport(f *wire.ReportFrame) error {
 	if f.Kind == wire.FrameKindAdjust {
@@ -999,17 +941,11 @@ type RoundProgress struct {
 	Closed   bool
 }
 
-// RoundProgressOf reports a round's progress as one consistent
-// snapshot. It is a campaign-0 shorthand for CampaignRoundProgress.
-func (b *Backend) RoundProgressOf(id uint64) (RoundProgress, error) {
-	return b.CampaignRoundProgress(0, id)
-}
-
-// CampaignRoundProgress reports a (campaign, round)'s progress as one
+// RoundProgressOf reports a (campaign, round)'s progress as one
 // consistent snapshot. A status query is observation only: asking about
 // a round no reports have touched returns ErrUnknownRound instead of
 // opening (and logging) fresh round state.
-func (b *Backend) CampaignRoundProgress(c uint32, id uint64) (RoundProgress, error) {
+func (b *Backend) RoundProgressOf(c uint32, id uint64) (RoundProgress, error) {
 	r, ok := b.lookupRound(c, id)
 	if !ok {
 		return RoundProgress{}, ErrUnknownRound
@@ -1038,10 +974,11 @@ type RoundSnapshot struct {
 }
 
 // RoundsProgress snapshots every live round's progress, sorted by
-// round ID. Unlike RoundProgressOf it never creates a round: it
-// enumerates the existing map under the global lock and then reads
-// each round under its own read lock, so a status poll is observation
-// only — on a primary, a follower, and everything in between.
+// campaign then round ID. Like RoundProgressOf it never creates a
+// round: it enumerates the existing map under the global lock and then
+// reads each round under its own read lock, so a status poll is
+// observation only — on a primary, a follower, and everything in
+// between.
 func (b *Backend) RoundsProgress() []RoundSnapshot {
 	b.mu.Lock()
 	keys := make([]roundKey, 0, len(b.rounds))
@@ -1071,15 +1008,6 @@ func (b *Backend) RoundsProgress() []RoundSnapshot {
 	return out
 }
 
-// RoundStatus reports progress of a round.
-func (b *Backend) RoundStatus(id uint64) (reported int, missing []int, closed bool, err error) {
-	p, err := b.RoundProgressOf(id)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	return p.Reported, p.Missing, p.Closed, nil
-}
-
 // SubmitAdjustment records a reporter's second-round share. Invalid
 // shares are rejected here, at upload time, rather than poisoning every
 // later CloseRound attempt: the cell count must match the geometry, the
@@ -1090,27 +1018,18 @@ func (b *Backend) RoundStatus(id uint64) (reported int, missing []int, closed bo
 // share is an idempotent retry; a *different* share for the same round
 // is refused (ErrAdjustConflict) — the client computed against two
 // different missing sets and the server cannot tell which one is right.
-func (b *Backend) SubmitAdjustment(user int, id uint64, cells []uint64) error {
-	return b.submitAdjustment(0, user, id, 0, 0, false, cells, true)
-}
-
-// SubmitAdjustmentVersion is SubmitAdjustment for a share derived under
-// a specific negotiated config version: a stale nonzero version is
+//
+// cv is the negotiated config version the share was derived under: 0 is
+// "unversioned" and accepted by any round, a stale nonzero version is
 // rejected (the share's pairwise terms come from a superseded roster
 // and could not cancel), exactly as stale reports are.
-func (b *Backend) SubmitAdjustmentVersion(user int, id uint64, cv uint32, cells []uint64) error {
-	return b.submitAdjustment(0, user, id, cv, 0, false, cells, true)
-}
-
-// SubmitCampaignAdjustment is SubmitAdjustmentVersion for a specific
-// campaign's round.
-func (b *Backend) SubmitCampaignAdjustment(c uint32, user int, id uint64, cv uint32, cells []uint64) error {
+func (b *Backend) SubmitAdjustment(c uint32, user int, id uint64, cv uint32, cells []uint64) error {
 	return b.submitAdjustment(c, user, id, cv, 0, false, cells, true)
 }
 
 // submitAdjustment is the shared adjustment-upload path. checkKS
 // enforces ks against the round's blinding suite (the streamed-frame
-// path carries the byte; the JSON path never did). syncNow runs the
+// path carries the byte; the JSON op never did). syncNow runs the
 // fsync barrier before returning — the streamed path passes false and
 // lets the wire layer's ack barrier (SyncReports) cover the append, so
 // batched adjustment uploads amortize fsyncs exactly like reports.
@@ -1217,61 +1136,30 @@ func cellsEqual(a, b []uint64) bool {
 // the round open and retryable (record lost) — never half-closed. With
 // Config.RetainRounds set, a successful close also ages out closed
 // rounds whose Users_th has now been served for the retention horizon.
-func (b *Backend) CloseRound(id uint64) (usersTh float64, distinctAds int, err error) {
-	return b.CloseCampaignRound(0, id)
-}
-
-// CloseCampaignRound is CloseRound for a specific campaign's round. A
-// close is a query about accumulated state: closing a round no reports
-// have touched returns ErrUnknownRound instead of opening (and logging)
-// an empty round that could only ever fail with ErrNoReports.
-func (b *Backend) CloseCampaignRound(c uint32, id uint64) (usersTh float64, distinctAds int, err error) {
-	if b.cfg.Replica {
-		return 0, 0, ErrReadOnlyReplica
-	}
-	r, ok := b.lookupRound(c, id)
-	if !ok {
-		return 0, 0, ErrUnknownRound
-	}
-	r.mu.Lock()
-	if r.closed {
-		defer r.mu.Unlock()
-		return r.usersTh, len(r.counts), nil
-	}
-	if err := b.closeLocked(c, id, r); err != nil {
-		r.mu.Unlock()
-		return 0, 0, err
-	}
-	usersTh, distinctAds = r.usersTh, len(r.counts)
-	r.mu.Unlock()
-	b.retireRounds()
-	return usersTh, distinctAds, nil
-}
-
-// CloseRoundWait is the deadline close: it *seals* the round (reports
-// are refused from here on, so the missing set is frozen and every
-// reporter can compute its adjustment share against the same list),
-// then waits up to `wait` for every reporter's share to land before
-// finalizing. If the deadline expires with shares still outstanding it
-// returns ErrAdjustIncomplete and leaves the round open (and sealed):
-// stragglers can still upload and the close can be retried. This is how
-// a round with permanently-lost users closes — the lost users simply
-// stay in the missing set, and once the reporters that ARE alive have
-// all adjusted for them, the round finalizes without them. A reporter
-// that vanishes *between* its report and its share, by contrast, holds
-// the round at ErrAdjustIncomplete: its pairwise terms are in the
-// aggregate and nobody else can cancel them.
+// A close is a query about accumulated state: closing a round no
+// reports have touched returns ErrUnknownRound instead of opening (and
+// logging) an empty round that could only ever fail with ErrNoReports.
 //
-// With a full roster (nothing missing) no shares are owed and the close
-// proceeds immediately. Sealing is in-memory: a crash recovers the
+// With wait == 0 a round whose reporters still owe adjustment shares is
+// refused at once (ErrAdjustIncomplete). wait > 0 makes it the deadline
+// close: it first *seals* the round (reports are refused from here on,
+// so the missing set is frozen and every reporter can compute its
+// adjustment share against the same list), then waits up to wait for
+// every reporter's share to land before finalizing. If the deadline
+// expires with shares still outstanding it returns ErrAdjustIncomplete
+// and leaves the round open (and sealed): stragglers can still upload
+// and the close can be retried. This is how a round with
+// permanently-lost users closes — the lost users simply stay in the
+// missing set, and once the reporters that ARE alive have all adjusted
+// for them, the round finalizes without them. A reporter that vanishes
+// *between* its report and its share, by contrast, holds the round at
+// ErrAdjustIncomplete: its pairwise terms are in the aggregate and
+// nobody else can cancel them.
+//
+// With a full roster (nothing missing) no shares are owed and either
+// form proceeds immediately. Sealing is in-memory: a crash recovers the
 // round unsealed, and the retried deadline close re-seals it.
-func (b *Backend) CloseRoundWait(id uint64, wait time.Duration) (usersTh float64, distinctAds int, err error) {
-	return b.CloseCampaignRoundWait(0, id, wait)
-}
-
-// CloseCampaignRoundWait is CloseRoundWait for a specific campaign's
-// round; like CloseCampaignRound it never creates round state.
-func (b *Backend) CloseCampaignRoundWait(c uint32, id uint64, wait time.Duration) (usersTh float64, distinctAds int, err error) {
+func (b *Backend) CloseRound(c uint32, id uint64, wait time.Duration) (usersTh float64, distinctAds int, err error) {
 	if b.cfg.Replica {
 		return 0, 0, ErrReadOnlyReplica
 	}
@@ -1280,62 +1168,52 @@ func (b *Backend) CloseCampaignRoundWait(c uint32, id uint64, wait time.Duration
 		return 0, 0, ErrUnknownRound
 	}
 	r.mu.Lock()
-	if r.closed {
-		defer r.mu.Unlock()
-		return r.usersTh, len(r.counts), nil
-	}
-	if !r.sealed {
-		r.sealed = true
-		b.m.roundsSealed.Inc()
-	}
-	deadline := time.Now().Add(wait)
-	var timer *time.Timer
-	for {
-		owed := owedLocked(r)
-		if len(owed) == 0 {
-			break
+	if wait > 0 && !r.closed {
+		if !r.sealed {
+			r.sealed = true
+			b.m.roundsSealed.Inc()
 		}
-		if !time.Now().Before(deadline) {
-			reported, _ := r.agg.Progress()
+		awaitSharesLocked(r, wait)
+	}
+	closedNow := !r.closed
+	if closedNow {
+		if err := b.closeLocked(c, id, r); err != nil {
 			r.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
-			}
-			return 0, 0, fmt.Errorf("%w: %d of %d reporters after %v (first: user %d)",
-				ErrAdjustIncomplete, len(owed), reported, wait, owed[0])
-		}
-		if r.adjCond == nil {
-			r.adjCond = sync.NewCond(&r.mu)
-		}
-		if timer == nil {
-			// One timer per close call: it grabs the round lock and
-			// broadcasts, so a wait with no more shares arriving still
-			// wakes up to observe its expired deadline.
-			cond := r.adjCond
-			timer = time.AfterFunc(time.Until(deadline), func() {
-				r.mu.Lock()
-				cond.Broadcast()
-				r.mu.Unlock()
-			})
-		}
-		r.adjCond.Wait()
-		if r.closed { // a concurrent close won the race
-			defer r.mu.Unlock()
-			timer.Stop()
-			return r.usersTh, len(r.counts), nil
+			return 0, 0, err
 		}
 	}
-	if timer != nil {
-		timer.Stop()
-	}
-	closeErr := b.closeLocked(c, id, r)
 	usersTh, distinctAds = r.usersTh, len(r.counts)
 	r.mu.Unlock()
-	if closeErr != nil {
-		return 0, 0, closeErr
+	if closedNow {
+		b.retireRounds()
 	}
-	b.retireRounds()
 	return usersTh, distinctAds, nil
+}
+
+// awaitSharesLocked blocks until no adjustment share is owed, a
+// concurrent close wins the race, or wait elapses — whichever is first;
+// the caller re-examines the round afterwards. Caller holds r.mu
+// (write), which is released while waiting.
+func awaitSharesLocked(r *round, wait time.Duration) {
+	if len(owedLocked(r)) == 0 {
+		return
+	}
+	if r.adjCond == nil {
+		r.adjCond = sync.NewCond(&r.mu)
+	}
+	// One timer per close call: it grabs the round lock and broadcasts,
+	// so a wait with no more shares arriving still wakes up to observe
+	// its expired deadline.
+	cond, deadline := r.adjCond, time.Now().Add(wait)
+	timer := time.AfterFunc(wait, func() {
+		r.mu.Lock()
+		cond.Broadcast()
+		r.mu.Unlock()
+	})
+	defer timer.Stop()
+	for !r.closed && len(owedLocked(r)) > 0 && time.Now().Before(deadline) {
+		cond.Wait()
+	}
 }
 
 // owedLocked lists the reporters whose second-round shares are still
@@ -1370,8 +1248,8 @@ func owedLocked(r *round) []int {
 //
 // A close with users missing requires EVERY reporter's adjustment share
 // first: a partial share set subtracts a partial set of pairwise terms
-// and would publish corrupted counts that look plausible. CloseRoundWait
-// waits for the stragglers; the plain close refuses immediately.
+// and would publish corrupted counts that look plausible. A deadline
+// close has waited for the stragglers by now; either form refuses here.
 func (b *Backend) closeLocked(c uint32, id uint64, r *round) error {
 	if owed := owedLocked(r); len(owed) > 0 {
 		reported, _ := r.agg.Progress()
@@ -1485,21 +1363,43 @@ func (b *Backend) finalizeLocked(r *round) error {
 	// The round's pinned params — not the deployment defaults — scope
 	// the count extraction: each campaign queries its own ID space.
 	r.counts = privacy.UserCounts(final, r.agg.Config().Params)
-	sample := make([]float64, 0, len(r.counts))
-	for _, c := range r.counts {
-		sample = append(sample, float64(c))
-	}
-	r.usersTh = detector.UsersThreshold(sample, b.cfg.UsersEstimator)
+	r.usersTh = detector.UsersThreshold(ascendingSample(r.counts), b.cfg.UsersEstimator)
 	return nil
 }
 
-// Threshold returns a closed round's Users_th (Figure 1, arrow 5).
-func (b *Backend) Threshold(id uint64) (float64, error) {
-	return b.CampaignThreshold(0, id)
+// ascendingSample renders the per-ad counts as the Users_th estimator's
+// sample in ascending order, never map order: float sums are
+// order-dependent, and every estimator must see the same input on the
+// primary, on a follower and after recovery for the published Users_th
+// to be bit-identical on all three. A count is a number of users, so a
+// counting sort over the small values covers every honest round at the
+// cost of the map walk alone; only the rest is compared and sorted.
+func ascendingSample(counts map[uint64]uint64) []float64 {
+	var small [1 << 12]int
+	var large []uint64
+	for _, c := range counts {
+		if c < uint64(len(small)) {
+			small[c]++
+		} else {
+			large = append(large, c)
+		}
+	}
+	slices.Sort(large)
+	sample := make([]float64, 0, len(counts))
+	for v, n := range small {
+		for ; n > 0; n-- {
+			sample = append(sample, float64(v))
+		}
+	}
+	for _, c := range large {
+		sample = append(sample, float64(c))
+	}
+	return sample
 }
 
-// CampaignThreshold is Threshold for a specific campaign's round.
-func (b *Backend) CampaignThreshold(c uint32, id uint64) (float64, error) {
+// Threshold returns a closed (campaign, round)'s Users_th (Figure 1,
+// arrow 5).
+func (b *Backend) Threshold(c uint32, id uint64) (float64, error) {
 	r, ok := b.lookupRound(c, id)
 	if !ok {
 		return 0, ErrUnknownRound
@@ -1513,13 +1413,8 @@ func (b *Backend) CampaignThreshold(c uint32, id uint64) (float64, error) {
 }
 
 // AuditAd answers a real-time audit: the estimated #Users for an ad ID in
-// a closed round.
-func (b *Backend) AuditAd(id uint64, adID uint64) (uint64, error) {
-	return b.AuditCampaignAd(0, id, adID)
-}
-
-// AuditCampaignAd is AuditAd scoped to a campaign's round.
-func (b *Backend) AuditCampaignAd(c uint32, id uint64, adID uint64) (uint64, error) {
+// a closed (campaign, round).
+func (b *Backend) AuditAd(c uint32, id uint64, adID uint64) (uint64, error) {
 	r, ok := b.lookupRound(c, id)
 	if !ok {
 		return 0, ErrUnknownRound
@@ -1532,14 +1427,10 @@ func (b *Backend) AuditCampaignAd(c uint32, id uint64, adID uint64) (uint64, err
 	return privacy.QueryUsers(r.final, adID), nil
 }
 
-// UserCountsOfRound exposes a closed round's per-ad-ID counts (used by the
-// evaluation harness and the Figure 2 experiment).
-func (b *Backend) UserCountsOfRound(id uint64) (map[uint64]uint64, error) {
-	return b.CampaignUserCounts(0, id)
-}
-
-// CampaignUserCounts is UserCountsOfRound scoped to a campaign.
-func (b *Backend) CampaignUserCounts(c uint32, id uint64) (map[uint64]uint64, error) {
+// UserCounts exposes a closed (campaign, round)'s per-ad-ID counts (used
+// by the evaluation harness, the churn oracle check and the Figure 2
+// experiment).
+func (b *Backend) UserCounts(c uint32, id uint64) (map[uint64]uint64, error) {
 	r, ok := b.lookupRound(c, id)
 	if !ok {
 		return nil, ErrUnknownRound
@@ -1577,31 +1468,12 @@ func (b *Backend) Handler() wire.Handler {
 				PublicKeys: keys, ConfigVersion: cv, RosterVersion: rv,
 			}, nil
 
-		case wire.TypeSubmitReport:
-			var req wire.SubmitReportReq
-			if err := m.Decode(&req); err != nil {
-				return "", nil, err
-			}
-			var cms sketch.CMS
-			if err := cms.UnmarshalBinary(req.Sketch); err != nil {
-				return "", nil, err
-			}
-			rep := &privacy.Report{
-				User: req.User, Campaign: req.Campaign, Round: req.Round, Sketch: &cms,
-				Keystream:     blind.Keystream(req.Keystream),
-				ConfigVersion: req.ConfigVersion,
-			}
-			if err := b.SubmitReport(rep); err != nil {
-				return "", nil, err
-			}
-			return wire.TypeSubmitReportOK, struct{}{}, nil
-
 		case wire.TypeRoundStatus:
 			var req wire.CloseRoundReq
 			if err := m.Decode(&req); err != nil {
 				return "", nil, err
 			}
-			p, err := b.CampaignRoundProgress(req.Campaign, req.Round)
+			p, err := b.RoundProgressOf(req.Campaign, req.Round)
 			if err != nil {
 				return "", nil, err
 			}
@@ -1616,7 +1488,7 @@ func (b *Backend) Handler() wire.Handler {
 			if err := m.Decode(&req); err != nil {
 				return "", nil, err
 			}
-			if err := b.SubmitCampaignAdjustment(req.Campaign, req.User, req.Round, req.ConfigVersion, req.Cells); err != nil {
+			if err := b.SubmitAdjustment(req.Campaign, req.User, req.Round, req.ConfigVersion, req.Cells); err != nil {
 				return "", nil, err
 			}
 			return wire.TypeSubmitAdjustOK, struct{}{}, nil
@@ -1626,14 +1498,7 @@ func (b *Backend) Handler() wire.Handler {
 			if err := m.Decode(&req); err != nil {
 				return "", nil, err
 			}
-			var th float64
-			var ads int
-			var err error
-			if req.AdjustWaitMS > 0 {
-				th, ads, err = b.CloseCampaignRoundWait(req.Campaign, req.Round, time.Duration(req.AdjustWaitMS)*time.Millisecond)
-			} else {
-				th, ads, err = b.CloseCampaignRound(req.Campaign, req.Round)
-			}
+			th, ads, err := b.CloseRound(req.Campaign, req.Round, time.Duration(req.AdjustWaitMS)*time.Millisecond)
 			if err != nil {
 				return "", nil, err
 			}
@@ -1646,7 +1511,7 @@ func (b *Backend) Handler() wire.Handler {
 			if err := m.Decode(&req); err != nil {
 				return "", nil, err
 			}
-			counts, err := b.CampaignUserCounts(req.Campaign, req.Round)
+			counts, err := b.UserCounts(req.Campaign, req.Round)
 			if err != nil {
 				return "", nil, err
 			}
@@ -1659,7 +1524,7 @@ func (b *Backend) Handler() wire.Handler {
 			if err := m.Decode(&req); err != nil {
 				return "", nil, err
 			}
-			th, err := b.CampaignThreshold(req.Campaign, req.Round)
+			th, err := b.Threshold(req.Campaign, req.Round)
 			if err != nil {
 				return "", nil, err
 			}
@@ -1670,7 +1535,7 @@ func (b *Backend) Handler() wire.Handler {
 			if err := m.Decode(&req); err != nil {
 				return "", nil, err
 			}
-			users, err := b.AuditCampaignAd(req.Campaign, req.Round, req.AdID)
+			users, err := b.AuditAd(req.Campaign, req.Round, req.AdID)
 			if err != nil {
 				return "", nil, err
 			}

@@ -3,6 +3,7 @@ package backend
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"eyewnder/internal/group"
 	"eyewnder/internal/oprf"
 	"eyewnder/internal/privacy"
+	"eyewnder/internal/wire"
 )
 
 var (
@@ -39,6 +41,15 @@ func fixtures(t testing.TB) (*oprf.Server, *blind.Roster) {
 
 func testParams() privacy.Params {
 	return privacy.Params{Epsilon: 0.01, Delta: 0.01, IDSpace: 2000, Suite: group.P256()}
+}
+
+// submit hands a report to the back-end the way every client does: as a
+// frame through ConsumeReport, then the durability barrier an ack runs.
+func submit(b *Backend, rep *privacy.Report) error {
+	if err := b.ConsumeReport(wire.ReportFrameOf(rep)); err != nil {
+		return err
+	}
+	return b.SyncReports()
 }
 
 func newBackend(t *testing.T) (*Backend, []*privacy.Client) {
@@ -112,18 +123,18 @@ func TestFullRoundLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SubmitReport(rep); err != nil {
+		if err := submit(b, rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reported, missing, closed, err := b.RoundStatus(round)
+	p, err := b.RoundProgressOf(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reported != 4 || len(missing) != 0 || closed {
-		t.Fatalf("status = %d/%v/%v", reported, missing, closed)
+	if p.Reported != 4 || len(p.Missing) != 0 || p.Closed {
+		t.Fatalf("status = %+v", p)
 	}
-	th, ads, err := b.CloseRound(round)
+	th, ads, err := b.CloseRound(0, round, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +145,15 @@ func TestFullRoundLifecycle(t *testing.T) {
 		t.Fatalf("Users_th = %v, want between 1 and 4 (counts are {4,1})", th)
 	}
 	// Closing twice is idempotent.
-	th2, _, err := b.CloseRound(round)
+	th2, _, err := b.CloseRound(0, round, 0)
 	if err != nil || th2 != th {
 		t.Fatalf("re-close = %v, %v", th2, err)
 	}
-	gotTh, err := b.Threshold(round)
+	gotTh, err := b.Threshold(0, round)
 	if err != nil || gotTh != th {
 		t.Fatalf("Threshold = %v, %v", gotTh, err)
 	}
-	counts, err := b.UserCountsOfRound(round)
+	counts, err := b.UserCounts(0, round)
 	if err != nil || len(counts) < 2 {
 		t.Fatalf("UserCounts = %v, %v", counts, err)
 	}
@@ -151,7 +162,7 @@ func TestFullRoundLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SubmitReport(rep); err != ErrRoundClosed {
+	if err := submit(b, rep); err != ErrRoundClosed {
 		t.Fatalf("post-close submit err = %v", err)
 	}
 }
@@ -168,18 +179,19 @@ func TestRoundWithMissingUsersNeedsAdjustments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SubmitReport(rep); err != nil {
+		if err := submit(b, rep); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Without adjustments the close fails cleanly.
-	if _, _, err := b.CloseRound(round); err == nil {
+	if _, _, err := b.CloseRound(0, round, 0); err == nil {
 		t.Fatal("close with missing reports and no adjustments succeeded")
 	}
-	_, missing, _, err := b.RoundStatus(round)
+	p, err := b.RoundProgressOf(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
+	missing := p.Missing
 	if len(missing) != 1 || missing[0] != 3 {
 		t.Fatalf("missing = %v", missing)
 	}
@@ -189,11 +201,11 @@ func TestRoundWithMissingUsersNeedsAdjustments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SubmitAdjustment(i, round, adj); err != nil {
+		if err := b.SubmitAdjustment(0, i, round, 0, adj); err != nil {
 			t.Fatal(err)
 		}
 	}
-	th, ads, err := b.CloseRound(round)
+	th, ads, err := b.CloseRound(0, round, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,33 +219,33 @@ func TestRoundWithMissingUsersNeedsAdjustments(t *testing.T) {
 
 func TestThresholdBeforeClose(t *testing.T) {
 	b, clients := newBackend(t)
-	if _, err := b.Threshold(9); err != ErrUnknownRound {
+	if _, err := b.Threshold(0, 9); err != ErrUnknownRound {
 		t.Fatalf("unknown round err = %v", err)
 	}
 	rep, err := clients[0].Report(9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SubmitReport(rep); err != nil {
+	if err := submit(b, rep); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Threshold(9); err != ErrRoundNotClosed {
+	if _, err := b.Threshold(0, 9); err != ErrRoundNotClosed {
 		t.Fatalf("open round err = %v", err)
 	}
-	if _, err := b.AuditAd(9, 1); err != ErrRoundNotClosed {
+	if _, err := b.AuditAd(0, 9, 1); err != ErrRoundNotClosed {
 		t.Fatalf("audit open round err = %v", err)
 	}
-	if _, err := b.AuditAd(10, 1); err != ErrUnknownRound {
+	if _, err := b.AuditAd(0, 10, 1); err != ErrUnknownRound {
 		t.Fatalf("audit unknown round err = %v", err)
 	}
-	if _, err := b.UserCountsOfRound(10); err != ErrUnknownRound {
+	if _, err := b.UserCounts(0, 10); err != ErrUnknownRound {
 		t.Fatalf("counts unknown round err = %v", err)
 	}
 }
 
 func TestSubmitAdjustmentValidation(t *testing.T) {
 	b, _ := newBackend(t)
-	if err := b.SubmitAdjustment(99, 1, nil); err != ErrBadUser {
+	if err := b.SubmitAdjustment(0, 99, 1, 0, nil); err != ErrBadUser {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -241,5 +253,17 @@ func TestSubmitAdjustmentValidation(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Users: 0}); err == nil {
 		t.Fatal("zero users accepted")
+	}
+}
+
+// The Users_th sample must come out ascending whatever the map order,
+// across the counting-sort boundary.
+func TestAscendingSample(t *testing.T) {
+	counts := map[uint64]uint64{1: 3, 2: 1 << 40, 3: 0, 4: 4095, 5: 4096, 6: 3, 7: 1 << 63}
+	want := []float64{0, 3, 3, 4095, 4096, 1 << 40, 1 << 63}
+	for i := 0; i < 20; i++ {
+		if got := ascendingSample(counts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ascendingSample = %v, want %v", got, want)
+		}
 	}
 }

@@ -117,10 +117,10 @@ func TestEightCampaignsDistinctGeometries(t *testing.T) {
 	}
 
 	for id, oracle := range oracles {
-		if _, _, err := b.CloseCampaignRound(id, 1); err != nil {
+		if _, _, err := b.CloseRound(id, 1, 0); err != nil {
 			t.Fatalf("close campaign %d: %v", id, err)
 		}
-		got, err := b.CampaignUserCounts(id, 1)
+		got, err := b.UserCounts(id, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestEightCampaignsDistinctGeometries(t *testing.T) {
 	}
 
 	// Unknown campaigns are errors, never implicit state.
-	if _, err := b.CampaignRoundProgress(99, 1); !errors.Is(err, ErrUnknownRound) && !errors.Is(err, ErrUnknownCampaign) {
+	if _, err := b.RoundProgressOf(99, 1); !errors.Is(err, ErrUnknownRound) && !errors.Is(err, ErrUnknownCampaign) {
 		t.Fatalf("unknown campaign progress = %v", err)
 	}
 	if err := b.ConsumeReport(&wire.ReportFrame{User: 0, Campaign: 99, Round: 1, D: 1, W: 8, Cells: make([]uint64, 8)}); err == nil {
@@ -195,7 +195,7 @@ func TestMultiCampaignKillAndRecover(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := control.CloseCampaignRound(c.ID, 1); err != nil {
+		if _, _, err := control.CloseRound(c.ID, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func TestMultiCampaignKillAndRecover(t *testing.T) {
 
 	// Per-campaign progress recovered, then finish and compare.
 	for _, c := range camps {
-		prog, err := b2.CampaignRoundProgress(c.ID, 1)
+		prog, err := b2.RoundProgressOf(c.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,14 +255,14 @@ func TestMultiCampaignKillAndRecover(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := b2.CloseCampaignRound(c.ID, 1); err != nil {
+		if _, _, err := b2.CloseRound(c.ID, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		got, err := b2.CampaignUserCounts(c.ID, 1)
+		got, err := b2.UserCounts(c.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := control.CampaignUserCounts(c.ID, 1)
+		want, err := control.UserCounts(c.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestReplicaMirrorsMultiCampaignWAL(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, _, err := primary.CloseCampaignRound(c.ID, 1); err != nil {
+		if _, _, err := primary.CloseRound(c.ID, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -319,22 +319,22 @@ func TestReplicaMirrorsMultiCampaignWAL(t *testing.T) {
 		t.Fatal("replica campaign directory differs from primary")
 	}
 	for _, c := range camps {
-		pc, err := primary.CampaignUserCounts(c.ID, 1)
+		pc, err := primary.UserCounts(c.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := replica.CampaignUserCounts(c.ID, 1)
+		rc, err := replica.UserCounts(c.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(pc, rc) {
 			t.Fatalf("campaign %d: replica counts differ from primary", c.ID)
 		}
-		pt, err := primary.CampaignThreshold(c.ID, 1)
+		pt, err := primary.Threshold(c.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt, err := replica.CampaignThreshold(c.ID, 1)
+		rt, err := replica.Threshold(c.ID, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func TestConcurrentSubmitAndClose(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if err := b.SubmitReport(rep); err != nil {
+			if err := submit(b, rep); err != nil {
 				errs <- err
 			}
 		}()
@@ -56,7 +56,7 @@ func TestConcurrentSubmitAndClose(t *testing.T) {
 			// A status poll is observation only: racing ahead of the
 			// first report it sees ErrUnknownRound (the round does not
 			// exist yet), never a freshly created empty round.
-			if _, _, _, err := b.RoundStatus(round); err != nil && !errors.Is(err, ErrUnknownRound) {
+			if _, err := b.RoundProgressOf(0, round); err != nil && !errors.Is(err, ErrUnknownRound) {
 				errs <- err
 			}
 		}()
@@ -67,10 +67,10 @@ func TestConcurrentSubmitAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := b.CloseRound(round); err != nil {
+	if _, _, err := b.CloseRound(0, round, 0); err != nil {
 		t.Fatal(err)
 	}
-	users, err := b.AuditAd(round, adIDs["https://a.example/1"])
+	users, err := b.AuditAd(0, round, adIDs["https://a.example/1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestConcurrentSubmitAndClose(t *testing.T) {
 // never close.
 func TestSubmitAdjustmentRejectsBadLength(t *testing.T) {
 	b, _ := newBackend(t)
-	if err := b.SubmitAdjustment(0, 1, make([]uint64, 7)); err == nil {
+	if err := b.SubmitAdjustment(0, 0, 1, 0, make([]uint64, 7)); err == nil {
 		t.Fatal("wrong-length adjustment share accepted")
 	}
 }
@@ -104,7 +104,7 @@ func TestCloseRoundRetrySafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SubmitAdjustment(0, round, adj); !errors.Is(err, ErrUnknownRound) {
+	if err := b.SubmitAdjustment(0, 0, round, 0, adj); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("pre-report adjustment share: err = %v, want ErrUnknownRound", err)
 	}
 
@@ -118,11 +118,11 @@ func TestCloseRoundRetrySafe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SubmitReport(rep); err != nil {
+		if err := submit(b, rep); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.CloseRound(round); err == nil {
+	if _, _, err := b.CloseRound(0, round, 0); err == nil {
 		t.Fatal("close with a missing user and no adjustment shares succeeded")
 	}
 
@@ -132,14 +132,14 @@ func TestCloseRoundRetrySafe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SubmitAdjustment(u, round, adj); err != nil {
+		if err := b.SubmitAdjustment(0, u, round, 0, adj); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.CloseRound(round); err != nil {
+	if _, _, err := b.CloseRound(0, round, 0); err != nil {
 		t.Fatal(err)
 	}
-	counts, err := b.UserCountsOfRound(round)
+	counts, err := b.UserCounts(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSameRoundConcurrentStripedMerge(t *testing.T) {
 		wg.Add(1)
 		go func(rep *privacy.Report) {
 			defer wg.Done()
-			if err := b.SubmitReport(rep); err != nil {
+			if err := submit(b, rep); err != nil {
 				errs <- err
 			}
 		}(rep)
@@ -221,10 +221,10 @@ func TestSameRoundConcurrentStripedMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, err := b.CloseRound(round); err != nil {
+	if _, _, err := b.CloseRound(0, round, 0); err != nil {
 		t.Fatal(err)
 	}
-	counts, err := b.UserCountsOfRound(round)
+	counts, err := b.UserCounts(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +235,9 @@ func TestSameRoundConcurrentStripedMerge(t *testing.T) {
 	}
 }
 
-// The streamed ingestion path must agree with the JSON path: reports
-// submitted as binary frames over TCP land in the same aggregate, and
-// duplicate/closed-round errors surface to the streaming client.
+// Reports submitted as binary frames over TCP land in the round
+// aggregate, and duplicate/closed-round errors surface to the
+// streaming client.
 func TestStreamedReportsEndToEnd(t *testing.T) {
 	const (
 		users = 8
@@ -313,10 +313,10 @@ func TestStreamedReportsEndToEnd(t *testing.T) {
 		t.Fatal("duplicate streamed report accepted")
 	}
 
-	if _, _, err := b.CloseRound(round); err != nil {
+	if _, _, err := b.CloseRound(0, round, 0); err != nil {
 		t.Fatal(err)
 	}
-	counts, err := b.UserCountsOfRound(round)
+	counts, err := b.UserCounts(0, round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,9 +394,9 @@ func TestBatchedStreamedIngestion(t *testing.T) {
 	if err := stream.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reported, _, _, err := b.RoundStatus(round)
-	if err != nil || reported != users {
-		t.Fatalf("reported = %d, %v; want %d", reported, err, users)
+	p, err := b.RoundProgressOf(0, round)
+	if err != nil || p.Reported != users {
+		t.Fatalf("reported = %d, %v; want %d", p.Reported, err, users)
 	}
 
 	// A frame blinded under the wrong suite must be refused remotely.
@@ -413,7 +413,7 @@ func TestBatchedStreamedIngestion(t *testing.T) {
 	if err := stream.Close(); err == nil || !strings.Contains(err.Error(), "keystream") {
 		t.Fatalf("wrong-suite close err = %v", err)
 	}
-	if reported, _, _, _ := b.RoundStatus(round + 1); reported != 0 {
-		t.Fatalf("mismatched-suite report was folded (reported=%d)", reported)
+	if p, _ := b.RoundProgressOf(0, round+1); p.Reported != 0 {
+		t.Fatalf("mismatched-suite report was folded (reported=%d)", p.Reported)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"eyewnder/internal/detector"
 	"eyewnder/internal/privacy"
 	"eyewnder/internal/store"
+	"eyewnder/internal/wire"
 )
 
 // stampedFrames builds one round's reports and converts them to wire
@@ -41,14 +42,14 @@ func TestConfigVersionLifecycle(t *testing.T) {
 
 	// Reports stamped with the current version fold; stale ones bounce.
 	reports := stampedFrames(t, params, 4, 1, cfg.Version)
-	if err := b.SubmitReport(reports[0]); err != nil {
+	if err := submit(b, reports[0]); err != nil {
 		t.Fatal(err)
 	}
 	stale := stampedFrames(t, params, 4, 1, cfg.Version-1)[1]
-	if err := b.SubmitReport(stale); !errors.Is(err, privacy.ErrIncompatibleConfig) {
+	if err := submit(b, stale); !errors.Is(err, privacy.ErrIncompatibleConfig) {
 		t.Fatalf("stale submit = %v, want ErrIncompatibleConfig", err)
 	}
-	if err := b.ConsumeReport(frameOf(stale)); !errors.Is(err, privacy.ErrIncompatibleConfig) {
+	if err := b.ConsumeReport(wire.ReportFrameOf(stale)); !errors.Is(err, privacy.ErrIncompatibleConfig) {
 		t.Fatalf("stale streamed submit = %v, want ErrIncompatibleConfig", err)
 	}
 
@@ -60,11 +61,11 @@ func TestConfigVersionLifecycle(t *testing.T) {
 	if v := b.CurrentConfig().Version; v != 6 {
 		t.Fatalf("version after key change = %d", v)
 	}
-	if err := b.SubmitReport(reports[1]); err != nil { // still v5, round 1 pinned v5
+	if err := submit(b, reports[1]); err != nil { // still v5, round 1 pinned v5
 		t.Fatal(err)
 	}
 	newRound := stampedFrames(t, params, 4, 2, 5)[0] // stale cohort into a v6 round
-	if err := b.SubmitReport(newRound); !errors.Is(err, privacy.ErrIncompatibleConfig) {
+	if err := submit(b, newRound); !errors.Is(err, privacy.ErrIncompatibleConfig) {
 		t.Fatalf("old-cohort report into new round = %v, want ErrIncompatibleConfig", err)
 	}
 }
@@ -89,7 +90,7 @@ func TestRosterBumpRecoveredFromWAL(t *testing.T) {
 	}
 	v0 := b1.CurrentConfig().Version // 5 after four fresh registrations
 	// Round 1 opens pinned at v0.
-	if err := b1.ConsumeReport(frameOf(stampedFrames(t, params, users, 1, v0)[0])); err != nil {
+	if err := b1.ConsumeReport(wire.ReportFrameOf(stampedFrames(t, params, users, 1, v0)[0])); err != nil {
 		t.Fatal(err)
 	}
 	// The mid-deployment bump: user 1 re-enrolls with a new key.
@@ -120,18 +121,18 @@ func TestRosterBumpRecoveredFromWAL(t *testing.T) {
 	}
 	// Round 1 recovered with its v0 pin: the old cohort still fits, the
 	// new version does not.
-	if err := b2.ConsumeReport(frameOf(stampedFrames(t, params, users, 1, v0)[1])); err != nil {
+	if err := b2.ConsumeReport(wire.ReportFrameOf(stampedFrames(t, params, users, 1, v0)[1])); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.ConsumeReport(frameOf(stampedFrames(t, params, users, 1, v1)[2])); !errors.Is(err, privacy.ErrIncompatibleConfig) {
+	if err := b2.ConsumeReport(wire.ReportFrameOf(stampedFrames(t, params, users, 1, v1)[2])); !errors.Is(err, privacy.ErrIncompatibleConfig) {
 		t.Fatalf("new-version report into recovered v%d round = %v", v0, err)
 	}
 	// A fresh round opens at the recovered current version; the stale
 	// cohort is rejected there, live and identically to pre-crash.
-	if err := b2.ConsumeReport(frameOf(stampedFrames(t, params, users, 2, v0)[0])); !errors.Is(err, privacy.ErrIncompatibleConfig) {
+	if err := b2.ConsumeReport(wire.ReportFrameOf(stampedFrames(t, params, users, 2, v0)[0])); !errors.Is(err, privacy.ErrIncompatibleConfig) {
 		t.Fatalf("stale report into post-recovery round = %v, want ErrIncompatibleConfig", err)
 	}
-	if err := b2.ConsumeReport(frameOf(stampedFrames(t, params, users, 2, v1)[0])); err != nil {
+	if err := b2.ConsumeReport(wire.ReportFrameOf(stampedFrames(t, params, users, 2, v1)[0])); err != nil {
 		t.Fatalf("current-version report into post-recovery round = %v", err)
 	}
 }
@@ -141,11 +142,11 @@ func closeFullRound(t *testing.T, b *Backend, params privacy.Params, users int, 
 	t.Helper()
 	cv := b.CurrentConfig().Version
 	for _, r := range stampedFrames(t, params, users, round, cv) {
-		if err := b.ConsumeReport(frameOf(r)); err != nil {
+		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatalf("round %d user %d: %v", round, r.User, err)
 		}
 	}
-	if _, _, err := b.CloseRound(round); err != nil {
+	if _, _, err := b.CloseRound(0, round, 0); err != nil {
 		t.Fatalf("close %d: %v", round, err)
 	}
 }
@@ -173,7 +174,7 @@ func TestRetainRoundsEviction(t *testing.T) {
 	}
 	// Horizon 2 behind round 4: rounds 1 and 2 are gone, 3 and 4 serve.
 	for round, want := range map[uint64]error{1: ErrUnknownRound, 2: ErrUnknownRound, 3: nil, 4: nil} {
-		if _, err := b1.Threshold(round); !errors.Is(err, want) && err != want {
+		if _, err := b1.Threshold(0, round); !errors.Is(err, want) && err != want {
 			t.Fatalf("live Threshold(%d) = %v, want %v", round, err, want)
 		}
 	}
@@ -182,11 +183,11 @@ func TestRetainRoundsEviction(t *testing.T) {
 	// gets ErrUnknownRound, never a fresh empty round (which would
 	// re-admit users who already reported and publish a second
 	// Users_th for a served round).
-	if _, _, _, err := b1.RoundStatus(1); !errors.Is(err, ErrUnknownRound) {
+	if _, err := b1.RoundProgressOf(0, 1); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("RoundStatus on retired round = %v, want ErrUnknownRound", err)
 	}
 	late := stampedFrames(t, params, users, 1, b1.CurrentConfig().Version)[0]
-	if err := b1.ConsumeReport(frameOf(late)); !errors.Is(err, ErrUnknownRound) {
+	if err := b1.ConsumeReport(wire.ReportFrameOf(late)); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("late report into retired round = %v, want ErrUnknownRound", err)
 	}
 	if err := st1.Close(); err != nil {
@@ -209,15 +210,15 @@ func TestRetainRoundsEviction(t *testing.T) {
 	}
 	t.Cleanup(func() { b2.Close() })
 	for round, want := range map[uint64]error{1: ErrUnknownRound, 2: ErrUnknownRound, 3: nil, 4: nil} {
-		if _, err := b2.Threshold(round); !errors.Is(err, want) && err != want {
+		if _, err := b2.Threshold(0, round); !errors.Is(err, want) && err != want {
 			t.Fatalf("recovered Threshold(%d) = %v, want %v", round, err, want)
 		}
 	}
 
 	// The still-retained rounds answer identically to the first process.
-	th1, _ := b1.Threshold(3)
-	th2, _ := b2.Threshold(3)
-	if diff := th1 - th2; diff > 1e-9 || diff < -1e-9 {
+	th1, _ := b1.Threshold(0, 3)
+	th2, _ := b2.Threshold(0, 3)
+	if th1 != th2 {
 		t.Fatalf("retained round diverged: %v vs %v", th1, th2)
 	}
 }
@@ -236,26 +237,26 @@ func TestRetainRoundsKeepsOpenRounds(t *testing.T) {
 	t.Cleanup(func() { b.Close() })
 	// Round 1 stays open (one report only); rounds 2..4 close.
 	cv := b.CurrentConfig().Version
-	if err := b.ConsumeReport(frameOf(stampedFrames(t, params, users, 1, cv)[0])); err != nil {
+	if err := b.ConsumeReport(wire.ReportFrameOf(stampedFrames(t, params, users, 1, cv)[0])); err != nil {
 		t.Fatal(err)
 	}
 	for round := uint64(2); round <= 4; round++ {
 		closeFullRound(t, b, params, users, round)
 	}
-	if _, err := b.Threshold(2); !errors.Is(err, ErrUnknownRound) {
+	if _, err := b.Threshold(0, 2); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("Threshold(2) = %v, want ErrUnknownRound", err)
 	}
-	reported, _, closed, err := b.RoundStatus(1)
-	if err != nil || closed || reported != 1 {
-		t.Fatalf("open straggler: reported=%d closed=%v err=%v", reported, closed, err)
+	p, err := b.RoundProgressOf(0, 1)
+	if err != nil || p.Closed || p.Reported != 1 {
+		t.Fatalf("open straggler: %+v err=%v", p, err)
 	}
 }
 
-// Sanity: frameOf must carry the config version (the wire preamble does).
+// Sanity: ReportFrameOf must carry the config version (the wire preamble does).
 func TestFrameOfCarriesConfigVersion(t *testing.T) {
 	params := storeTestParams()
 	r := stampedFrames(t, params, 2, 1, 7)[0]
-	if f := frameOf(r); f.ConfigVersion != 7 {
-		t.Fatalf("frameOf dropped the config version: got %d", f.ConfigVersion)
+	if f := wire.ReportFrameOf(r); f.ConfigVersion != 7 {
+		t.Fatalf("ReportFrameOf dropped the config version: got %d", f.ConfigVersion)
 	}
 }

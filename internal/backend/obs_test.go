@@ -101,7 +101,7 @@ func TestRoundsProgressConsistency(t *testing.T) {
 		if len(snaps) != 1 || snaps[0].Round != 7 {
 			t.Fatalf("after %d reports: snapshots = %+v", i+1, snaps)
 		}
-		p, err := b.RoundProgressOf(7)
+		p, err := b.RoundProgressOf(0, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestRoundsProgressConsistency(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if _, _, err := b.CloseRound(7); err != nil {
+	if _, _, err := b.CloseRound(0, 7, 0); err != nil {
 		t.Fatal(err)
 	}
 	snaps := b.RoundsProgress()
@@ -186,7 +186,7 @@ func TestBackendMetricsAccounting(t *testing.T) {
 	if err := b.ConsumeReport(&stale); !errors.Is(err, privacy.ErrIncompatibleConfig) {
 		t.Fatalf("stale err = %v", err)
 	}
-	if _, _, err := b.CloseRound(1); err != nil {
+	if _, _, err := b.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.ConsumeReport(frames[2]); !errors.Is(err, ErrRoundClosed) {

@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"eyewnder/internal/detector"
 	"eyewnder/internal/privacy"
 	"eyewnder/internal/store"
+	"eyewnder/internal/wire"
 )
 
 // newReplica builds a hot-standby back-end with no local store.
@@ -93,11 +95,11 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 
 	// Round 1: full roster, straight close.
 	for _, r := range buildReports(t, params, users, 1) {
-		if err := primary.ConsumeReport(frameOf(r)); err != nil {
+		if err := primary.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := primary.CloseRound(1); err != nil {
+	if _, _, err := primary.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +109,7 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 	// same bytes into the same state.
 	reports2 := buildReports(t, params, users, 2)
 	for _, r := range reports2[:users-1] {
-		if err := primary.ConsumeReport(frameOf(r)); err != nil {
+		if err := primary.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,16 +119,16 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 		for i := range share {
 			share[i] = uint64(u*1000 + i)
 		}
-		if err := primary.SubmitAdjustment(u, 2, share); err != nil {
+		if err := primary.SubmitAdjustment(0, u, 2, 0, share); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := primary.CloseRound(2); err != nil {
+	if _, _, err := primary.CloseRound(0, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Round 3 stays open mid-round: the state a follower must hold warm.
 	for _, r := range buildReports(t, params, users, 3)[:3] {
-		if err := primary.ConsumeReport(frameOf(r)); err != nil {
+		if err := primary.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,19 +147,19 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 				chunk, pKeys, pcv, prv, rKeys, rcv, rrv)
 		}
 		for _, round := range []uint64{1, 2} {
-			pth, err := primary.Threshold(round)
+			pth, err := primary.Threshold(0, round)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rth, err := replica.Threshold(round)
+			rth, err := replica.Threshold(0, round)
 			if err != nil {
 				t.Fatalf("chunk %d: replica threshold(%d): %v", chunk, round, err)
 			}
 			if pth != rth {
 				t.Fatalf("chunk %d round %d: threshold %v vs %v", chunk, round, pth, rth)
 			}
-			pc, _ := primary.UserCountsOfRound(round)
-			rc, err := replica.UserCountsOfRound(round)
+			pc, _ := primary.UserCounts(0, round)
+			rc, err := replica.UserCounts(0, round)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,11 +167,11 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 				t.Fatalf("chunk %d round %d: counts diverge", chunk, round)
 			}
 		}
-		pp, err := primary.RoundProgressOf(3)
+		pp, err := primary.RoundProgressOf(0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := replica.RoundProgressOf(3)
+		rp, err := replica.RoundProgressOf(0, 3)
 		if err != nil {
 			t.Fatalf("chunk %d: replica progress(3): %v", chunk, err)
 		}
@@ -195,11 +197,11 @@ func TestReplicaApplyIsIdempotent(t *testing.T) {
 	defer st.Close()
 	primary := newStoreBackend(t, params, users, st)
 	for _, r := range buildReports(t, params, users, 1) {
-		if err := primary.ConsumeReport(frameOf(r)); err != nil {
+		if err := primary.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := primary.CloseRound(1); err != nil {
+	if _, _, err := primary.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -207,13 +209,13 @@ func TestReplicaApplyIsIdempotent(t *testing.T) {
 	feedWALInChunks(t, replica, dir, 64)
 	feedWALInChunks(t, replica, dir, 64) // the whole stream, again
 
-	pth, _ := primary.Threshold(1)
-	rth, err := replica.Threshold(1)
+	pth, _ := primary.Threshold(0, 1)
+	rth, err := replica.Threshold(0, 1)
 	if err != nil || pth != rth {
 		t.Fatalf("threshold after double feed = %v, %v (want %v)", rth, err, pth)
 	}
-	pc, _ := primary.UserCountsOfRound(1)
-	rc, _ := replica.UserCountsOfRound(1)
+	pc, _ := primary.UserCounts(0, 1)
+	rc, _ := replica.UserCounts(0, 1)
 	if !reflect.DeepEqual(pc, rc) {
 		t.Fatal("counts diverge after double feed")
 	}
@@ -230,25 +232,22 @@ func TestReplicaRejectsWrites(t *testing.T) {
 		t.Errorf("Register err = %v", err)
 	}
 	reports := buildReports(t, params, users, 1)
-	if err := replica.SubmitReport(reports[0]); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Errorf("SubmitReport err = %v", err)
-	}
-	if err := replica.ConsumeReport(frameOf(reports[0])); !errors.Is(err, ErrReadOnlyReplica) {
+	if err := replica.ConsumeReport(wire.ReportFrameOf(reports[0])); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Errorf("ConsumeReport err = %v", err)
 	}
 	cells := len(reports[0].Sketch.FlatCells())
-	if err := replica.SubmitAdjustment(0, 1, make([]uint64, cells)); !errors.Is(err, ErrReadOnlyReplica) {
+	if err := replica.SubmitAdjustment(0, 0, 1, 0, make([]uint64, cells)); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Errorf("SubmitAdjustment err = %v", err)
 	}
-	if _, _, err := replica.CloseRound(1); !errors.Is(err, ErrReadOnlyReplica) {
+	if _, _, err := replica.CloseRound(0, 1, 0); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Errorf("CloseRound err = %v", err)
 	}
-	if _, _, err := replica.CloseRoundWait(1, 0); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Errorf("CloseRoundWait err = %v", err)
+	if _, _, err := replica.CloseRound(0, 1, time.Millisecond); !errors.Is(err, ErrReadOnlyReplica) {
+		t.Errorf("deadline CloseRound err = %v", err)
 	}
 	// A status poll of a round the primary never opened must answer
 	// ErrUnknownRound, not silently create the round.
-	if _, err := replica.RoundProgressOf(99); !errors.Is(err, ErrUnknownRound) {
+	if _, err := replica.RoundProgressOf(0, 99); !errors.Is(err, ErrUnknownRound) {
 		t.Errorf("RoundProgressOf(99) err = %v", err)
 	}
 }

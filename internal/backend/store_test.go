@@ -55,18 +55,6 @@ func buildReportsWithRoster(t *testing.T, params privacy.Params, users int, roun
 	return reports, roster
 }
 
-// frameOf converts a report to its streamed wire form.
-func frameOf(r *privacy.Report) *wire.ReportFrame {
-	return &wire.ReportFrame{
-		User: r.User, Round: r.Round,
-		D: r.Sketch.Depth(), W: r.Sketch.Width(),
-		N: r.Sketch.N(), Seed: r.Sketch.Seed(),
-		Keystream:     byte(r.Keystream),
-		ConfigVersion: r.ConfigVersion,
-		Cells:         r.Sketch.FlatCells(),
-	}
-}
-
 func newStoreBackend(t *testing.T, params privacy.Params, users int, st store.Store) *Backend {
 	t.Helper()
 	b, err := New(Config{Params: params, Users: users, UsersEstimator: detector.EstimatorMean, Store: st})
@@ -89,15 +77,15 @@ func TestBackendRecoversMidRound(t *testing.T) {
 	// Control: uninterrupted in-memory run over the same reports.
 	control := newStoreBackend(t, params, users, nil)
 	for _, r := range reports {
-		if err := control.ConsumeReport(frameOf(r)); err != nil {
+		if err := control.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	controlTh, controlAds, err := control.CloseRound(1)
+	controlTh, controlAds, err := control.CloseRound(0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	controlCounts, err := control.UserCountsOfRound(1)
+	controlCounts, err := control.UserCounts(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +104,7 @@ func TestBackendRecoversMidRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reports[:4] {
-		if err := b1.ConsumeReport(frameOf(r)); err != nil {
+		if err := b1.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,46 +121,46 @@ func TestBackendRecoversMidRound(t *testing.T) {
 	b2 := newStoreBackend(t, params, users, st2)
 
 	// The reported-bitmap must have survived…
-	reported, missing, closed, err := b2.RoundStatus(1)
+	p, err := b2.RoundProgressOf(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reported != 4 || closed {
-		t.Fatalf("recovered status: reported=%d closed=%v", reported, closed)
+	if p.Reported != 4 || p.Closed {
+		t.Fatalf("recovered status: %+v", p)
 	}
-	if !reflect.DeepEqual(missing, []int{4, 5, 6, 7}) {
-		t.Fatalf("recovered missing = %v", missing)
+	if !reflect.DeepEqual(p.Missing, []int{4, 5, 6, 7}) {
+		t.Fatalf("recovered missing = %v", p.Missing)
 	}
 	// …the roster too…
 	if keys, _, _ := b2.Roster(); string(keys[3]) != "pk3" {
 		t.Fatalf("roster entry lost: %q", keys[3])
 	}
 	// …and the duplicate invariant must hold across the restart.
-	if err := b2.ConsumeReport(frameOf(reports[0])); !errors.Is(err, privacy.ErrDuplicate) {
+	if err := b2.ConsumeReport(wire.ReportFrameOf(reports[0])); !errors.Is(err, privacy.ErrDuplicate) {
 		t.Fatalf("duplicate across restart = %v, want ErrDuplicate", err)
 	}
 
 	// Finish the round on the recovered backend.
 	for _, r := range reports[4:] {
-		if err := b2.ConsumeReport(frameOf(r)); err != nil {
+		if err := b2.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	th, ads, err := b2.CloseRound(1)
+	th, ads, err := b2.CloseRound(0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ads != controlAds {
 		t.Fatalf("distinct ads: recovered %d, control %d", ads, controlAds)
 	}
-	counts, err := b2.UserCountsOfRound(1)
+	counts, err := b2.UserCounts(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(counts, controlCounts) {
 		t.Fatal("recovered counts differ from uninterrupted run")
 	}
-	if diff := th - controlTh; diff > 1e-9 || diff < -1e-9 {
+	if th != controlTh {
 		t.Fatalf("Users_th: recovered %v, control %v", th, controlTh)
 	}
 }
@@ -193,15 +181,15 @@ func TestBackendRecoversClosedRoundAndSuite(t *testing.T) {
 	}
 	b1 := newStoreBackend(t, params, users, st1)
 	for _, r := range reports {
-		if err := b1.SubmitReport(r); err != nil {
+		if err := submit(b1, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	th1, ads1, err := b1.CloseRound(9)
+	th1, ads1, err := b1.CloseRound(0, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts1, err := b1.UserCountsOfRound(9)
+	counts1, err := b1.UserCounts(0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,18 +200,18 @@ func TestBackendRecoversClosedRoundAndSuite(t *testing.T) {
 	}
 	defer st2.Close()
 	b2 := newStoreBackend(t, params, users, st2)
-	th2, ads2, err := b2.CloseRound(9) // already closed: returns the recovered results
+	th2, ads2, err := b2.CloseRound(0, 9, 0) // already closed: returns the recovered results
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts2, err := b2.UserCountsOfRound(9)
+	counts2, err := b2.UserCounts(0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ads1 != ads2 || !reflect.DeepEqual(counts1, counts2) {
 		t.Fatal("closed round did not recover byte-identical counts")
 	}
-	if diff := th1 - th2; diff > 1e-9 || diff < -1e-9 {
+	if th1 != th2 {
 		t.Fatalf("Users_th across recovery: %v vs %v", th1, th2)
 	}
 
@@ -231,7 +219,7 @@ func TestBackendRecoversClosedRoundAndSuite(t *testing.T) {
 	// the *recovered* state of an open round.
 	hmacParams := storeTestParams() // suite 0x00
 	wrong := buildReports(t, hmacParams, users, 10)[0]
-	if err := b2.SubmitReport(wrong); !errors.Is(err, privacy.ErrKeystreamMismatch) {
+	if err := submit(b2, wrong); !errors.Is(err, privacy.ErrKeystreamMismatch) {
 		t.Fatalf("wrong-suite report after recovery = %v", err)
 	}
 }
@@ -246,7 +234,7 @@ func TestBackendRefusesMismatchedDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1 := newStoreBackend(t, params, 4, st1)
-	if err := b1.SubmitReport(buildReports(t, params, 4, 1)[0]); err != nil {
+	if err := submit(b1, buildReports(t, params, 4, 1)[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := st1.Close(); err != nil {
@@ -303,7 +291,7 @@ func TestBackendSnapshotCompaction(t *testing.T) {
 	}
 	b1 := newStoreBackend(t, params, users, st1)
 	for _, r := range reports {
-		if err := b1.ConsumeReport(frameOf(r)); err != nil {
+		if err := b1.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,29 +308,29 @@ func TestBackendSnapshotCompaction(t *testing.T) {
 	}
 	defer st2.Close()
 	b2 := newStoreBackend(t, params, users, st2)
-	reported, _, _, err := b2.RoundStatus(1)
+	p, err := b2.RoundProgressOf(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reported != users {
-		t.Fatalf("recovered %d reports, want %d", reported, users)
+	if p.Reported != users {
+		t.Fatalf("recovered %d reports, want %d", p.Reported, users)
 	}
-	if _, _, err := b2.CloseRound(1); err != nil {
+	if _, _, err := b2.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// The compacted state must equal the uninterrupted control.
 	control := newStoreBackend(t, params, users, nil)
 	for _, r := range reports {
-		if err := control.ConsumeReport(frameOf(r)); err != nil {
+		if err := control.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := control.CloseRound(1); err != nil {
+	if _, _, err := control.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := b2.UserCountsOfRound(1)
-	want, _ := control.UserCountsOfRound(1)
+	got, _ := b2.UserCounts(0, 1)
+	want, _ := control.UserCounts(0, 1)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("counts diverged across snapshot compaction")
 	}

@@ -333,15 +333,7 @@ func (w *WireBackend) Roster() ([][]byte, uint32, uint32, error) {
 // reads directly into its pooled cell slices — with the blinding suite
 // and config version in the preamble.
 func (w *WireBackend) SubmitReport(rep *privacy.Report) error {
-	cms := rep.Sketch
-	return w.C.SubmitReportFrame(&wire.ReportFrame{
-		User: rep.User, Campaign: rep.Campaign, Round: rep.Round,
-		D: cms.Depth(), W: cms.Width(),
-		N: cms.N(), Seed: cms.Seed(),
-		Keystream:     byte(rep.Keystream),
-		ConfigVersion: rep.ConfigVersion,
-		Cells:         cms.FlatCells(),
-	})
+	return w.C.SubmitReportFrame(wire.ReportFrameOf(rep))
 }
 
 // RoundStatus implements BackendAPI.

@@ -4,6 +4,8 @@ import (
 	"crypto/rand"
 	"crypto/rsa"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"eyewnder/internal/crawler"
 	"eyewnder/internal/detector"
 	"eyewnder/internal/group"
+	"eyewnder/internal/obs"
 	"eyewnder/internal/oprf"
 	"eyewnder/internal/privacy"
 	"eyewnder/internal/taxonomy"
@@ -249,7 +252,7 @@ func TestAdjustmentFlowOverTCP(t *testing.T) {
 			t.Fatalf("missing = %v", missing)
 		}
 	}
-	th, ads, err := be.CloseRound(round)
+	th, ads, err := be.CloseRound(0, round, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +262,106 @@ func TestAdjustmentFlowOverTCP(t *testing.T) {
 	// One ad seen by exactly the two reporters.
 	if th < 1.5 || th > 2.5 {
 		t.Fatalf("Users_th = %v, want ~2", th)
+	}
+}
+
+// TestLocalAndWireBackendsAgree drives the same observations through one
+// round twice — once with every extension on the in-process adapter,
+// once over TCP — including one duplicate report each. Both adapters
+// hand the back-end the same frame through the same admission body, so
+// the published counts and Users_th must be identical and the
+// accepted/rejected counters must have moved once per report on both.
+func TestLocalAndWireBackendsAgree(t *testing.T) {
+	params := testParams()
+	const nUsers, round = 3, 5
+	osrv, err := oprf.NewServerFromKey(testRSAKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		counts  map[uint64]uint64
+		th      float64
+		reports map[string]float64
+	}
+	run := func(overWire bool) outcome {
+		reg := obs.New()
+		be, err := backend.New(backend.Config{
+			Params: params, Users: nUsers, UsersEstimator: detector.EstimatorMean, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer be.Close()
+		var api client.BackendAPI = &client.LocalBackend{B: be}
+		if overWire {
+			srv, err := be.Serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			conn, err := wire.Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			api = &client.WireBackend{C: conn}
+		}
+		exts := make([]*client.Extension, nUsers)
+		for i := range exts {
+			exts[i], err = client.New(client.Options{User: i, Detector: detector.DefaultConfig()}, api, osrv, osrv.PublicKey())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := exts[i].Register(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, ext := range exts {
+			if err := ext.Join(); err != nil {
+				t.Fatal(err)
+			}
+			for a := 0; a <= i; a++ { // ad a is seen by users a..nUsers-1
+				if err := ext.ObserveAdDirect(fmt.Sprintf("https://ads.example/%d", a), "www.a.example", adsim.SimStart); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ext.SubmitReport(round); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := exts[0].SubmitReport(round); err == nil {
+			t.Fatal("duplicate report accepted")
+		}
+		if _, _, err := be.CloseRound(0, round, 0); err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{reports: make(map[string]float64)}
+		if out.counts, err = be.UserCounts(0, round); err != nil {
+			t.Fatal(err)
+		}
+		if out.th, err = be.Threshold(0, round); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range reg.Snapshot() {
+			if strings.HasPrefix(k, "eyewnder_reports_") {
+				out.reports[k] = v
+			}
+		}
+		return out
+	}
+	local, wired := run(false), run(true)
+	if len(local.counts) == 0 || !reflect.DeepEqual(local.counts, wired.counts) {
+		t.Fatalf("counts differ: in-process %v, wire %v", local.counts, wired.counts)
+	}
+	if local.th != wired.th {
+		t.Fatalf("Users_th differs: in-process %v, wire %v", local.th, wired.th)
+	}
+	if !reflect.DeepEqual(local.reports, wired.reports) {
+		t.Fatalf("report counters differ: in-process %v, wire %v", local.reports, wired.reports)
+	}
+	if local.reports["eyewnder_reports_accepted_total"] != nUsers ||
+		local.reports[`eyewnder_reports_rejected_total{reason="duplicate"}`] != 1 {
+		t.Fatalf("report counters = %v, want %d accepted and 1 duplicate", local.reports, nUsers)
 	}
 }
 

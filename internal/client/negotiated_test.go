@@ -104,7 +104,7 @@ func TestNegotiatedSessionsWithRosterBump(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := be.CloseRound(1); err != nil {
+	if _, _, err := be.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +137,7 @@ func TestNegotiatedSessionsWithRosterBump(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := be.CloseRound(2); err != nil {
+	if _, _, err := be.CloseRound(0, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 }

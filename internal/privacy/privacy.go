@@ -347,11 +347,14 @@ func (a *Aggregator) Config() RoundConfig { return a.cfg }
 // Add folds one blinded report into the aggregate. Safe for concurrent
 // use with other Add/AddCells calls.
 func (a *Aggregator) Add(r *Report) error {
-	if err := a.Reserve(r); err != nil {
-		return err
+	if r.Round != a.round {
+		return ErrRoundMismatch
 	}
-	a.FoldReserved(r.Sketch.FlatCells())
-	return nil
+	if r.Sketch == nil {
+		return sketch.ErrDimensionMismatch
+	}
+	sk := r.Sketch
+	return a.AddCells(r.User, sk.Depth(), sk.Width(), sk.N(), sk.Seed(), r.Keystream, r.ConfigVersion, sk.FlatCells())
 }
 
 // AddCells folds a report that arrived as raw header fields plus a flat
@@ -371,32 +374,16 @@ func (a *Aggregator) AddCells(user int, d, w int, n, seed uint64, ks blind.Keyst
 	return nil
 }
 
-// Reserve is the validation-and-bookkeeping half of Add, split out so a
-// caller can interpose a side effect — the back-end's write-ahead log
-// append — between acceptance and the cell fold. On success the user's
+// ReserveCells is the validation-and-bookkeeping half of AddCells, split
+// out so a caller can interpose a side effect — the back-end's
+// write-ahead log append — between acceptance and the cell fold.
+// cellsLen is the report's flat cell count. On success the user's
 // roster slot is taken and the report's weight counted; the caller MUST
 // then either FoldReserved the cells or Unreserve the slot. Because the
 // reservation is what serializes duplicate detection, anything logged
-// after a successful Reserve is a report the aggregate will definitely
-// absorb — which is exactly the invariant crash recovery replays on.
-func (a *Aggregator) Reserve(r *Report) error {
-	if r.Round != a.round {
-		return ErrRoundMismatch
-	}
-	if !a.cfg.CompatibleReportVersion(r.ConfigVersion) {
-		return ErrIncompatibleConfig
-	}
-	if r.Keystream != a.cfg.Params.Keystream {
-		return ErrKeystreamMismatch
-	}
-	if r.Sketch == nil || !a.agg.SameLayout(r.Sketch) {
-		return sketch.ErrDimensionMismatch
-	}
-	return a.reserve(r.User, r.Sketch.N())
-}
-
-// ReserveCells is Reserve for the streaming ingestion path's raw header
-// fields (see AddCells). cellsLen is the report's flat cell count.
+// after a successful ReserveCells is a report the aggregate will
+// definitely absorb — which is exactly the invariant crash recovery
+// replays on.
 func (a *Aggregator) ReserveCells(user int, d, w int, n, seed uint64, ks blind.Keystream, cv uint32, cellsLen int) error {
 	if !a.cfg.CompatibleReportVersion(cv) {
 		return ErrIncompatibleConfig
@@ -433,9 +420,9 @@ func (a *Aggregator) FoldReserved(cells []uint64) {
 	a.merger.Add(cells)
 }
 
-// Unreserve rolls back a successful Reserve whose fold will not happen
-// (the back-end uses it when the WAL append fails): the user's slot
-// reopens and the report's weight is subtracted again.
+// Unreserve rolls back a successful ReserveCells whose fold will not
+// happen (the back-end uses it when the WAL append fails): the user's
+// slot reopens and the report's weight is subtracted again.
 func (a *Aggregator) Unreserve(user int, n uint64) {
 	a.mu.Lock()
 	delete(a.reported, user)

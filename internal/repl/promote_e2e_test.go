@@ -150,15 +150,15 @@ func TestPromoteAfterPrimaryKill(t *testing.T) {
 	}
 	defer control.Close()
 	for _, r := range reports {
-		if err := control.ConsumeReport(frameOf(r)); err != nil {
+		if err := control.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	controlTh, controlAds, err := control.CloseRound(1)
+	controlTh, controlAds, err := control.CloseRound(0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	controlCounts, err := control.UserCountsOfRound(1)
+	controlCounts, err := control.UserCounts(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPromoteAfterPrimaryKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reports[:5] {
-		if err := rs.Submit(frameOf(r)); err != nil {
+		if err := rs.Submit(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,7 +213,7 @@ func TestPromoteAfterPrimaryKill(t *testing.T) {
 
 	// The follower's warm replica catches up on every acked record.
 	waitFor(t, "follower to mirror the acked reports", func() bool {
-		rp, err := f.Replica().RoundProgressOf(1)
+		rp, err := f.Replica().RoundProgressOf(0, 1)
 		return err == nil && rp.Reported == 5
 	})
 
@@ -260,7 +260,7 @@ func TestPromoteAfterPrimaryKill(t *testing.T) {
 		t.Fatal("registration lost across the promotion")
 	}
 	// …and a duplicate of a pre-kill report still bounces.
-	if err := cli2.SubmitReportFrame(frameOf(reports[0])); err == nil ||
+	if err := cli2.SubmitReportFrame(wire.ReportFrameOf(reports[0])); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate across promotion = %v", err)
 	}
@@ -271,7 +271,7 @@ func TestPromoteAfterPrimaryKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reports[5:] {
-		if err := rs2.Submit(frameOf(r)); err != nil {
+		if err := rs2.Submit(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,9 +305,8 @@ func TestPromoteAfterPrimaryKill(t *testing.T) {
 				fmt.Sprintf("ad %d: control %d, promoted %d", id, want, audit.Users))
 		}
 	}
-	thDelta := closed.UsersTh - controlTh
 	diff.Identical = closed.DistinctAds == controlAds && len(diff.CountMismatches) == 0 &&
-		thDelta < 1e-9 && thDelta > -1e-9
+		closed.UsersTh == controlTh
 	if out := os.Getenv(e2eDiffEnv); out != "" {
 		raw, _ := json.MarshalIndent(diff, "", "  ")
 		if err := os.WriteFile(out, append(raw, '\n'), 0o644); err != nil {

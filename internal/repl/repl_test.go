@@ -60,18 +60,6 @@ func buildReports(t *testing.T, params privacy.Params, users int, round uint64) 
 	return reports
 }
 
-// frameOf converts a report to its streamed wire form.
-func frameOf(r *privacy.Report) *wire.ReportFrame {
-	return &wire.ReportFrame{
-		User: r.User, Round: r.Round,
-		D: r.Sketch.Depth(), W: r.Sketch.Width(),
-		N: r.Sketch.N(), Seed: r.Sketch.Seed(),
-		Keystream:     byte(r.Keystream),
-		ConfigVersion: r.ConfigVersion,
-		Cells:         r.Sketch.FlatCells(),
-	}
-}
-
 // newPrimary opens a durable primary back-end on dir and serves its
 // store over the replication protocol.
 func newPrimary(t *testing.T, dir string, users int, opts store.Options) (*backend.Backend, *store.Disk, *repl.Primary) {
@@ -121,22 +109,22 @@ func assertMirror(t *testing.T, primary, replica *backend.Backend, rounds ...uin
 		t.Fatalf("roster/version mismatch: (%d,%d) vs (%d,%d)", pcv, prv, rcv, rrv)
 	}
 	for _, round := range rounds {
-		pth, err := primary.Threshold(round)
+		pth, err := primary.Threshold(0, round)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rth, err := replica.Threshold(round)
+		rth, err := replica.Threshold(0, round)
 		if err != nil {
 			t.Fatalf("replica threshold(%d): %v", round, err)
 		}
 		if pth != rth {
 			t.Fatalf("round %d: threshold %v vs %v", round, pth, rth)
 		}
-		pc, err := primary.UserCountsOfRound(round)
+		pc, err := primary.UserCounts(0, round)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := replica.UserCountsOfRound(round)
+		rc, err := replica.UserCounts(0, round)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,11 +159,11 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 
 	// Round 1: full roster, straight close.
 	for _, r := range buildReports(t, params, users, 1) {
-		if err := b.ConsumeReport(frameOf(r)); err != nil {
+		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.CloseRound(1); err != nil {
+	if _, _, err := b.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,7 +176,7 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 	// Round 2: one user missing, adjustment shares, close.
 	reports2 := buildReports(t, params, users, 2)
 	for _, r := range reports2[:users-1] {
-		if err := b.ConsumeReport(frameOf(r)); err != nil {
+		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,17 +186,17 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 		for i := range share {
 			share[i] = uint64(u*1000 + i)
 		}
-		if err := b.SubmitAdjustment(u, 2, share); err != nil {
+		if err := b.SubmitAdjustment(0, u, 2, 0, share); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.CloseRound(2); err != nil {
+	if _, _, err := b.CloseRound(0, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	// Round 3 stays open mid-round: the warm state promotion needs.
 	for _, r := range buildReports(t, params, users, 3)[:3] {
-		if err := b.ConsumeReport(frameOf(r)); err != nil {
+		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -217,17 +205,17 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 	}
 
 	waitFor(t, "follower to catch up", func() bool {
-		rp, err := f.Replica().RoundProgressOf(3)
+		rp, err := f.Replica().RoundProgressOf(0, 3)
 		return err == nil && rp.Reported == 3 && f.Status().CaughtUp
 	})
 	st.Sync() // no-op barrier; keeps the flushed horizon settled before comparing
 
 	assertMirror(t, b, f.Replica(), 1, 2)
-	pp, err := b.RoundProgressOf(3)
+	pp, err := b.RoundProgressOf(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := f.Replica().RoundProgressOf(3)
+	rp, err := f.Replica().RoundProgressOf(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +246,11 @@ func TestFollowerRestartAfterPrune(t *testing.T) {
 	mirror := filepath.Join(t.TempDir(), "mirror")
 
 	for _, r := range buildReports(t, params, users, 1) {
-		if err := b.ConsumeReport(frameOf(r)); err != nil {
+		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.CloseRound(1); err != nil {
+	if _, _, err := b.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,18 +259,18 @@ func TestFollowerRestartAfterPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "first follower to mirror round 1", func() bool {
-		th, err := f1.Replica().Threshold(1)
+		th, err := f1.Replica().Threshold(0, 1)
 		return err == nil && th >= 0 && f1.Status().CaughtUp
 	})
 	f1.Stop()
 	f1Tail := store.FileInfo{Kind: store.FileWAL, Gen: f1.Status().TailGen}.Name()
 
 	for _, r := range buildReports(t, params, users, 2) {
-		if err := b.ConsumeReport(frameOf(r)); err != nil {
+		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.CloseRound(2); err != nil {
+	if _, _, err := b.CloseRound(0, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	// The snapshot goroutine compacts asynchronously; wait until the
@@ -299,7 +287,7 @@ func TestFollowerRestartAfterPrune(t *testing.T) {
 	}
 	defer f2.Stop()
 	waitFor(t, "second follower to converge", func() bool {
-		th, err := f2.Replica().Threshold(2)
+		th, err := f2.Replica().Threshold(0, 2)
 		return err == nil && th >= 0 && f2.Status().CaughtUp
 	})
 	assertMirror(t, b, f2.Replica(), 1, 2)
@@ -404,11 +392,11 @@ func TestFollowerConvergesTornTail(t *testing.T) {
 	}
 	defer b.Close()
 	for _, r := range buildReports(t, params, users, 1) {
-		if err := b.ConsumeReport(frameOf(r)); err != nil {
+		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := b.CloseRound(1); err != nil {
+	if _, _, err := b.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.SyncReports(); err != nil {
@@ -446,7 +434,7 @@ func TestFollowerConvergesTornTail(t *testing.T) {
 		s := f.Status()
 		return s.CaughtUp && s.TailOff == cut
 	})
-	rp, err := f.Replica().RoundProgressOf(1)
+	rp, err := f.Replica().RoundProgressOf(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +446,7 @@ func TestFollowerConvergesTornTail(t *testing.T) {
 	// follower re-requests from the cut and converges.
 	src.set(store.FileWAL, 1, raw, int64(len(raw)))
 	waitFor(t, "follower to converge past the torn tail", func() bool {
-		th, err := f.Replica().Threshold(1)
+		th, err := f.Replica().Threshold(0, 1)
 		return err == nil && th >= 0
 	})
 	assertMirror(t, b, f.Replica(), 1)

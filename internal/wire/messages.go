@@ -8,12 +8,13 @@ const (
 	TypeOPRFPublicKeyOK = "oprf.public_key_ok"
 	TypeOPRFEvaluateOK  = "oprf.evaluate_ok"
 
-	// Extension ↔ back-end.
+	// Extension ↔ back-end. There is no submit_report request: reports
+	// enter only as binary frames (stream.go), and TypeSubmitReportOK is
+	// the per-frame JSON ack on a connection without batched acks.
 	TypeRegister       = "backend.register"
 	TypeRegisterOK     = "backend.register_ok"
 	TypeRoster         = "backend.roster"
 	TypeRosterOK       = "backend.roster_ok"
-	TypeSubmitReport   = "backend.submit_report"
 	TypeSubmitReportOK = "backend.submit_report_ok"
 	TypeAckBatch       = "backend.ack_batch"
 	TypeAckBatchOK     = "backend.ack_batch_ok"
@@ -84,24 +85,6 @@ type RosterResp struct {
 	PublicKeys    [][]byte `json:"public_keys"`
 	ConfigVersion uint32   `json:"config_version,omitempty"`
 	RosterVersion uint32   `json:"roster_version,omitempty"`
-}
-
-// SubmitReportReq uploads a blinded CMS (binary serialization of
-// sketch.CMS). Keystream is the blinding-suite byte (blind.Keystream);
-// absent means suite 0, the original HMAC-SHA256 expansion, so old
-// clients' reports still verify. ConfigVersion is the negotiated
-// round-config version the report was built under (see handshake.go);
-// absent means 0, "unversioned", the flag-agreement deployment style.
-// Campaign scopes the report to a provisioned campaign's rounds;
-// absent means campaign 0, the implicit deployment-wide campaign, so
-// pre-campaign clients keep reporting unchanged.
-type SubmitReportReq struct {
-	User          int    `json:"user"`
-	Campaign      uint32 `json:"campaign,omitempty"`
-	Round         uint64 `json:"round"`
-	Sketch        []byte `json:"sketch"`
-	Keystream     byte   `json:"keystream,omitempty"`
-	ConfigVersion uint32 `json:"config_version,omitempty"`
 }
 
 // AckBatchReq switches the connection's streamed-report acknowledgements

@@ -7,14 +7,14 @@ import (
 	"io"
 	"sync"
 
+	"eyewnder/internal/privacy"
 	"eyewnder/internal/vec"
 )
 
-// Streamed report frames: the binary fast path for the one message that
-// dominates back-end traffic, backend.submit_report. The JSON path costs
-// three full copies of the ~150 KB sketch per report (base64 text inside
-// the envelope, the decoded []byte, the unmarshalled cell slice) plus the
-// JSON parse itself. A report frame instead carries the sketch header and
+// Streamed report frames: the one way a report enters the back-end. A
+// JSON envelope would cost three full copies of the ~150 KB sketch per
+// report (base64 text, the decoded []byte, the unmarshalled cell slice)
+// plus the JSON parse itself. A report frame instead carries the sketch header and
 // the raw little-endian cell block; the server reads the cells straight
 // off the socket into a pooled []uint64 — on little-endian hosts the
 // io.ReadFull target IS the cell slice's backing memory — and hands the
@@ -129,6 +129,21 @@ type ReportFrame struct {
 	// directions. The writer refuses values above 0xFFFF.
 	Campaign uint32
 	Cells    []uint64
+}
+
+// ReportFrameOf renders a blinded report as its streamed frame — the
+// one report-to-frame conversion, shared by the TCP and the in-process
+// client adapters. Cells aliases the report's sketch, not a copy.
+func ReportFrameOf(rep *privacy.Report) *ReportFrame {
+	cms := rep.Sketch
+	return &ReportFrame{
+		User: rep.User, Campaign: rep.Campaign, Round: rep.Round,
+		D: cms.Depth(), W: cms.Width(),
+		N: cms.N(), Seed: cms.Seed(),
+		Keystream:     byte(rep.Keystream),
+		ConfigVersion: rep.ConfigVersion,
+		Cells:         cms.FlatCells(),
+	}
 }
 
 // AdjustFrame builds a streamed second-round adjustment share: the

@@ -9,10 +9,10 @@
 // misbehaving peer from ballooning memory; a ~200 KB blinded CMS (the
 // paper's Section 7.1 number) fits comfortably.
 //
-// The highest-volume message, backend.submit_report, additionally has a
-// binary streamed form (see stream.go): the header word's top bit marks a
-// report frame whose cell block is read directly into pooled cell slices,
-// bypassing the JSON envelope and its per-report copies entirely. A
+// JSON carries control operations only. Reports and streamed adjustment
+// shares travel as binary frames (see stream.go): the header word's top
+// bit marks a frame whose cell block is read directly into pooled cell
+// slices, with no JSON envelope and no per-report copies. A
 // connection may further negotiate batched acknowledgements (see
 // batch.go): the server then answers streamed reports with one binary
 // ack per k frames while a per-connection fold goroutine pipelines frame

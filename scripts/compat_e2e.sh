@@ -4,20 +4,14 @@
 # Usage: compat_e2e.sh <mode> <old-bin-dir> <new-bin-dir>
 #   mode old-client-new-server : the previous release's clients must
 #        complete a full streamed-report round against the current
-#        server. A pre-handshake client's reports decode as config
-#        version 0 ("unversioned"); a handshake-era client lands in
-#        campaign 0, the implicit legacy campaign.
-#   mode new-client-old-server : the current zero-flag client against
-#        the previous release's server. If the old server serves the
-#        config handshake, the client must complete a full round — its
-#        campaign-0 traffic is byte-identical to a single-campaign
-#        release's. If the old server predates the handshake (drops
-#        the Hello), the client must fail FAST and CLEANLY, naming
-#        the handshake — never hang, never join, never submit.
+#        server, reporting into campaign 0.
+#   mode new-client-old-server : the current client must complete a
+#        full round against the previous release's server — its
+#        campaign-0 traffic is byte-identical to that release's.
 #
-# The previous release's era is detected from its client's own flag
-# set: the pre-negotiation client took protocol flags (-total); the
-# handshake-era client takes none.
+# The compatibility window is the previous release only (OPERATIONS.md
+# §10): both sides negotiate their config through the handshake and
+# take no protocol flags.
 #
 # Both directions bind to fixed localhost ports; the script owns the
 # processes it starts and kills them on exit.
@@ -50,87 +44,29 @@ wait_port() { # host:port
     return 1
 }
 
-# The pre-negotiation client mirrored the server geometry through
-# protocol flags; its successors negotiate everything and define none
-# of them. tflag carries the era difference, old_era remembers it.
-old_era=0
-tflag=""
-if "$old/eyewnder-client" -h 2>&1 | grep -q -- '-total'; then
-    old_era=1
-    tflag="-total 3"
-fi
-
+# One 3-user round, server from one release and clients from the other;
+# the clients negotiate the server's geometry and report into campaign 0.
 case "$mode" in
-old-client-new-server)
-    # Current server, 3-user roster; the old clients either mirror its
-    # default geometry through their own default flags (pre-handshake
-    # era) or negotiate it (handshake era, reporting into campaign 0).
-    "$new/eyewnder-server" -backend "$BE" -oprf "$OPRF" -users 3 >"$log/server.log" 2>&1 &
-    pids+=($!)
-    wait_port "$BE"
-    # shellcheck disable=SC2086 # tflag is deliberately word-split
-    "$old/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 0 $tflag -visits 10 >"$log/c0.log" 2>&1 &
-    c0=$!
-    "$old/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 1 $tflag -visits 10 >"$log/c1.log" 2>&1 &
-    c1=$!
-    if ! "$old/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 2 $tflag -visits 10 -close >"$log/c2.log" 2>&1; then
-        echo "old client failed against new server:" >&2
-        tail -n 20 "$log"/c2.log "$log"/server.log >&2
-        exit 1
-    fi
-    wait "$c0" "$c1"
-    grep -q "closed: Users_th" "$log/c2.log"
-    echo "OK: previous release's clients completed a round against the current server"
-    ;;
-
-new-client-old-server)
-    "$old/eyewnder-server" -backend "$BE" -oprf "$OPRF" -users 3 >"$log/server.log" 2>&1 &
-    pids+=($!)
-    wait_port "$BE"
-    if [ "$old_era" = 1 ]; then
-        # Pre-handshake old server: the new client must exit nonzero
-        # quickly with the handshake error, not hang waiting for a
-        # roster it can never negotiate.
-        set +e
-        timeout 30 "$new/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 0 >"$log/c.log" 2>&1
-        rc=$?
-        set -e
-        if [ "$rc" -eq 0 ]; then
-            echo "new client unexpectedly succeeded against the old server" >&2
-            exit 1
-        fi
-        if [ "$rc" -eq 124 ]; then
-            echo "new client HUNG against the old server (timeout)" >&2
-            tail -n 20 "$log/c.log" >&2
-            exit 1
-        fi
-        if ! grep -qi "handshake" "$log/c.log"; then
-            echo "new client failed without naming the handshake:" >&2
-            tail -n 20 "$log/c.log" >&2
-            exit 1
-        fi
-        echo "OK: current client failed cleanly against the previous release's server"
-    else
-        # Handshake-era old server: the new client's campaign-0 traffic
-        # is byte-identical to a single-campaign release's, so a full
-        # roster round must complete against the old binary.
-        "$new/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 0 -visits 10 >"$log/c0.log" 2>&1 &
-        c0=$!
-        "$new/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 1 -visits 10 >"$log/c1.log" 2>&1 &
-        c1=$!
-        if ! "$new/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 2 -visits 10 -close >"$log/c2.log" 2>&1; then
-            echo "new client failed against the previous release's server:" >&2
-            tail -n 20 "$log"/c2.log "$log"/server.log >&2
-            exit 1
-        fi
-        wait "$c0" "$c1"
-        grep -q "closed: Users_th" "$log/c2.log"
-        echo "OK: current clients completed a round against the previous release's server"
-    fi
-    ;;
-
+old-client-new-server) srv="$new" cli="$old" what="previous release's clients completed a round against the current server" ;;
+new-client-old-server) srv="$old" cli="$new" what="current clients completed a round against the previous release's server" ;;
 *)
     echo "unknown mode $mode" >&2
     exit 2
     ;;
 esac
+
+"$srv/eyewnder-server" -backend "$BE" -oprf "$OPRF" -users 3 >"$log/server.log" 2>&1 &
+pids+=($!)
+wait_port "$BE"
+"$cli/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 0 -visits 10 >"$log/c0.log" 2>&1 &
+c0=$!
+"$cli/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 1 -visits 10 >"$log/c1.log" 2>&1 &
+c1=$!
+if ! "$cli/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 2 -visits 10 -close >"$log/c2.log" 2>&1; then
+    echo "$mode: client failed against the server:" >&2
+    tail -n 20 "$log"/c2.log "$log"/server.log >&2
+    exit 1
+fi
+wait "$c0" "$c1"
+grep -q "closed: Users_th" "$log/c2.log"
+echo "OK: $what"
