@@ -67,8 +67,9 @@ func measure(fn func(b *testing.B)) pipelineResult {
 // runPipeline benchmarks every stage of the privacy hot path — sketch
 // update/query, report (de)serialization, report ingestion over loopback
 // TCP (per-frame vs batched acks), same-round merge contention (locked vs
-// striped), blinding-vector computation, aggregate merge, and the
-// back-end close-round enumeration — and writes the results to outPath.
+// striped), blinding-vector computation, aggregate merge, the back-end
+// close-round enumeration and the count-table extraction at the paper's
+// |A| — and writes the results to outPath.
 // With checkPct/checkNsPct > 0 it then gates against the baseline (the
 // CI regression gate).
 func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) error {
@@ -290,6 +291,25 @@ func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) err
 			}
 			if counts := privacy.UserCounts(final, params); len(counts) == 0 {
 				b.Fatal("close round recovered no counts")
+			}
+		}
+	})
+
+	// count_extract is the close's extraction step alone, at the scale a
+	// deployment closes at: a paper-geometry sketch that has seen a real
+	// fleet (no empty column, so every one of the |A| = 100k IDs counts)
+	// swept into the dense count table.
+	fmt.Fprintln(os.Stderr, "pipeline: count extraction (saturated sketch, 100k-ID table) ...")
+	full := privacy.DefaultParams()
+	saturated := newCMS()
+	satCells := saturated.FlatCells()
+	for i := range satCells {
+		satCells[i] = uint64(i%61) + 1
+	}
+	rep.Benchmarks["count_extract"] = measure(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, distinct := privacy.CountTable(saturated, full); distinct != int(full.IDSpace) {
+				b.Fatalf("saturated sketch counted %d of %d IDs", distinct, full.IDSpace)
 			}
 		}
 	})

@@ -117,7 +117,10 @@ func main() {
 	if err := ext.SubmitReport(*round); err != nil {
 		log.Fatalf("report: %v", err)
 	}
-	log.Printf("user %d submitted blinded report for round %d", *user, *round)
+	// SubmitReport re-Joins by itself when the roster moved under it (a
+	// re-enrolled user bumps the config version), so the version the
+	// report went out under may be newer than the one joined above.
+	log.Printf("user %d submitted blinded report for round %d (config v%d)", *user, *round, ext.Config().Version)
 
 	if !*closeRound {
 		return

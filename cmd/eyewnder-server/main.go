@@ -52,7 +52,7 @@ func main() {
 		rsaBits     = flag.Int("rsa-bits", 2048, "oprf RSA modulus size")
 		epsilon     = flag.Float64("epsilon", 0.01, "CMS epsilon")
 		delta       = flag.Float64("delta", 0.01, "CMS delta")
-		idSpace     = flag.Uint64("id-space", 100000, "ad-ID space size |A| (overestimate)")
+		idSpace     = flag.Uint64("id-space", 100000, "ad-ID space size |A| (overestimate; 1 to 2^24 — closing a round sweeps and tabulates the whole space)")
 		stripes     = flag.Int("merge-stripes", 0, "intra-round merge stripes (0 = 2×GOMAXPROCS, 1 = single merge lock)")
 		ackBatch    = flag.Int("ack-batch", 0, "streamed-report ack batch k for batched-ack connections (0 = adaptive per connection, 1 = ack every frame)")
 		keystream   = flag.String("keystream", "hmac-sha256", "blinding keystream suite, advertised to clients in the config handshake: hmac-sha256 or aes-ctr")
@@ -74,6 +74,9 @@ func main() {
 	ks, err := blind.KeystreamByName(*keystream)
 	if err != nil {
 		log.Fatalf("keystream: %v", err)
+	}
+	if err := privacy.CheckIDSpace(*idSpace); err != nil {
+		log.Fatalf("-id-space: %v", err)
 	}
 	var mode store.SyncMode
 	switch *fsync {

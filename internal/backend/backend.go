@@ -138,6 +138,10 @@ type Backend struct {
 	cfg   Config
 	cells int             // sketch cell count implied by Params, for share validation
 	m     *backendMetrics // pre-registered instrument handles, always non-nil
+	// refinalize is how long restore spent re-finalizing the recovered
+	// closed rounds (eyewnder_restore_refinalize_seconds); written once,
+	// before New returns.
+	refinalize time.Duration
 
 	// store is the durability sink (store.Null when Config.Store is
 	// nil); durable is false for the null store, gating the snapshot
@@ -230,8 +234,11 @@ type round struct {
 	closed  bool
 	final   *sketch.CMS
 	usersTh float64
-	// counts is the per-ad-ID user-count map extracted at close.
-	counts map[uint64]uint64
+	// counts is the close-time count table — counts[id] is the final
+	// sketch's estimate for ad ID id, over the round's whole ID space —
+	// and distinct the number of non-zero entries in it.
+	counts   []uint64
+	distinct int
 }
 
 // New constructs a back-end. With a durable Config.Store, the store's
@@ -245,6 +252,9 @@ func New(cfg Config) (*Backend, error) {
 	}
 	d, w, err := sketch.Dimensions(cfg.Params.Epsilon, cfg.Params.Delta)
 	if err != nil {
+		return nil, err
+	}
+	if err := privacy.CheckIDSpace(cfg.Params.IDSpace); err != nil {
 		return nil, err
 	}
 	st := cfg.Store
@@ -302,6 +312,9 @@ func New(cfg Config) (*Backend, error) {
 				defer b.mu.Unlock()
 				return float64(len(b.campaigns))
 			})
+		cfg.Metrics.GaugeFunc("eyewnder_restore_refinalize_seconds",
+			"Time this back-end's startup spent re-finalizing recovered closed rounds.",
+			func() float64 { return b.refinalize.Seconds() })
 		cfg.Metrics.GaugeFunc("eyewnder_replica",
 			"1 when this back-end is a read-only hot-standby replica.",
 			func() float64 {
@@ -409,12 +422,14 @@ func (b *Backend) restore() error {
 		}
 		r := &round{agg: agg, adjusts: adjusts}
 		if rs.Closed {
-			// Re-derive the close-time results (final sketch, per-ad
-			// counts, Users_th) from the recovered aggregate: the inputs
+			// Re-derive the close-time results (final sketch, count
+			// table, Users_th) from the recovered aggregate: the inputs
 			// are byte-identical, so the counts are too.
+			start := time.Now()
 			if err := b.finalizeLocked(r); err != nil {
 				return fmt.Errorf("backend: re-closing recovered round %d: %w", rs.Round, err)
 			}
+			b.refinalize += time.Since(start)
 			r.closed = true
 		}
 		b.rounds[roundKey{rs.Campaign, rs.Round}] = r
@@ -1182,7 +1197,7 @@ func (b *Backend) CloseRound(c uint32, id uint64, wait time.Duration) (usersTh f
 			return 0, 0, err
 		}
 	}
-	usersTh, distinctAds = r.usersTh, len(r.counts)
+	usersTh, distinctAds = r.usersTh, r.distinct
 	r.mu.Unlock()
 	if closedNow {
 		b.retireRounds()
@@ -1259,12 +1274,14 @@ func (b *Backend) closeLocked(c uint32, id uint64, r *round) error {
 	if err := b.finalizeLocked(r); err != nil {
 		return err
 	}
+	logged := time.Now()
 	if err := b.store.AppendClose(c, id); err != nil {
 		return err
 	}
 	if err := b.store.Sync(); err != nil {
 		return err
 	}
+	b.m.closeLogSync.Observe(time.Since(logged))
 	r.closed = true
 	b.m.roundsClosed.Inc()
 	return nil
@@ -1336,10 +1353,14 @@ func (b *Backend) retireRounds() {
 }
 
 // finalizeLocked computes a round's close-time results — the unblinded
-// final sketch, the per-ad user counts, and Users_th — without marking
-// it closed. Shared by CloseRound and the recovery path, which re-runs
-// it on a restored aggregate: the inputs are byte-identical to the
-// original close, so the counts are too. Caller holds r.mu (write).
+// final sketch, the per-ad count table, and Users_th — without marking
+// it closed: clone the aggregate, subtract the adjustment shares, sweep
+// the ID space once, derive the threshold. Shared by CloseRound, the
+// recovery path and the replica's close-apply, which re-run it on a
+// restored or replicated aggregate: the inputs are byte-identical to the
+// original close, and every step reads them in index order, so the
+// results are too. Each stage is timed into
+// eyewnder_round_close_stage_seconds. Caller holds r.mu (write).
 func (b *Backend) finalizeLocked(r *round) error {
 	// Adjustments are applied to a clone of the aggregate
 	// (FinalizeWithAdjustments), never to the live one: if the close
@@ -1348,6 +1369,7 @@ func (b *Backend) finalizeLocked(r *round) error {
 	// entirely — any stored ones were computed against a transient
 	// missing view that later reports emptied, and subtracting terms
 	// that already cancel pairwise would corrupt the aggregate.
+	start := time.Now()
 	var shares [][]uint64
 	if _, missing := r.agg.Progress(); len(missing) > 0 {
 		shares = make([][]uint64, 0, len(r.adjusts))
@@ -1360,24 +1382,30 @@ func (b *Backend) finalizeLocked(r *round) error {
 		return err
 	}
 	r.final = final
+	subtracted := time.Now()
+	b.m.closeSubtract.Observe(subtracted.Sub(start))
 	// The round's pinned params — not the deployment defaults — scope
 	// the count extraction: each campaign queries its own ID space.
-	r.counts = privacy.UserCounts(final, r.agg.Config().Params)
-	r.usersTh = detector.UsersThreshold(ascendingSample(r.counts), b.cfg.UsersEstimator)
+	r.counts, r.distinct = privacy.CountTable(final, r.agg.Config().Params)
+	extracted := time.Now()
+	b.m.closeExtract.Observe(extracted.Sub(subtracted))
+	r.usersTh = detector.UsersThreshold(ascendingSample(r.counts, r.distinct), b.cfg.UsersEstimator)
+	b.m.closeThreshold.Observe(time.Since(extracted))
 	return nil
 }
 
-// ascendingSample renders the per-ad counts as the Users_th estimator's
-// sample in ascending order, never map order: float sums are
-// order-dependent, and every estimator must see the same input on the
-// primary, on a follower and after recovery for the published Users_th
-// to be bit-identical on all three. A count is a number of users, so a
-// counting sort over the small values covers every honest round at the
-// cost of the map walk alone; only the rest is compared and sorted.
-func ascendingSample(counts map[uint64]uint64) []float64 {
+// ascendingSample renders the non-zero entries of a count table (there
+// are distinct of them) as the Users_th estimator's sample in ascending
+// order: float sums are order-dependent, and every estimator must see
+// the same input on the primary, on a follower and after recovery for
+// the published Users_th to be bit-identical on all three. A count is a
+// number of users, so a counting sort over the small values covers every
+// honest round at the cost of one sequential scan of the table; only the
+// rest is compared and sorted.
+func ascendingSample(table []uint64, distinct int) []float64 {
 	var small [1 << 12]int
 	var large []uint64
-	for _, c := range counts {
+	for _, c := range table {
 		if c < uint64(len(small)) {
 			small[c]++
 		} else {
@@ -1385,10 +1413,10 @@ func ascendingSample(counts map[uint64]uint64) []float64 {
 		}
 	}
 	slices.Sort(large)
-	sample := make([]float64, 0, len(counts))
-	for v, n := range small {
+	sample := make([]float64, 0, distinct)
+	for v, n := range small[1:] {
 		for ; n > 0; n-- {
-			sample = append(sample, float64(v))
+			sample = append(sample, float64(v+1))
 		}
 	}
 	for _, c := range large {
@@ -1427,9 +1455,11 @@ func (b *Backend) AuditAd(c uint32, id uint64, adID uint64) (uint64, error) {
 	return privacy.QueryUsers(r.final, adID), nil
 }
 
-// UserCounts exposes a closed (campaign, round)'s per-ad-ID counts (used
-// by the evaluation harness, the churn oracle check and the Figure 2
-// experiment).
+// UserCounts exposes a closed (campaign, round)'s per-ad-ID counts as a
+// map holding the IDs with a non-zero count (used by the round_counts
+// op, the evaluation harness, the churn oracle check and the Figure 2
+// experiment). The round keeps a dense table; the map is built here, per
+// call.
 func (b *Backend) UserCounts(c uint32, id uint64) (map[uint64]uint64, error) {
 	r, ok := b.lookupRound(c, id)
 	if !ok {
@@ -1440,11 +1470,7 @@ func (b *Backend) UserCounts(c uint32, id uint64) (map[uint64]uint64, error) {
 	if !r.closed {
 		return nil, ErrRoundNotClosed
 	}
-	out := make(map[uint64]uint64, len(r.counts))
-	for k, v := range r.counts {
-		out[k] = v
-	}
-	return out, nil
+	return privacy.CountMap(r.counts, r.distinct), nil
 }
 
 // Handler adapts the back-end to the wire protocol.

@@ -256,14 +256,34 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// The Users_th sample must come out ascending whatever the map order,
-// across the counting-sort boundary.
+// The Users_th sample is the table's non-zero entries in ascending
+// order, across the counting-sort boundary — zeros are IDs nobody saw
+// and are not part of the sample, as they never were part of the map.
 func TestAscendingSample(t *testing.T) {
-	counts := map[uint64]uint64{1: 3, 2: 1 << 40, 3: 0, 4: 4095, 5: 4096, 6: 3, 7: 1 << 63}
-	want := []float64{0, 3, 3, 4095, 4096, 1 << 40, 1 << 63}
-	for i := 0; i < 20; i++ {
-		if got := ascendingSample(counts); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ascendingSample = %v, want %v", got, want)
+	cases := []struct {
+		name  string
+		table []uint64
+		want  []float64
+	}{
+		{"mixed, large values", []uint64{0, 3, 1 << 40, 0, 4095, 4096, 3, 1 << 63, 1, 0},
+			[]float64{1, 3, 3, 4095, 4096, 1 << 40, 1 << 63}},
+		{"all zero", make([]uint64, 64), []float64{}},
+		{"empty", nil, []float64{}},
+		{"only large", []uint64{1 << 20, 4096, 1 << 20}, []float64{4096, 1 << 20, 1 << 20}},
+	}
+	for _, tc := range cases {
+		distinct := 0
+		for _, v := range tc.table {
+			if v > 0 {
+				distinct++
+			}
+		}
+		got := ascendingSample(tc.table, distinct)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: ascendingSample = %v, want %v", tc.name, got, tc.want)
+		}
+		if cap(got) != distinct {
+			t.Errorf("%s: sample capacity %d, want exactly distinct = %d", tc.name, cap(got), distinct)
 		}
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"eyewnder/internal/blind"
 	"eyewnder/internal/campaign"
+	"eyewnder/internal/detector"
 	"eyewnder/internal/privacy"
 	"eyewnder/internal/sketch"
 	"eyewnder/internal/store"
@@ -341,5 +343,69 @@ func TestReplicaMirrorsMultiCampaignWAL(t *testing.T) {
 		if pt != rt {
 			t.Fatalf("campaign %d: replica Users_th %v, primary %v", c.ID, rt, pt)
 		}
+	}
+}
+
+// Nothing may hand a round an ID space the close would have to sweep
+// and tabulate without limit: the deployment base is checked at
+// construction, a provisioned campaign at AddCampaign (in process and
+// over the wire), and a recovered campaign directory entry at restore —
+// each refused before anything is allocated for it.
+func TestIDSpaceBounded(t *testing.T) {
+	params := storeTestParams()
+	for _, bad := range []uint64{0, privacy.MaxIDSpace + 1, 1 << 60} {
+		p := params
+		p.IDSpace = bad
+		if _, err := New(Config{Params: p, Users: 4, UsersEstimator: detector.EstimatorMean}); !errors.Is(err, privacy.ErrBadIDSpace) {
+			t.Errorf("New with IDSpace %d = %v, want ErrBadIDSpace", bad, err)
+		}
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newStoreBackend(t, params, 4, st)
+	huge := campaign.Campaign{ID: 5, Name: "huge", IDSpace: 1 << 40}
+	if err := b.AddCampaign(huge); !errors.Is(err, campaign.ErrBadCampaign) {
+		t.Fatalf("AddCampaign(id space 2^40) = %v, want ErrBadCampaign", err)
+	}
+	srv, err := b.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	err = cli.Do(wire.TypeCampaignAdd, wire.CampaignAddReq{ID: 5, Name: "huge", IDSpace: 1 << 40}, &wire.CampaignAddResp{})
+	if err == nil || !strings.Contains(err.Error(), campaign.ErrBadCampaign.Error()) {
+		t.Fatalf("campaign_add(id space 2^40) over the wire = %v, want %v", err, campaign.ErrBadCampaign)
+	}
+	if got := b.Campaigns(); len(got) != 0 {
+		t.Fatalf("refused campaign was provisioned: %+v", got)
+	}
+
+	// A directory entry over the limit that is already in the WAL (written
+	// by a build without the check, or by hand): the restart refuses it.
+	if err := st.AppendCampaign(huge.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if _, err := New(Config{Params: params, Users: 4, UsersEstimator: detector.EstimatorMean, Store: st2}); !errors.Is(err, campaign.ErrBadCampaign) {
+		t.Fatalf("restart over a directory entry with id space 2^40 = %v, want ErrBadCampaign", err)
 	}
 }

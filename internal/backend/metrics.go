@@ -44,6 +44,16 @@ type backendMetrics struct {
 
 	adjShares *obs.Counter
 
+	// The close, stage by stage (eyewnder_round_close_stage_seconds):
+	// subtract, extract and threshold are finalizeLocked's three steps —
+	// observed on a live close, a recovery re-finalize and a replica's
+	// close-apply alike — and log_sync is the close record's append +
+	// fsync, which only a live close pays.
+	closeSubtract  *obs.Histogram
+	closeExtract   *obs.Histogram
+	closeThreshold *obs.Histogram
+	closeLogSync   *obs.Histogram
+
 	adjReplica     *obs.Counter
 	adjBadUser     *obs.Counter
 	adjGeometry    *obs.Counter
@@ -67,6 +77,11 @@ func newBackendMetrics(reg *obs.Registry) *backendMetrics {
 	adjFail := func(reason string) *obs.Counter {
 		return reg.Counter("eyewnder_adjust_failures_total",
 			"Adjustment-share uploads refused, by rejection reason.", "reason", reason)
+	}
+	stage := func(name string) *obs.Histogram {
+		return reg.Histogram("eyewnder_round_close_stage_seconds",
+			"Round close latency by stage: subtract (clone the aggregate, subtract adjustment shares), extract (ID-space sweep into the count table), threshold (Users_th), log_sync (close record append + fsync).",
+			nil, "stage", name)
 	}
 	m := &backendMetrics{
 		reg: reg,
@@ -95,6 +110,11 @@ func newBackendMetrics(reg *obs.Registry) *backendMetrics {
 
 		adjShares: reg.Counter("eyewnder_adjust_shares_total",
 			"Second-round adjustment shares accepted and stored."),
+
+		closeSubtract:  stage("subtract"),
+		closeExtract:   stage("extract"),
+		closeThreshold: stage("threshold"),
+		closeLogSync:   stage("log_sync"),
 
 		adjReplica:     adjFail("replica"),
 		adjBadUser:     adjFail("bad_user"),

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -72,6 +73,22 @@ func feedWALInChunks(t *testing.T, b *Backend, dir string, chunk int) {
 	}
 }
 
+// closedTable returns a closed round's count table and distinct-ads
+// figure exactly as the back-end holds them.
+func closedTable(t *testing.T, b *Backend, round uint64) ([]uint64, int) {
+	t.Helper()
+	r, ok := b.lookupRound(0, round)
+	if !ok {
+		t.Fatalf("round %d missing", round)
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if !r.closed {
+		t.Fatalf("round %d not closed", round)
+	}
+	return r.counts, r.distinct
+}
+
 // A replica fed a primary's raw WAL bytes — through the same streaming
 // parser the replication follower uses, with chunk boundaries landing
 // mid-record — must mirror the primary exactly: roster, negotiated
@@ -136,6 +153,16 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A third node recovers the same directory the way a restart does.
+	// All three must hold == tables and == thresholds for the closed
+	// rounds: nothing between the sketch and a published number depends
+	// on iteration order.
+	rec, err := store.Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := newStoreBackend(t, params, users, rec)
+
 	for _, chunk := range []int{7, 1 << 16} {
 		replica := newReplica(t, params, users)
 		feedWALInChunks(t, replica, dir, chunk)
@@ -165,6 +192,19 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 			}
 			if !reflect.DeepEqual(pc, rc) {
 				t.Fatalf("chunk %d round %d: counts diverge", chunk, round)
+			}
+			ptab, pdistinct := closedTable(t, primary, round)
+			for name, node := range map[string]*Backend{"replica": replica, "recovered": recovered} {
+				tab, distinct := closedTable(t, node, round)
+				if !slices.Equal(ptab, tab) || pdistinct != distinct {
+					t.Fatalf("chunk %d round %d: %s count table differs from the primary's", chunk, round, name)
+				}
+				if th, err := node.Threshold(0, round); err != nil || th != pth {
+					t.Fatalf("chunk %d round %d: %s threshold %v (%v), primary %v", chunk, round, name, th, err, pth)
+				}
+			}
+			if len(pc) != pdistinct {
+				t.Fatalf("round %d: round_counts map has %d entries, distinct = %d", round, len(pc), pdistinct)
 			}
 		}
 		pp, err := primary.RoundProgressOf(0, 3)

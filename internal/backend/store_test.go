@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"eyewnder/internal/blind"
@@ -213,6 +214,11 @@ func TestBackendRecoversClosedRoundAndSuite(t *testing.T) {
 	}
 	if th1 != th2 {
 		t.Fatalf("Users_th across recovery: %v vs %v", th1, th2)
+	}
+	tab1, distinct1 := closedTable(t, b1, 9)
+	tab2, distinct2 := closedTable(t, b2, 9)
+	if !slices.Equal(tab1, tab2) || distinct1 != distinct2 || distinct1 != ads1 {
+		t.Fatalf("count table across recovery differs (distinct %d vs %d, close said %d)", distinct1, distinct2, ads1)
 	}
 
 	// A report blinded under the wrong suite must still be rejected by

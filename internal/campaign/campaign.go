@@ -92,6 +92,10 @@ func (c Campaign) Validate() error {
 	if !(c.Epsilon >= 0 && c.Epsilon < 1) || !(c.Delta >= 0 && c.Delta < 1) {
 		return fmt.Errorf("%w: epsilon=%g delta=%g", ErrBadCampaign, c.Epsilon, c.Delta)
 	}
+	if c.IDSpace > privacy.MaxIDSpace {
+		// 0 inherits the deployment's (already checked) ID space.
+		return fmt.Errorf("%w: id space %d above the limit of %d", ErrBadCampaign, c.IDSpace, privacy.MaxIDSpace)
+	}
 	if c.KeystreamSet && !c.Keystream.Valid() {
 		return fmt.Errorf("%w: keystream 0x%02x", ErrBadCampaign, byte(c.Keystream))
 	}

@@ -25,12 +25,28 @@ func TestValidate(t *testing.T) {
 		{"negative delta", Campaign{ID: 1, Name: "x", Delta: -0.1}, false},
 		{"bad keystream", Campaign{ID: 1, Name: "x", Keystream: 0x7f, KeystreamSet: true}, false},
 		{"negative retain", Campaign{ID: 1, Name: "x", RetainRounds: -1}, false},
+		{"id space at the limit", Campaign{ID: 1, Name: "x", IDSpace: privacy.MaxIDSpace}, true},
+		{"id space over the limit", Campaign{ID: 1, Name: "x", IDSpace: privacy.MaxIDSpace + 1}, false},
+		{"id space huge", Campaign{ID: 1, Name: "x", IDSpace: 1 << 62}, false},
 	}
 	for _, tc := range cases {
 		err := tc.c.Validate()
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+		if err != nil && !errors.Is(err, ErrBadCampaign) {
+			t.Errorf("%s: Validate() = %v, want ErrBadCampaign", tc.name, err)
+		}
+	}
+}
+
+// The shared decoder — wire directory frame, WAL record, snapshot
+// section — refuses an encoded definition whose ID space is over the
+// limit, so no entry point can hand one to a round.
+func TestDecodeBinaryRefusesOversizedIDSpace(t *testing.T) {
+	enc := Campaign{ID: 3, Name: "big", IDSpace: 1 << 40}.AppendBinary(nil)
+	if _, _, err := DecodeBinary(enc); !errors.Is(err, ErrBadCampaign) {
+		t.Fatalf("DecodeBinary(id space 2^40) = %v, want ErrBadCampaign", err)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"strings"
 	"time"
 
 	"eyewnder/internal/addetect"
@@ -141,7 +142,9 @@ func (e *Extension) Register() error {
 // every report it produces from here carries that version, so if the
 // roster changes (a re-registration bumps the version) its reports are
 // cleanly rejected with privacy.ErrIncompatibleConfig — re-Join to
-// adopt the new roster — instead of breaking blinding cancellation.
+// adopt the new roster, which SubmitReport does by itself — instead of
+// breaking blinding cancellation. A re-Join keeps everything the user
+// has accumulated: the ad-ID cache and the open round's observations.
 // Call it after every user has registered.
 func (e *Extension) Join() error {
 	roster, cv, rv, err := e.backend.Roster()
@@ -162,7 +165,11 @@ func (e *Extension) Join() error {
 		return err
 	}
 	e.rcfg.Version, e.rcfg.RosterVersion, e.rcfg.RosterSize = cv, rv, len(roster)
-	e.pclient = privacy.NewClient(e.rcfg, party, e.oprfPub, e.eval)
+	if e.pclient == nil {
+		e.pclient = privacy.NewClient(e.rcfg, party, e.oprfPub, e.eval)
+	} else {
+		e.pclient = e.pclient.Rejoined(e.rcfg, party)
+	}
 	return nil
 }
 
@@ -201,16 +208,42 @@ func (e *Extension) ObserveAdDirect(adKey, domain string, at time.Time) error {
 	return nil
 }
 
-// SubmitReport blinds and uploads the round's sketch.
+// maxRejoins bounds how often one SubmitReport re-Joins after a
+// stale-config rejection: each registration that lands between a Join
+// and the upload costs one, so a handful covers a whole roster
+// re-enrolling at once, and a version that never settles is an error
+// rather than a loop.
+const maxRejoins = 8
+
+// SubmitReport blinds and uploads the round's sketch. A report refused
+// with privacy.ErrIncompatibleConfig — the roster changed since the
+// last Join, so the blinding was derived from superseded keys — is
+// answered the way Join's contract says: re-Join to adopt the current
+// roster, rebuild the report from the same observations under the new
+// blinding, and upload again, at most maxRejoins times. The round's
+// observations are cleared only once the back-end has accepted the
+// report.
 func (e *Extension) SubmitReport(round uint64) error {
 	if e.pclient == nil {
 		return ErrNotRegistered
 	}
-	rep, err := e.pclient.Report(round)
-	if err != nil {
-		return err
+	for rejoins := 0; ; rejoins++ {
+		rep, err := e.pclient.BuildReport(round)
+		if err != nil {
+			return err
+		}
+		err = e.backend.SubmitReport(rep)
+		if err == nil {
+			e.pclient.EndRound()
+			return nil
+		}
+		if !errors.Is(err, privacy.ErrIncompatibleConfig) || rejoins == maxRejoins {
+			return err
+		}
+		if err := e.Join(); err != nil {
+			return fmt.Errorf("client: re-join after a stale-config rejection: %w", err)
+		}
 	}
-	return e.backend.SubmitReport(rep)
 }
 
 // SubmitAdjustmentIfNeeded asks the back-end which users are missing and,
@@ -333,8 +366,21 @@ func (w *WireBackend) Roster() ([][]byte, uint32, uint32, error) {
 // reads directly into its pooled cell slices — with the blinding suite
 // and config version in the preamble.
 func (w *WireBackend) SubmitReport(rep *privacy.Report) error {
-	return w.C.SubmitReportFrame(wire.ReportFrameOf(rep))
+	err := w.C.SubmitReportFrame(wire.ReportFrameOf(rep))
+	if err != nil && strings.Contains(err.Error(), privacy.ErrIncompatibleConfig.Error()) {
+		return staleConfigError{err}
+	}
+	return err
 }
+
+// staleConfigError gives a remote stale-config rejection — which
+// crosses the wire as text — its identity back, so callers can match it
+// with errors.Is(err, privacy.ErrIncompatibleConfig) exactly as they
+// match the in-process rejection. The message is the remote one.
+type staleConfigError struct{ remote error }
+
+func (e staleConfigError) Error() string { return e.remote.Error() }
+func (e staleConfigError) Unwrap() error { return privacy.ErrIncompatibleConfig }
 
 // RoundStatus implements BackendAPI.
 func (w *WireBackend) RoundStatus(round uint64) (int, []int, bool, error) {

@@ -1,6 +1,9 @@
 package client_test
 
 import (
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,9 +46,13 @@ func negotiatedExt(t *testing.T, user int, beAddr, oprfAddr string) *client.Exte
 // The negotiated deployment end to end over TCP: extensions carry no
 // protocol flags at all — geometry, suite, roster size, and config
 // version arrive via Hello/Welcome — a full round closes, then a
-// mid-deployment re-registration bumps the roster version and a client
-// still pinned to the old config is rejected with ErrIncompatibleConfig
-// (over the wire, on the streamed path) until it re-Joins.
+// mid-deployment re-registration bumps the roster version. A report
+// still stamped with the old config is rejected with
+// ErrIncompatibleConfig (over the wire, on the streamed path); the
+// extensions pinned to the old config answer that rejection themselves —
+// re-Join, rebuild from the same observations, upload again — and the
+// round they close that way counts exactly what an unblinded oracle
+// counts.
 func TestNegotiatedSessionsWithRosterBump(t *testing.T) {
 	const nUsers = 3
 	params := testParams()
@@ -117,28 +124,76 @@ func TestNegotiatedSessionsWithRosterBump(t *testing.T) {
 		t.Fatalf("re-registration did not bump: v%d", be.CurrentConfig().Version)
 	}
 
-	// Extension 1 is still pinned to the old config: its report into the
-	// new round must be rejected — over the wire, through the streamed
-	// frame path — with the aggregator's ErrIncompatibleConfig.
-	err = exts[1].SubmitReport(2)
-	if err == nil || !strings.Contains(err.Error(), privacy.ErrIncompatibleConfig.Error()) {
-		t.Fatalf("stale report over the wire = %v, want ErrIncompatibleConfig text", err)
+	// The round-2 observations of the two extensions still pinned to the
+	// old config are made BEFORE they learn of the bump: they must
+	// survive the re-Join.
+	oracle, err := params.NewSketch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := privacy.NewClient(be.CurrentConfig(), nil, osrv.PublicKey(), osrv) // ad key → ad ID only
+	observe := func(ext *client.Extension, ads ...string) {
+		t.Helper()
+		for _, ad := range ads {
+			if err := ext.ObserveAdDirect(ad, "www.news.example", adsim.SimStart); err != nil {
+				t.Fatal(err)
+			}
+			id, err := ids.ObserveAd(ad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var key [8]byte
+			binary.LittleEndian.PutUint64(key[:], id)
+			oracle.Update(key[:])
+		}
+	}
+	observe(exts[1], "https://ads.example/common", "https://ads.example/only-1")
+	observe(exts[2], "https://ads.example/common")
+
+	// A report stamped with the old version is refused — over the wire,
+	// through the streamed frame path — with the aggregator's
+	// ErrIncompatibleConfig, as text and as errors.Is.
+	rawConn, err := wire.Dial(beWire.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rawConn.Close()
+	stale, err := params.NewSketch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = (&client.WireBackend{C: rawConn}).SubmitReport(&privacy.Report{User: 1, Round: 2, Sketch: stale, ConfigVersion: pinned})
+	if !errors.Is(err, privacy.ErrIncompatibleConfig) || !strings.Contains(err.Error(), privacy.ErrIncompatibleConfig.Error()) {
+		t.Fatalf("stale report over the wire = %v, want ErrIncompatibleConfig", err)
 	}
 
-	// Re-Join adopts the new roster (and version); reporting works again.
-	for _, ext := range []*client.Extension{replacement, exts[1], exts[2]} {
-		if err := ext.Join(); err != nil {
-			t.Fatal(err)
-		}
-		if got := ext.Config().Version; got != pinned+1 {
-			t.Fatalf("re-Join pinned v%d, want v%d", got, pinned+1)
-		}
-		if err := ext.SubmitReport(2); err != nil {
-			t.Fatal(err)
-		}
+	// Extension 1 is in exactly that position; its SubmitReport re-Joins
+	// and goes through.
+	if err := exts[1].SubmitReport(2); err != nil {
+		t.Fatalf("stale extension's report after a roster bump: %v", err)
+	}
+	if got := exts[1].Config().Version; got != pinned+1 {
+		t.Fatalf("re-Join pinned v%d, want v%d", got, pinned+1)
+	}
+	if err := replacement.Join(); err != nil {
+		t.Fatal(err)
+	}
+	observe(replacement, "https://ads.example/common", "https://ads.example/only-0")
+	if err := replacement.SubmitReport(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := exts[2].SubmitReport(2); err != nil {
+		t.Fatalf("second stale extension's report: %v", err)
 	}
 	if _, _, err := be.CloseRound(0, 2, 0); err != nil {
 		t.Fatal(err)
+	}
+	got, err := be.UserCounts(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := privacy.UserCounts(oracle, params); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round closed across a roster bump counts %v, oracle %v", got, want)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+	"sync/atomic"
 
 	"eyewnder/internal/blind"
 	"eyewnder/internal/group"
@@ -238,10 +239,37 @@ func (c *Client) ObserveAd(url string) (adID uint64, err error) {
 // open round.
 func (c *Client) SeenCount() int { return len(c.seen) }
 
+// Rejoined returns the client re-keyed to a changed roster: cfg and
+// party replace the old negotiated state, while everything the user has
+// accumulated — the URL→ID cache, the OPRF exchange count and the open
+// round's observation set — carries over, so a report rebuilt after the
+// re-join still holds the round's ads. cfg must keep the client's
+// Params (ad IDs depend on the ID space); the receiver must not be used
+// afterwards.
+func (c *Client) Rejoined(cfg RoundConfig, party *blind.Party) *Client {
+	n := *c
+	n.cfg, n.party = cfg, party
+	return &n
+}
+
 // Report encodes the round's distinct ad IDs in a CMS, blinds it, and
 // returns the report. The per-round observation set is then cleared, ready
 // for the next weekly round.
 func (c *Client) Report(round uint64) (*Report, error) {
+	rep, err := c.BuildReport(round)
+	if err == nil {
+		c.EndRound()
+	}
+	return rep, err
+}
+
+// EndRound clears the per-round observation set.
+func (c *Client) EndRound() { c.seen = make(map[uint64]bool) }
+
+// BuildReport is Report without the clear: the observation set stays
+// until EndRound, so a report the back-end refuses (a stale config
+// version, say) can be rebuilt from the same observations.
+func (c *Client) BuildReport(round uint64) (*Report, error) {
 	cms, err := c.cfg.Params.NewSketch()
 	if err != nil {
 		return nil, err
@@ -255,7 +283,6 @@ func (c *Client) Report(round uint64) (*Report, error) {
 	if err := blind.ApplyBlinding(cells, c.party.Blinding(round, len(cells))); err != nil {
 		return nil, err
 	}
-	c.seen = make(map[uint64]bool)
 	return &Report{
 		User:          c.party.Index(),
 		Campaign:      c.campaign,
@@ -595,36 +622,67 @@ func (a *Aggregator) FinalizeWithAdjustments(adjustments ...[]uint64) (*sketch.C
 	return out, nil
 }
 
-// UserCounts queries the aggregate sketch for every ad ID in [0, IDSpace)
-// and returns the per-ID estimated user counts for IDs with a nonzero
-// estimate. This is the enumeration step that the OPRF makes possible:
-// the server can walk the whole ID space without learning any URL.
+// MaxIDSpace bounds Params.IDSpace. Closing a round enumerates the whole
+// ID space into a table of 8·IDSpace bytes (CountTable), so an unbounded
+// value — campaign provisioning is reachable over the wire — would be a
+// request to allocate and sweep without limit. 2²⁴ is 168× the paper's
+// |A| = 100k and costs a 128 MiB table.
+const MaxIDSpace = 1 << 24
+
+// ErrBadIDSpace rejects an ID space of 0 (no ad could be counted) or
+// above MaxIDSpace.
+var ErrBadIDSpace = fmt.Errorf("privacy: IDSpace must be in [1, %d]", MaxIDSpace)
+
+// CheckIDSpace validates a resolved ID space against MaxIDSpace.
+func CheckIDSpace(idSpace uint64) error {
+	if idSpace == 0 || idSpace > MaxIDSpace {
+		return fmt.Errorf("%w, got %d", ErrBadIDSpace, idSpace)
+	}
+	return nil
+}
+
+// CountTable queries the aggregate sketch for every ad ID in
+// [0, IDSpace) and returns the estimates as a dense table indexed by ad
+// ID — table[id] == QueryUsers(agg, id) — together with the number of
+// non-zero entries (the round's distinct-ads figure). This is the
+// enumeration step that the OPRF makes possible: the server can walk the
+// whole ID space without learning any URL.
 //
-// The walk is the dominant cost of closing a round (IDSpace × d hashed
-// queries), so the ID space is sharded across CPU cores; each worker
-// queries its range allocation-free into a private map that is then folded
-// into the result.
-func UserCounts(agg *sketch.CMS, params Params) map[uint64]uint64 {
-	out := make(map[uint64]uint64)
-	var mu sync.Mutex
-	vec.Parallel(int(params.IDSpace), 4096, func(lo, hi int) {
-		local := make(map[uint64]uint64)
-		var key [8]byte
-		for id := lo; id < hi; id++ {
-			binary.LittleEndian.PutUint64(key[:], uint64(id))
-			if v := agg.Query(key[:]); v > 0 {
-				local[uint64(id)] = v
-			}
-		}
-		if len(local) == 0 {
-			return
-		}
-		mu.Lock()
-		for k, v := range local {
-			out[k] = v
-		}
-		mu.Unlock()
+// The walk is the dominant cost of closing a round (IDSpace × d cell
+// reads), so the ID space is sharded across CPU cores; each worker runs
+// the sketch's range kernel over its own disjoint table[lo:hi], so there
+// is nothing to lock and nothing to merge. A sketch that has seen a real
+// fleet has no empty column and every ID is non-zero, which is why the
+// result is a table and not a map: the table is 8·IDSpace bytes whatever
+// the traffic, and reading it in index order is the same order on every
+// node. params.IDSpace must have passed CheckIDSpace.
+func CountTable(agg *sketch.CMS, params Params) (table []uint64, distinct int) {
+	table = make([]uint64, params.IDSpace)
+	var nonzero atomic.Int64
+	vec.Parallel(len(table), 4096, func(lo, hi int) {
+		nonzero.Add(int64(agg.QueryRange(uint64(lo), table[lo:hi])))
 	})
+	return table, int(nonzero.Load())
+}
+
+// UserCounts is CountTable as a map holding only the IDs with a non-zero
+// estimate, for callers that want sparse lookups (the evaluation
+// harness, the churn oracle, the experiments). The close path does not
+// use it.
+func UserCounts(agg *sketch.CMS, params Params) map[uint64]uint64 {
+	table, distinct := CountTable(agg, params)
+	return CountMap(table, distinct)
+}
+
+// CountMap renders a count table as the sparse map UserCounts returns:
+// one entry per non-zero ID, presized to distinct.
+func CountMap(table []uint64, distinct int) map[uint64]uint64 {
+	out := make(map[uint64]uint64, distinct)
+	for id, v := range table {
+		if v > 0 {
+			out[uint64(id)] = v
+		}
+	}
 	return out
 }
 

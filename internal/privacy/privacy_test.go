@@ -3,6 +3,7 @@ package privacy
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"eyewnder/internal/blind"
 	"eyewnder/internal/group"
 	"eyewnder/internal/oprf"
+	"eyewnder/internal/sketch"
 )
 
 // Shared fixtures: RSA keygen and roster setup dominate test time.
@@ -409,6 +411,92 @@ func TestUserCountsEnumeration(t *testing.T) {
 	}
 	if found != 2 {
 		t.Fatalf("enumeration found %d/2 ads; counts=%v", found, counts)
+	}
+}
+
+// countSketch builds a paper-geometry sketch holding the given ad IDs
+// (each seen by id%5+1 users): a handful leaves it near-empty, tens of
+// thousands leave no empty column and every ID in the space non-zero.
+func countSketch(t testing.TB, params Params, ids int) *sketch.CMS {
+	t.Helper()
+	cms, err := params.NewSketch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ids; i++ {
+		id := uint64(i) * 2654435761 % params.IDSpace
+		cms.UpdateWeighted(idBytes(id), id%5+1)
+	}
+	return cms
+}
+
+// CountTable is the old enumeration: table[id] is QueryUsers for every
+// ID in the space, distinct counts the non-zero entries, and UserCounts
+// is exactly those entries as a map — on a saturated sketch and on a
+// near-empty one, whatever the worker split.
+func TestCountTableMatchesQueryUsers(t *testing.T) {
+	params := DefaultParams()
+	params.IDSpace = 30011 // not a multiple of the shard size
+	for _, tc := range []struct {
+		name string
+		ids  int
+	}{{"saturated", 60000}, {"near-empty", 12}, {"empty", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cms := countSketch(t, params, tc.ids)
+			table, distinct := CountTable(cms, params)
+			if uint64(len(table)) != params.IDSpace {
+				t.Fatalf("table has %d entries, ID space is %d", len(table), params.IDSpace)
+			}
+			nonzero := 0
+			for id, v := range table {
+				if want := QueryUsers(cms, uint64(id)); v != want {
+					t.Fatalf("table[%d] = %d, QueryUsers = %d", id, v, want)
+				}
+				if v > 0 {
+					nonzero++
+				}
+			}
+			if distinct != nonzero {
+				t.Fatalf("distinct = %d, table holds %d non-zero entries", distinct, nonzero)
+			}
+			if tc.name == "saturated" && distinct != len(table) {
+				t.Fatalf("saturated sketch left %d of %d IDs at zero", len(table)-distinct, len(table))
+			}
+			counts := UserCounts(cms, params)
+			if len(counts) != distinct {
+				t.Fatalf("UserCounts holds %d entries, distinct = %d", len(counts), distinct)
+			}
+			for id, v := range counts {
+				if v == 0 || table[id] != v {
+					t.Fatalf("UserCounts[%d] = %d, table says %d", id, v, table[id])
+				}
+			}
+		})
+	}
+}
+
+func TestCheckIDSpace(t *testing.T) {
+	for _, ok := range []uint64{1, 100000, MaxIDSpace} {
+		if err := CheckIDSpace(ok); err != nil {
+			t.Errorf("CheckIDSpace(%d) = %v", ok, err)
+		}
+	}
+	for _, bad := range []uint64{0, MaxIDSpace + 1, 1 << 40, ^uint64(0)} {
+		if err := CheckIDSpace(bad); !errors.Is(err, ErrBadIDSpace) {
+			t.Errorf("CheckIDSpace(%d) = %v, want ErrBadIDSpace", bad, err)
+		}
+	}
+}
+
+// BenchmarkCountTable is the close path's extraction at the paper's
+// scale: saturated paper-geometry sketch, |A| = 100k.
+func BenchmarkCountTable(b *testing.B) {
+	params := DefaultParams()
+	cms := countSketch(b, params, 200000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CountTable(cms, params)
 	}
 }
 

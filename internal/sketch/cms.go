@@ -246,6 +246,45 @@ func (c *CMS) Query(x []byte) uint64 {
 	return min
 }
 
+// QueryRange is the ID-space sweep kernel: it sets dst[i] to
+// Query(le64(lo+i)) — the estimate for the 8-byte little-endian key of
+// the integer lo+i, bit for bit — for every i, and returns how many of
+// those estimates are non-zero. It is what closing a round runs over
+// [0, IDSpace): compared with one Query per ID it keeps the seed state,
+// the width and the cell slice in registers across IDs, never builds the
+// key bytes, and stops a row walk at the first zero cell (the minimum
+// cannot fall further). It reads only the sketch and writes only dst, so
+// concurrent calls over disjoint dst ranges need no synchronization.
+func (c *CMS) QueryRange(lo uint64, dst []uint64) (nonzero int) {
+	s1, s2 := hashInit(c.seed)
+	cells, w, width := c.cells, c.w, uint64(c.w)
+	for i := range dst {
+		// hash128 of the 8-byte key: one full word, empty tail, length 8.
+		h1, h2 := hashWord(s1, s2, lo+uint64(i))
+		h1, h2 = hashMix(hashTail(h1, h2, 0, 8))
+		idx, step := h1%width, h2%width
+		if step == 0 {
+			step = 1 // as indexSeed: keep rows from collapsing onto one column
+		}
+		min := cells[idx]
+		for row := w; min > 0 && row < len(cells); row += w {
+			// idx = (idx + step) mod width without a branch the predictor
+			// would miss on: both are < width < 2⁶³, so the sign of
+			// idx+step-width says whether to add width back.
+			idx += step - width
+			idx += width & uint64(int64(idx)>>63)
+			if v := cells[row+int(idx)]; v < min {
+				min = v
+			}
+		}
+		dst[i] = min
+		if min > 0 {
+			nonzero++
+		}
+	}
+	return nonzero
+}
+
 // QueryString returns the estimated frequency of the string s.
 func (c *CMS) QueryString(s string) uint64 { return c.Query([]byte(s)) }
 

@@ -5,6 +5,12 @@ import (
 	"math/bits"
 )
 
+const (
+	hashK0 = 0x9e3779b97f4a7c15 // 2⁶⁴/φ, odd
+	hashK1 = 0xbf58476d1ce4e5b9 // splitmix64 finalizer multipliers
+	hashK2 = 0x94d049bb133111eb
+)
+
 // hash128 hashes x into two 64-bit values in a single allocation-free
 // pass, consuming 8 bytes per step. The pair seeds Kirsch–Mitzenmacher
 // double hashing (idx_j = h1 + j·h2 mod w), which is provably sufficient
@@ -19,29 +25,43 @@ import (
 // COMPATIBILITY: this function defines the sketch cell layout. Every
 // protocol participant (clients, back-end, simulator) must run the same
 // version, or blinded aggregation would sum mismatched cells. Change it
-// only in lockstep with a protocol round version bump.
+// only in lockstep with a protocol round version bump. Its stages
+// (hashInit, hashWord, hashTail, hashMix) are small enough to inline and
+// are what QueryRange composes for the 8-byte ad-ID key, so the sweep
+// kernel and the per-key path share one definition of the layout.
 func hash128(x []byte, seed uint64) (h1, h2 uint64) {
-	const (
-		k0 = 0x9e3779b97f4a7c15 // 2⁶⁴/φ, odd
-		k1 = 0xbf58476d1ce4e5b9 // splitmix64 finalizer multipliers
-		k2 = 0x94d049bb133111eb
-	)
-	h1 = seed ^ 0xcbf29ce484222325
-	h2 = (seed+1)*k0 ^ 0x2545f4914f6cdd1d
+	h1, h2 = hashInit(seed)
 	n := uint64(len(x))
 	for len(x) >= 8 {
-		v := binary.LittleEndian.Uint64(x)
-		h1 = bits.RotateLeft64((h1^v)*k1, 31)
-		h2 = bits.RotateLeft64((h2+v)*k2, 29) ^ v
+		h1, h2 = hashWord(h1, h2, binary.LittleEndian.Uint64(x))
 		x = x[8:]
 	}
 	var tail uint64
 	for i := 0; i < len(x); i++ {
 		tail |= uint64(x[i]) << (8 * uint(i))
 	}
-	h1 = bits.RotateLeft64((h1^tail)*k1, 31) ^ n
-	h2 = bits.RotateLeft64((h2+tail)*k2, 29) + n
-	return mix64(h1), mix64(h2 + k0)
+	return hashMix(hashTail(h1, h2, tail, n))
+}
+
+// hashInit returns the two lanes' seed-dependent start state.
+func hashInit(seed uint64) (h1, h2 uint64) {
+	return seed ^ 0xcbf29ce484222325, (seed+1)*hashK0 ^ 0x2545f4914f6cdd1d
+}
+
+// hashWord absorbs one little-endian 8-byte word into both lanes.
+func hashWord(h1, h2, v uint64) (uint64, uint64) {
+	return bits.RotateLeft64((h1^v)*hashK1, 31), bits.RotateLeft64((h2+v)*hashK2, 29) ^ v
+}
+
+// hashTail absorbs the trailing (< 8, possibly 0) bytes and the key
+// length n.
+func hashTail(h1, h2, tail, n uint64) (uint64, uint64) {
+	return bits.RotateLeft64((h1^tail)*hashK1, 31) ^ n, bits.RotateLeft64((h2+tail)*hashK2, 29) + n
+}
+
+// hashMix avalanches the two lanes independently.
+func hashMix(h1, h2 uint64) (uint64, uint64) {
+	return mix64(h1), mix64(h2 + hashK0)
 }
 
 // mix64 is the splitmix64 finalizer: a bijective avalanche so that every

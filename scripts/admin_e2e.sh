@@ -100,7 +100,7 @@ curl -sf "http://$ADMIN2/debug/pprof/cmdline" >/dev/null
 c0=$!
 "$bin/eyewnder-client" -backend "$BE1" -oprf "$OPRF1" -user 1 -visits 10 >"$dir/c1.log" 2>&1 &
 c1=$!
-"$bin/eyewnder-client" -backend "$BE1" -oprf "$OPRF1" -user 2 -visits 10 -close >"$dir/c2.log" 2>&1
+timeout 60 "$bin/eyewnder-client" -backend "$BE1" -oprf "$OPRF1" -user 2 -visits 10 -close >"$dir/c2.log" 2>&1
 wait "$c0" "$c1"
 grep -q "closed: Users_th" "$dir/c2.log"
 
@@ -135,12 +135,19 @@ if [ "${events_after%.*}" -lt "${events_before%.*}" ]; then
     exit 1
 fi
 
-# Round 2 runs entirely against the promoted node.
+# Round 2 runs entirely against the promoted node. Each client is a
+# fresh process with a fresh blinding key, so the three registrations
+# bump the config version three times while the clients are joining: a
+# client that joined against a roster still holding a peer's old key has
+# its report refused as stale and answers by re-Joining (the submitted
+# line carries the version it finally went out under). The -close client
+# waits for the whole roster's reports; the timeout turns a round that
+# can never fill into a failure instead of a hang.
 "$bin/eyewnder-client" -backend "$BE2" -oprf "$OPRF2" -user 0 -visits 10 -round 2 >"$dir/p0.log" 2>&1 &
 p0=$!
 "$bin/eyewnder-client" -backend "$BE2" -oprf "$OPRF2" -user 1 -visits 10 -round 2 >"$dir/p1.log" 2>&1 &
 p1=$!
-"$bin/eyewnder-client" -backend "$BE2" -oprf "$OPRF2" -user 2 -visits 10 -round 2 -close >"$dir/p2.log" 2>&1
+timeout 60 "$bin/eyewnder-client" -backend "$BE2" -oprf "$OPRF2" -user 2 -visits 10 -round 2 -close >"$dir/p2.log" 2>&1
 wait "$p0" "$p1"
 grep -q "closed: Users_th" "$dir/p2.log"
 
