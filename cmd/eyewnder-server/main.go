@@ -54,7 +54,7 @@ func main() {
 		delta       = flag.Float64("delta", 0.01, "CMS delta")
 		idSpace     = flag.Uint64("id-space", 100000, "ad-ID space size |A| (overestimate; 1 to 2^24 — closing a round sweeps and tabulates the whole space)")
 		stripes     = flag.Int("merge-stripes", 0, "intra-round merge stripes (0 = 2×GOMAXPROCS, 1 = single merge lock)")
-		ackBatch    = flag.Int("ack-batch", 0, "streamed-report ack batch k for batched-ack connections (0 = adaptive per connection, 1 = ack every frame)")
+		ackBatch    = flag.Int("ack-batch", 0, "streamed-report ack batch k for batched-ack connections: at most one ack request per k frames, coalesced while an ack is in flight (0 = adaptive per connection, 1 = request an ack for every frame)")
 		keystream   = flag.String("keystream", "hmac-sha256", "blinding keystream suite, advertised to clients in the config handshake: hmac-sha256 or aes-ctr")
 		retain      = flag.Int("retain-rounds", 0, "age a closed round out of memory and snapshots once its Users_th has been served for N newer closed rounds (0 = keep forever)")
 		dataDir     = flag.String("data-dir", "", "durable round store directory: WAL + snapshots, crash recovery on restart (empty = in-memory rounds only)")

@@ -83,9 +83,10 @@ type Config struct {
 	// default (2×GOMAXPROCS), 1 degenerates to a single merge lock.
 	MergeStripes int
 	// AckBatch sets the streamed-report ack batch k for connections that
-	// negotiate batched acknowledgements: one binary ack per k frames.
-	// 0 (the default) lets the server adapt k per connection from the
-	// observed in-flight depth; 1 acknowledges every frame.
+	// negotiate batched acknowledgements (wire.StreamOpts.AckBatch): at
+	// most one ack request per k frames, coalesced while an ack is in
+	// flight. 0 (the default) lets the server adapt k per connection from
+	// the observed in-flight depth; 1 requests an ack for every frame.
 	AckBatch int
 	// Store is the durable round store. nil (or store.Null{}) keeps all
 	// round state in memory — the original behavior. A store.Disk makes
@@ -1607,7 +1608,7 @@ func (b *Backend) Handler() wire.Handler {
 // Serve starts the back-end on a TCP address, accepting both JSON
 // messages and streamed report frames (the back-end is its own
 // wire.ReportSink). Connections that negotiate batched acknowledgements
-// get one binary ack per Config.AckBatch frames and pipelined
+// get cumulative binary acks (cadence Config.AckBatch) and pipelined
 // decode-while-fold ingestion; Hello frames are answered with the
 // back-end's current negotiated config, making the server — not any
 // operator flag set — the source of truth for protocol state.

@@ -68,13 +68,14 @@ func writeSample(w io.Writer, name, labels, extra, value string) {
 }
 
 // writeHistogram expands one histogram into its cumulative bucket
-// series. Bounds are stored in nanoseconds and exposed in seconds.
+// series. Latency bounds are stored in nanoseconds and exposed in
+// seconds; a CountHistogram's are exposed as stored.
 func writeHistogram(w io.Writer, m *metric) {
 	h := m.hist
 	var cum uint64
 	for i, b := range h.bounds {
 		cum += h.counts[i].Load()
-		le := `le="` + formatFloat(float64(b)/1e9) + `"`
+		le := `le="` + formatFloat(float64(b)/h.scale) + `"`
 		writeSample(w, m.name+"_bucket", m.labels, le, formatUint(cum))
 	}
 	// +Inf must equal _count even when observations raced the bucket
@@ -85,7 +86,7 @@ func writeHistogram(w io.Writer, m *metric) {
 		count = cum
 	}
 	writeSample(w, m.name+"_bucket", m.labels, `le="+Inf"`, formatUint(count))
-	writeSample(w, m.name+"_sum", m.labels, "", formatFloat(h.Sum().Seconds()))
+	writeSample(w, m.name+"_sum", m.labels, "", formatFloat(h.exposedSum()))
 	writeSample(w, m.name+"_count", m.labels, "", formatUint(count))
 }
 
@@ -121,7 +122,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 				sumKey += "{" + m.labels + "}"
 			}
 			out[countKey] = float64(m.hist.Count())
-			out[sumKey] = m.hist.Sum().Seconds()
+			out[sumKey] = m.hist.exposedSum()
 		}
 	}
 	return out

@@ -179,6 +179,22 @@ func (r *Registry) Histogram(name, help string, buckets []time.Duration, labels 
 	return m.hist
 }
 
+// CountHistogram registers (or finds) a fixed-bucket histogram of plain
+// counts — frames per ack, say — updated with ObserveCount. It encodes
+// like a latency histogram, except that bounds and _sum are the counts
+// themselves rather than seconds.
+func (r *Registry) CountHistogram(name, help string, bounds []uint64, labels ...string) *Histogram {
+	m := r.lookup(name, help, kindHistogram, labels, func(m *metric) {
+		b := make([]time.Duration, len(bounds))
+		for i, v := range bounds {
+			b[i] = time.Duration(v)
+		}
+		m.hist = newHistogram(b)
+		m.hist.scale = 1
+	})
+	return m.hist
+}
+
 // snapshotMetrics returns the registered entries in registration
 // order, grouped so that all entries sharing a metric name are
 // adjacent (first-seen name order). Encoders rely on the grouping to
@@ -344,14 +360,16 @@ var DefBuckets = []time.Duration{
 const maxBuckets = 32
 
 // Histogram is a fixed-bucket latency histogram. Bounds are nanosecond
-// durations internally and encode as seconds (Prometheus convention).
-// Observe is a linear scan over ≤ maxBuckets bounds plus three atomic
-// adds — no allocation, no lock.
+// durations internally and encode as seconds (Prometheus convention);
+// a CountHistogram holds and encodes plain counts instead. Observe is a
+// linear scan over ≤ maxBuckets bounds plus three atomic adds — no
+// allocation, no lock.
 type Histogram struct {
-	bounds []int64 // sorted upper bounds, ns
+	bounds []int64 // sorted upper bounds, ns (counts for a CountHistogram)
 	counts []atomic.Uint64
 	count  atomic.Uint64
-	sum    atomic.Int64 // total observed ns
+	sum    atomic.Int64 // total observed ns (counts for a CountHistogram)
+	scale  float64      // stored units per exposed unit: 1e9 (ns → s), or 1
 }
 
 func newHistogram(buckets []time.Duration) *Histogram {
@@ -364,6 +382,7 @@ func newHistogram(buckets []time.Duration) *Histogram {
 	h := &Histogram{
 		bounds: make([]int64, len(buckets)),
 		counts: make([]atomic.Uint64, len(buckets)),
+		scale:  1e9,
 	}
 	for i, b := range buckets {
 		h.bounds[i] = int64(b)
@@ -375,19 +394,23 @@ func newHistogram(buckets []time.Duration) *Histogram {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
+func (h *Histogram) Observe(d time.Duration) { h.observe(int64(d)) }
+
+// ObserveCount records one count on a CountHistogram.
+func (h *Histogram) ObserveCount(n uint64) { h.observe(int64(n)) }
+
+func (h *Histogram) observe(v int64) {
+	if v < 0 {
+		v = 0
 	}
 	for i, b := range h.bounds {
-		if ns <= b {
+		if v <= b {
 			h.counts[i].Add(1)
 			break
 		}
 	}
 	h.count.Add(1)
-	h.sum.Add(ns)
+	h.sum.Add(v)
 }
 
 // Count returns the number of observations.
@@ -395,3 +418,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the total observed time.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
+
+// exposedSum is _sum in the exposed unit: seconds, or the plain count.
+func (h *Histogram) exposedSum() float64 { return float64(h.sum.Load()) / h.scale }

@@ -100,6 +100,36 @@ func TestHistogramInvariants(t *testing.T) {
 	}
 }
 
+// A CountHistogram exposes its bounds and _sum as the counts observed,
+// not as seconds.
+func TestCountHistogram(t *testing.T) {
+	r := New()
+	h := r.CountHistogram("frames_per_ack", "probe", []uint64{1, 4, 16})
+	for _, n := range []uint64{1, 3, 4, 9, 40} {
+		h.ObserveCount(n)
+	}
+	var sb strings.Builder
+	if err := r.WriteProm(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		`frames_per_ack_bucket{le="1"} 1`,
+		`frames_per_ack_bucket{le="4"} 3`,
+		`frames_per_ack_bucket{le="16"} 4`,
+		`frames_per_ack_bucket{le="+Inf"} 5`,
+		`frames_per_ack_sum 57`,
+		`frames_per_ack_count 5`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q in:\n%s", want, out)
+		}
+	}
+	if got := r.Snapshot()["frames_per_ack_sum"]; got != 57 {
+		t.Fatalf("snapshot sum = %v, want 57", got)
+	}
+}
+
 // TestGetOrRegister checks the promotion-critical property: asking for
 // the same (name, labels) returns the same instrument, and a GaugeFunc
 // re-registration swaps the callback in place.
@@ -181,12 +211,14 @@ func TestUpdateAllocs(t *testing.T) {
 	sc := r.ShardedCounter("sc_total", "h")
 	g := r.Gauge("g", "h")
 	h := r.Histogram("h_seconds", "h", nil)
+	ch := r.CountHistogram("ch", "h", []uint64{1, 8})
 	shard := sc.NextShard()
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		sc.Inc(shard)
 		g.Set(7)
 		h.Observe(3 * time.Millisecond)
+		ch.ObserveCount(5)
 	}); n != 0 {
 		t.Fatalf("instrument updates allocate: %v allocs/op", n)
 	}

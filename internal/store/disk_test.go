@@ -476,6 +476,65 @@ func TestConcurrentAppendsGroupCommit(t *testing.T) {
 	}
 }
 
+// An fsync failure must reach every caller of the group commit: no
+// Sync that the failed leader would have covered may return nil, and
+// the failure is sticky for every later append and barrier — acked ⇒
+// durable depends on nobody being "covered" by an fsync that failed.
+func TestSyncFailureReachesEveryWaiter(t *testing.T) {
+	d := openTestStore(t, t.TempDir(), Options{})
+	logRound(t, d, 1, 16, 0, 1) // a durable prefix
+	for u := 2; u < 6; u++ {
+		if err := d.AppendReport(0, 1, u, testD, testW, 1, 0, 1, 0, testCells(uint64(u))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The next leader's f.Sync fails: swap in a closed file. Appends go
+	// through d.bw, which still wraps the real segment, so the leader's
+	// buffered flush lands and only the fsync fails.
+	dead, err := os.CreateTemp(t.TempDir(), "closed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	d.mu.Lock()
+	live := d.f
+	d.f = dead
+	d.mu.Unlock()
+
+	const waiters = 8
+	start := make(chan struct{})
+	errs := make(chan error, waiters)
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			errs <- d.Sync()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err == nil {
+			t.Fatal("a Sync caller returned nil after the leader's fsync failed")
+		}
+	}
+	if err := d.AppendReport(0, 1, 7, testD, testW, 1, 0, 1, 0, testCells(7)); err == nil {
+		t.Fatal("AppendReport after a failed fsync returned nil")
+	}
+	if err := d.Sync(); err == nil {
+		t.Fatal("Sync after a failed fsync returned nil")
+	}
+	d.mu.Lock()
+	d.f = live
+	d.mu.Unlock()
+	if err := d.Close(); err == nil {
+		t.Fatal("Close after a failed fsync returned nil")
+	}
+}
+
 // Operations on a closed store fail with ErrStoreClosed.
 func TestClosedStoreFails(t *testing.T) {
 	d := openTestStore(t, t.TempDir(), Options{})

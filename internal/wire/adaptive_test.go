@@ -2,6 +2,7 @@ package wire
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -31,63 +32,102 @@ func readAckSeqs(t *testing.T, conn net.Conn, total uint64) []uint64 {
 	}
 }
 
+// pipeStream runs a connStream's fold and ack goroutines against one end
+// of a net.Pipe. The pipe is synchronous, so the acker blocks on every
+// ack write until the test reads it — requests posted meanwhile
+// coalesce. posts receives every ack request the fold loop makes.
+type pipeStream struct {
+	st    *connStream
+	cli   net.Conn
+	posts chan uint64
+}
+
+func startPipeStream(t *testing.T, s *Server, st *connStream, slots int) *pipeStream {
+	t.Helper()
+	srvConn, cliConn := net.Pipe()
+	t.Cleanup(func() {
+		cliConn.Close()
+		srvConn.Close()
+	})
+	// At most one request per slot, so the hook never blocks.
+	ps := &pipeStream{st: st, cli: cliConn, posts: make(chan uint64, slots)}
+	st.onPost = func(seq uint64) { ps.posts <- seq }
+	var wmu sync.Mutex
+	s.runStream(srvConn, &wmu, st)
+	return ps
+}
+
+// postedUntil collects the fold loop's ack requests until one covers
+// total slots: the cadence, before any coalescing.
+func (ps *pipeStream) postedUntil(total uint64) []uint64 {
+	var seqs []uint64
+	for seq := range ps.posts {
+		seqs = append(seqs, seq)
+		if seq >= total {
+			break
+		}
+	}
+	return seqs
+}
+
+// checkCoalesced reads the acks for a run whose every request was
+// posted before any ack was read. The acker was blocked writing the ack
+// for the first request it took, so everything after coalesces into one
+// ack covering all total slots.
+func (ps *pipeStream) checkCoalesced(t *testing.T, posted []uint64, total uint64) {
+	t.Helper()
+	acks := readAckSeqs(t, ps.cli, total)
+	if len(acks) > 2 || acks[len(acks)-1] != total {
+		t.Fatalf("acks = %v for requests %v, want at most one ack before the coalesced %d", acks, posted, total)
+	}
+	if !slices.Contains(posted, acks[0]) {
+		t.Fatalf("ack %d matches no request in %v", acks[0], posted)
+	}
+	close(ps.st.ch)
+	<-ps.st.done
+	<-ps.st.ack.done
+}
+
 // Under sustained backlog an adaptive connection must double its batch
-// after every full batch, so the ack cadence grows exponentially — and
-// the final idle flush shrinks it back to the drained depth. The
-// channel is pre-filled, so the whole run is deterministic.
+// after every full batch, so the ack cadence grows exponentially. The
+// channel is pre-filled, so the requests the fold loop posts are
+// deterministic; the acks on the wire are those requests, coalesced.
 func TestAdaptiveAckGrowsUnderBacklog(t *testing.T) {
 	sink := &countingSink{}
 	s := &Server{sink: sink, opts: StreamOpts{}}
-	srvConn, cliConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
-	var wmu sync.Mutex
-	st := &connStream{ch: make(chan streamItem, 64), done: make(chan struct{}), k: 4, adaptive: true}
+	st := newConnStream(4, true, 64)
 	fillStream(st, 64)
-	s.wg.Add(1)
-	go s.foldLoop(srvConn, &wmu, st)
+	ps := startPipeStream(t, s, st, 64)
 
-	// k: 4 → 8 → 16 → 32 → … gives acks at 4, 12, 28, 60; the last 4
-	// frames drain the pipeline, so the final ack is the idle flush.
+	// k: 4 → 8 → 16 → 32 → … requests acks at 4, 12, 28, 60; the last
+	// 4 frames drain the pipeline, so the final request is the idle
+	// flush.
 	want := []uint64{4, 12, 28, 60, 64}
-	got := readAckSeqs(t, cliConn, 64)
-	if len(got) != len(want) {
-		t.Fatalf("ack seqs = %v, want %v", got, want)
+	if got := ps.postedUntil(64); !slices.Equal(got, want) {
+		t.Fatalf("ack requests = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ack seqs = %v, want %v", got, want)
-		}
-	}
-	close(st.ch)
-	<-st.done
+	ps.checkCoalesced(t, want, 64)
 	if sink.count() != 64 {
 		t.Fatalf("sink saw %d frames", sink.count())
 	}
 }
 
 // A fixed batch (AckBatch ≥ 1) must never adapt: the same backlog gets
-// one ack every k frames, regardless of depth.
+// one ack request every k frames, regardless of depth.
 func TestFixedAckBatchDoesNotAdapt(t *testing.T) {
 	sink := &countingSink{}
 	s := &Server{sink: sink, opts: StreamOpts{AckBatch: 4}}
-	srvConn, cliConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
-	var wmu sync.Mutex
-	st := &connStream{ch: make(chan streamItem, 32), done: make(chan struct{}), k: 4}
+	st := newConnStream(4, false, 32)
 	fillStream(st, 32)
-	s.wg.Add(1)
-	go s.foldLoop(srvConn, &wmu, st)
+	ps := startPipeStream(t, s, st, 32)
 
-	got := readAckSeqs(t, cliConn, 32)
+	got := ps.postedUntil(32)
 	for i, seq := range got {
 		if want := uint64(4 * (i + 1)); seq != want {
-			t.Fatalf("fixed-k ack %d = %d, want %d (%v)", i, seq, want, got)
+			t.Fatalf("fixed-k request %d = %d, want %d (%v)", i, seq, want, got)
 		}
 	}
-	close(st.ch)
-	<-st.done
+	ps.checkCoalesced(t, got, 32)
 }
 
 // The adaptive cap: k must stop doubling at maxAdaptiveAckBatch.
@@ -97,6 +137,27 @@ func TestAdaptiveAckRespectsCap(t *testing.T) {
 	}
 	if got := clampAckBatch(0); got != 1 {
 		t.Fatalf("clamp low = %d", got)
+	}
+}
+
+// An idle flush halves k toward the drained depth (floor 2) only when no
+// ack is in flight: a pipeline that runs dry while a barrier is pending
+// is the client's window waiting on the server, not a drained client.
+func TestIdleFlushKeepsBatchWhileAckInFlight(t *testing.T) {
+	for _, c := range []struct {
+		k, pending int
+		inFlight   bool
+		want       int
+	}{
+		{k: 32, pending: 3, want: 16},
+		{k: 32, pending: 20, want: 20},
+		{k: 4, pending: 1, want: 2},
+		{k: 8, pending: 8, want: 8},
+		{k: 32, pending: 3, inFlight: true, want: 32},
+	} {
+		if got := idleAckBatch(c.k, c.pending, c.inFlight); got != c.want {
+			t.Errorf("idleAckBatch(%d, %d, %v) = %d, want %d", c.k, c.pending, c.inFlight, got, c.want)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"eyewnder/internal/campaign"
 	"eyewnder/internal/obs"
@@ -23,19 +25,27 @@ import (
 //  1. The client sends a TypeAckBatch request. The server answers with
 //     its batch size k (the -ack-batch flag) and switches the connection
 //     into batched mode: streamed report frames are no longer answered
-//     individually. Instead the server emits one *binary ack frame* per
-//     k consumed frames — plus a flush whenever the socket goes idle,
+//     individually. Instead the server requests one *binary ack frame*
+//     per k consumed frames — plus a flush whenever the socket goes idle,
 //     whenever a frame opens a different round than its predecessor, and
-//     whenever the client sends an explicit flush marker. k = 1 restores
-//     today's one-ack-per-frame behaviour, just in binary.
+//     whenever the client sends an explicit flush marker.
 //
-//  2. In batched mode the connection is *pipelined*: the read loop keeps
-//     decoding frames off the socket into pooled cell slices and hands
-//     them to a per-connection fold goroutine over a bounded channel, so
-//     frame k+1 is being decoded while the ReportSink folds frame k.
-//     The channel bound preserves backpressure (a slow sink stops the
-//     read loop, which stops the TCP window), and the pool discipline is
-//     unchanged: each buffer is recycled as soon as its frame is folded.
+//  2. In batched mode the connection is *pipelined* in three stages: the
+//     read loop keeps decoding frames off the socket into pooled cell
+//     slices and hands them to a per-connection fold goroutine over a
+//     bounded channel, so frame k+1 is being decoded while the
+//     ReportSink folds frame k. The channel bound preserves backpressure
+//     (a slow sink stops the read loop, which stops the TCP window), and
+//     the pool discipline is unchanged: each buffer is recycled as soon
+//     as its frame is folded.
+//
+//  3. The fold goroutine decides *when* an ack is due (cadence) but
+//     never waits for one: it posts an ack request and keeps folding. A
+//     per-connection acker goroutine *delivers* acks — it takes the
+//     newest request, runs the sink's durability barrier, writes one ack
+//     frame, and repeats. Requests posted while a barrier or write is in
+//     flight coalesce into the next ack, so with a durable sink the
+//     frames consumed during fsync N form batch N+1.
 //
 // Ack frame layout (server → client): a 4-byte big-endian header word
 // with the top bit set and the payload length in the low 31 bits, then
@@ -83,16 +93,19 @@ var (
 
 // StreamOpts configures a server's batched-ack streaming behaviour.
 type StreamOpts struct {
-	// AckBatch is k: the streamed report frames covered by one binary
-	// ack once a connection negotiates batched mode. 0 (the default)
-	// makes k adaptive per connection: it starts at DefaultAckBatch,
-	// shrinks (by halving, toward the in-flight depth the fold loop
-	// actually observed, floor 2) whenever the pipeline runs dry — a
-	// client with a small window gets prompt acks — and doubles, up to
-	// maxAdaptiveAckBatch, while the backlog never drains (a blasting
-	// client pays for fewer acks and, with a durable sink, fewer
-	// fsyncs). A positive value fixes k for every connection; 1
-	// acknowledges every frame (the legacy cadence).
+	// AckBatch is k: the streamed report frames after which a batched
+	// connection requests an ack. Requests posted while the previous
+	// ack's durability barrier or write is still in flight coalesce, so
+	// a loaded connection is acked less often than every k frames. 0
+	// (the default) makes k adaptive per connection: it starts at
+	// DefaultAckBatch, shrinks (by halving, toward the in-flight depth
+	// the fold loop actually observed, floor 2) whenever the pipeline
+	// runs dry with no barrier in flight — a client with a small window
+	// gets prompt acks — and doubles, up to maxAdaptiveAckBatch, while
+	// the backlog never drains. A positive value fixes k for every
+	// connection: at most one ack request per k frames. 1 requests an
+	// ack for every frame, which is one ack per frame only when nothing
+	// is in flight (a depth-1 client).
 	AckBatch int
 	// PipelineDepth bounds the decoded-but-unfolded frames buffered per
 	// connection (the decode-ahead window). 0 picks the default.
@@ -185,16 +198,73 @@ type streamItem struct {
 }
 
 // connStream is the per-connection batched-mode state: the bounded
-// pipeline channel into the fold goroutine and the (initial) batch.
+// pipeline channel into the fold goroutine, the (initial) batch, and the
+// hand-off to the connection's acker.
 type connStream struct {
 	ch       chan streamItem
-	done     chan struct{}
-	k        int  // initial batch, reported at negotiation
-	adaptive bool // fold loop adjusts k from observed in-flight depth
+	done     chan struct{} // closed when the fold goroutine exits
+	k        int           // initial batch, reported at negotiation
+	adaptive bool          // fold loop adjusts k from observed in-flight depth
+	ack      acker
+
+	// onPost, when set, observes every ack request right after the fold
+	// goroutine posts it, in order. Tests pin the ack cadence with it:
+	// the acks on the wire are the same requests after coalescing.
+	onPost func(seq uint64)
+}
+
+// acker is the hand-off from a connection's fold goroutine, which posts
+// ack requests, to its ack goroutine (ackLoop), which delivers them. A
+// request is a cumulative seq plus the first error text posted since the
+// ack goroutine last took one. A newer request replaces an untaken older
+// one, so posting never blocks.
+type acker struct {
+	mu     sync.Mutex
+	seq    uint64 // newest posted seq
+	errMsg string // first error text posted since the last take
+
+	// wake holds at most one "a request is waiting" token; the fold
+	// goroutine closes it after its last post.
+	wake      chan struct{}
+	done      chan struct{} // closed when the ack goroutine exits
+	delivered atomic.Uint64 // newest seq the ack goroutine is done with
+}
+
+// post requests an ack covering seq without blocking.
+func (a *acker) post(seq uint64, errMsg string) {
+	a.mu.Lock()
+	a.seq = seq
+	if a.errMsg == "" {
+		a.errMsg = errMsg
+	}
+	a.mu.Unlock()
+	select {
+	case a.wake <- struct{}{}:
+	default: // a token is already waiting; its pass will take this request
+	}
+}
+
+// take returns the newest request and clears its error text.
+func (a *acker) take() (seq uint64, errMsg string) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	seq, errMsg = a.seq, a.errMsg
+	a.errMsg = ""
+	return seq, errMsg
+}
+
+func newConnStream(k int, adaptive bool, depth int) *connStream {
+	return &connStream{
+		ch:   make(chan streamItem, depth),
+		done: make(chan struct{}),
+		k:    k, adaptive: adaptive,
+		ack: acker{wake: make(chan struct{}, 1), done: make(chan struct{})},
+	}
 }
 
 // startStream switches a connection into batched mode: subsequent report
-// frames flow through the pipeline channel to a dedicated fold goroutine.
+// frames flow through the pipeline channel to a dedicated fold goroutine,
+// and a dedicated ack goroutine answers them.
 func (s *Server) startStream(conn net.Conn, wmu *sync.Mutex) *connStream {
 	k, adaptive := s.opts.AckBatch, false
 	if k < 1 {
@@ -204,10 +274,17 @@ func (s *Server) startStream(conn net.Conn, wmu *sync.Mutex) *connStream {
 	if depth < 1 {
 		depth = defaultPipelineDepth
 	}
-	st := &connStream{ch: make(chan streamItem, depth), done: make(chan struct{}), k: k, adaptive: adaptive}
-	s.wg.Add(1)
-	go s.foldLoop(conn, wmu, st)
+	st := newConnStream(k, adaptive, depth)
+	s.runStream(conn, wmu, st)
 	return st
+}
+
+// runStream starts st's fold and ack goroutines, both counted in s.wg so
+// neither outlives Server.Close.
+func (s *Server) runStream(conn net.Conn, wmu *sync.Mutex, st *connStream) {
+	s.wg.Add(2)
+	go s.foldLoop(st)
+	go s.ackLoop(conn, wmu, &st.ack)
 }
 
 // clampAckBatch bounds an adaptive batch size.
@@ -221,77 +298,75 @@ func clampAckBatch(k int) int {
 	return k
 }
 
-// stop closes the pipeline and waits for the fold goroutine to drain it.
-// The caller must have stopped sending (the read loop has returned) and
-// should already have closed conn so a blocked ack write cannot stall
-// the drain.
+// idleAckBatch is an adaptive connection's batch after the pipeline ran
+// dry with pending slots unacked. With no ack in flight the client
+// drained at the current cadence, so k shrinks toward the depth it
+// sustained — but by halving, with a floor of 2, not straight to
+// pending: a momentarily empty channel (frame in flight on the socket,
+// not yet decoded) is indistinguishable from a drained client window,
+// and a one-observation collapse to k=1 would cost a durable sink one
+// fsync per report on exactly the steady streams the batch exists to
+// amortize. With an ack in flight the dry pipeline means the client's
+// window is waiting on us, not that the client drained, so k stays.
+func idleAckBatch(k, pending int, inFlight bool) int {
+	if inFlight || pending >= k {
+		return k
+	}
+	if k = k / 2; k < pending {
+		k = pending
+	}
+	if k < 2 {
+		k = 2
+	}
+	return k
+}
+
+// stop closes the pipeline, waits for the fold goroutine to drain it,
+// then waits for the ack goroutine to deliver (or, on a dead connection,
+// drop) the last ack. The caller must have stopped sending (the read
+// loop has returned) and should already have closed conn so a blocked
+// ack write cannot stall the drain.
 func (st *connStream) stop() {
 	close(st.ch)
 	<-st.done
+	<-st.ack.done
 }
 
 // foldLoop is a connection's fold goroutine: it consumes decoded frames
 // while the read loop decodes the next one, folds them into the sink,
-// recycles the pooled buffers, and emits batched acks. Ack cadence:
-// every k frames, on any sink error (immediately, so the client learns
-// which batch failed), on a round boundary (the previous round's tail
-// must not wait for an unrelated batch to fill), on an explicit flush
-// marker, and whenever the pipeline runs dry while frames are unacked —
-// the flush-on-idle that guarantees a window-blocked client always
-// unblocks without either side arming a timer.
-//
-// With a durable sink (ReportDurability) every ack is preceded by a
-// SyncReports barrier, so an acknowledged report is on stable storage;
-// the sink's group commit collapses the barrier to one fsync per ack.
+// recycles the pooled buffers, and decides the ack cadence. It posts an
+// ack request every k frames, on any sink error (immediately, so the
+// client learns which batch failed), on a round boundary (the previous
+// round's tail must not wait for an unrelated batch to fill), on an
+// explicit flush marker, and whenever the pipeline runs dry while frames
+// are unacked — the flush-on-idle that guarantees a window-blocked client
+// always unblocks without either side arming a timer. Posting never
+// blocks: the connection's ack goroutine (ackLoop) runs the durability
+// barrier and writes the ack, and the frames folded meanwhile ride the
+// next one.
 //
 // On an adaptive connection (StreamOpts.AckBatch 0) k tracks the
-// observed in-flight depth: an idle flush means the client drained at
-// the current cadence, so k halves toward the depth actually seen
-// (prompt acks for shallow submitters); a full batch with more frames
-// already queued means sustained backlog, so k doubles up to
-// maxAdaptiveAckBatch (fewer acks — and fewer fsyncs — for blasting
-// submitters). A fixed k (AckBatch ≥ 1) never adjusts.
-func (s *Server) foldLoop(conn net.Conn, wmu *sync.Mutex, st *connStream) {
+// observed in-flight depth: an idle flush with no ack in flight halves
+// it (idleAckBatch); a full batch with more frames already queued means
+// sustained backlog, so k doubles up to maxAdaptiveAckBatch. A fixed k
+// (AckBatch ≥ 1) never adjusts.
+func (s *Server) foldLoop(st *connStream) {
 	defer s.wg.Done()
 	defer close(st.done)
-	dur, _ := s.sink.(ReportDurability)
-	m := s.metrics()
+	defer close(st.ack.wake) // after the last post: the acker drains it and exits
 	var (
 		k         = st.k // current batch; adjusts when st.adaptive
 		seq       uint64 // sequence slots consumed, cumulative
-		pending   int    // slots consumed since the last ack went out
+		posted    uint64 // seq of the newest ack request
+		pending   int    // slots consumed since the last ack request
 		lastRound uint64
 		haveRound bool
-		connDead  bool   // ack write failed; keep folding, stop acking
-		scratch   []byte // reused ack encode buffer
 	)
-	ack := func(errMsg string) {
-		pending = 0
-		if connDead {
-			return
-		}
-		if dur != nil {
-			// Durability barrier: everything consumed so far must be on
-			// stable storage before seq covers it. A sync failure must
-			// reach the client even when the ack already carries a
-			// (possibly benign) per-frame sink error — the client keeps
-			// only the first remote error stickily, and a lost-durability
-			// report must not hide behind a duplicate-report message.
-			if err := dur.SyncReports(); err != nil {
-				if errMsg == "" {
-					errMsg = err.Error()
-				} else {
-					errMsg = err.Error() + " (after: " + errMsg + ")"
-				}
-			}
-		}
-		scratch = appendAckFrame(scratch[:0], seq, errMsg)
-		wmu.Lock()
-		_, err := conn.Write(scratch)
-		wmu.Unlock()
-		m.ackBatches.Inc()
-		if err != nil {
-			connDead = true
+	post := func(errMsg string) {
+		pending, posted = 0, seq
+		st.ack.post(seq, errMsg)
+		if st.onPost != nil {
+			st.onPost(seq)
 		}
 	}
 	for {
@@ -301,24 +376,11 @@ func (s *Server) foldLoop(conn net.Conn, wmu *sync.Mutex, st *connStream) {
 		case it, ok = <-st.ch:
 		default:
 			// Pipeline dry: the socket is idle, flush the partial batch.
-			// The adaptive cadence shrinks toward the depth the client
-			// sustained before draining — but by halving, with a floor of
-			// 2, not straight to `pending`: a momentarily empty channel
-			// (frame in flight on the socket, not yet decoded) is
-			// indistinguishable from a drained client window, and a
-			// one-observation collapse to k=1 would cost a durable sink
-			// one fsync per report on exactly the steady streams the
-			// batch exists to amortize.
 			if pending > 0 {
-				if st.adaptive && pending < k {
-					if k = k / 2; k < pending {
-						k = pending
-					}
-					if k < 2 {
-						k = 2
-					}
+				if st.adaptive {
+					k = idleAckBatch(k, pending, st.ack.delivered.Load() < posted)
 				}
-				ack("")
+				post("")
 			}
 			it, ok = <-st.ch
 		}
@@ -327,11 +389,11 @@ func (s *Server) foldLoop(conn net.Conn, wmu *sync.Mutex, st *connStream) {
 		}
 		if it.flush {
 			seq++
-			ack("")
+			post("")
 			continue
 		}
 		if haveRound && it.f.Round != lastRound && pending > 0 {
-			ack("")
+			post("")
 		}
 		lastRound, haveRound = it.f.Round, true
 		err := s.sink.ConsumeReport(it.f)
@@ -339,16 +401,79 @@ func (s *Server) foldLoop(conn net.Conn, wmu *sync.Mutex, st *connStream) {
 		seq++
 		pending++
 		if err != nil {
-			ack(err.Error())
+			post(err.Error())
 			continue
 		}
 		if pending >= k {
 			backlog := len(st.ch) > 0
-			ack("")
+			post("")
 			if st.adaptive && backlog {
 				k = clampAckBatch(k * 2)
 			}
 		}
+	}
+}
+
+// ackLoop is a connection's ack goroutine. Each pass takes the newest
+// ack request, runs the sink's durability barrier (ReportDurability),
+// and writes one ack frame covering every slot requested so far;
+// requests posted during the barrier or the write coalesce into the
+// next pass. The store's group commit still merges concurrent barriers
+// across connections.
+//
+// Acked ⇒ durable: an ack covering slot S is written only after a
+// SyncReports call that began after slot S's ConsumeReport returned.
+// This holds because the fold goroutine posts a request covering S only
+// after ConsumeReport(S) returns, and the acker calls SyncReports after
+// taking the request.
+//
+// After a failed ack write the connection is dead: the acker stops
+// syncing and writing but keeps taking requests, so folding continues.
+func (s *Server) ackLoop(conn net.Conn, wmu *sync.Mutex, a *acker) {
+	defer s.wg.Done()
+	defer close(a.done)
+	dur, _ := s.sink.(ReportDurability)
+	m := s.metrics()
+	var (
+		acked   uint64 // seq covered by the last ack taken
+		dead    bool   // an ack write failed; keep draining, stop acking
+		scratch []byte // reused ack encode buffer
+	)
+	for range a.wake {
+		seq, errMsg := a.take()
+		if seq == acked {
+			continue // an earlier pass already took this request
+		}
+		if !dead {
+			if dur != nil {
+				// A sync failure must reach the client even when the ack
+				// already carries a (possibly benign) per-frame sink error —
+				// the client keeps only the first remote error stickily,
+				// and a lost-durability report must not hide behind a
+				// duplicate-report message.
+				start := time.Now()
+				err := dur.SyncReports()
+				m.syncWait.Observe(time.Since(start))
+				if err != nil {
+					if errMsg == "" {
+						errMsg = err.Error()
+					} else {
+						errMsg = err.Error() + " (after: " + errMsg + ")"
+					}
+				}
+			}
+			scratch = appendAckFrame(scratch[:0], seq, errMsg)
+			start := time.Now()
+			wmu.Lock()
+			_, err := conn.Write(scratch)
+			wmu.Unlock()
+			m.ackFlush.Observe(time.Since(start))
+			m.ackBatches.Inc()
+			m.ackFrames.ObserveCount(seq - acked)
+			dead = err != nil
+		}
+		acked = seq
+		a.delivered.Store(seq)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -104,8 +105,9 @@ func TestBatchedStreamRoundTrip(t *testing.T) {
 	}
 }
 
-// k = 1 must degenerate to today's behaviour: every frame individually
-// acknowledged, so with a window of 1 each Submit returns fully acked.
+// k = 1 with a window of 1 (a depth-1 client, nothing for the acker to
+// coalesce) must ack every frame individually: each Submit returns
+// fully acked.
 func TestBatchedAckK1DegeneratesToSync(t *testing.T) {
 	sink := &countingSink{}
 	_, cli := batchedPair(t, sink, StreamOpts{AckBatch: 1})
@@ -313,17 +315,32 @@ func TestAckSequenceOutsideWindow(t *testing.T) {
 	<-done
 }
 
-// The fold goroutine must flush the pending batch when a frame opens a
-// different round than its predecessor, before folding the new round's
-// frame — the previous round's tail must not wait on an unrelated batch.
+// gateSink holds the fold of every frame of round hold until release is
+// closed.
+type gateSink struct {
+	countingSink
+	hold    uint64
+	release chan struct{}
+}
+
+func (s *gateSink) ConsumeReport(f *ReportFrame) error {
+	if f.Round == s.hold {
+		<-s.release
+	}
+	return s.countingSink.ConsumeReport(f)
+}
+
+// The fold goroutine must request an ack for the pending batch when a
+// frame opens a different round than its predecessor, before folding
+// the new round's frame — the previous round's tail must not wait on an
+// unrelated batch. The round-2 frame's fold is held until the test has
+// read an ack, so that ack can only be the boundary's: it covers exactly
+// the three round-1 frames although k=100 is nowhere near full and the
+// pipeline never ran dry.
 func TestFoldLoopFlushesOnRoundBoundary(t *testing.T) {
-	sink := &countingSink{}
+	sink := &gateSink{hold: 2, release: make(chan struct{})}
 	s := &Server{sink: sink, opts: StreamOpts{AckBatch: 100}}
-	srvConn, cliConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
-	var wmu sync.Mutex
-	st := &connStream{ch: make(chan streamItem, 8), done: make(chan struct{}), k: 100}
+	st := newConnStream(100, false, 8)
 	// Queue everything before the folder starts so the channel never runs
 	// dry mid-sequence (which would trigger the idle flush instead).
 	for i := 0; i < 3; i++ {
@@ -332,24 +349,27 @@ func TestFoldLoopFlushesOnRoundBoundary(t *testing.T) {
 	}
 	rb := reportBufPool.Get().(*reportBuf)
 	st.ch <- streamItem{rb: rb, f: &ReportFrame{User: 3, Round: 2}}
-	s.wg.Add(1)
-	go s.foldLoop(srvConn, &wmu, st)
-	// First ack: the round boundary, covering exactly the three round-1
-	// frames even though the batch (k=100) is nowhere near full.
-	seq, msg, err := readAckFrame(cliConn)
+	ps := startPipeStream(t, s, st, 4)
+
+	seq, msg, err := readAckFrame(ps.cli)
 	if err != nil || msg != "" {
 		t.Fatalf("boundary ack: %d %q %v", seq, msg, err)
 	}
 	if seq != 3 {
 		t.Fatalf("boundary ack seq = %d, want 3", seq)
 	}
-	// Second ack: the idle flush for the round-2 frame.
-	seq, msg, err = readAckFrame(cliConn)
+	// Then the idle flush for the round-2 frame.
+	close(sink.release)
+	seq, msg, err = readAckFrame(ps.cli)
 	if err != nil || msg != "" || seq != 4 {
 		t.Fatalf("idle ack: %d %q %v", seq, msg, err)
 	}
+	if got := ps.postedUntil(4); !slices.Equal(got, []uint64{3, 4}) {
+		t.Fatalf("ack requests = %v, want [3 4]", got)
+	}
 	close(st.ch)
 	<-st.done
+	<-st.ack.done
 	if sink.count() != 4 {
 		t.Fatalf("sink saw %d frames, want 4", sink.count())
 	}

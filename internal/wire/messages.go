@@ -92,8 +92,9 @@ type RosterResp struct {
 // server itself, not the application handler.
 type AckBatchReq struct{}
 
-// AckBatchResp returns the server's ack batch size k: one binary ack per
-// k streamed frames (plus idle/round-boundary/marker flushes).
+// AckBatchResp returns the server's (initial) ack batch size k: an ack
+// is requested every k streamed frames (plus idle/round-boundary/marker
+// flushes), and requests coalesce while an ack is in flight.
 type AckBatchResp struct {
 	K int `json:"k"`
 }

@@ -168,13 +168,14 @@ type ReportSink interface {
 // ReportDurability is optionally implemented by a ReportSink whose
 // consumed reports must reach stable storage before they are
 // acknowledged (the back-end's write-ahead log). The server calls
-// SyncReports immediately before every report acknowledgement — the
-// per-frame JSON ack on the legacy path, the binary ack on the batched
-// path — so the acknowledgement is a durability barrier and the
-// batched-ack window amortizes the sink's fsyncs exactly as it
-// amortizes the ack writes. A SyncReports failure is reported to the
-// client in place of the ack: the reports were consumed but cannot be
-// promised durable.
+// SyncReports before every report acknowledgement, and only after the
+// reports it covers were consumed — the per-frame JSON ack on the
+// legacy path, the binary ack on the batched path — so the
+// acknowledgement is a durability barrier. On the batched path the
+// call runs on the connection's ack goroutine while folding continues,
+// and one call covers every frame consumed before it began. A
+// SyncReports failure is reported to the client in place of the ack:
+// the reports were consumed but cannot be promised durable.
 type ReportDurability interface {
 	SyncReports() error
 }

@@ -14,9 +14,10 @@
 // bit marks a frame whose cell block is read directly into pooled cell
 // slices, with no JSON envelope and no per-report copies. A
 // connection may further negotiate batched acknowledgements (see
-// batch.go): the server then answers streamed reports with one binary
-// ack per k frames while a per-connection fold goroutine pipelines frame
-// decode against aggregate folds.
+// batch.go): the server then answers streamed reports with cumulative
+// binary acks — at most one per k frames, coalesced while a durability
+// barrier is in flight — while per-connection fold and ack goroutines
+// pipeline frame decode, aggregate folds and ack barriers.
 package wire
 
 import (
@@ -114,7 +115,8 @@ type ErrorPayload struct {
 // accept streamed report frames, routed to the ReportSink instead of the
 // Handler; a connection that negotiates batched acknowledgements
 // (TypeAckBatch, see batch.go) further gains a fold goroutine that
-// pipelines frame decode against sink folds.
+// pipelines frame decode against sink folds, and an ack goroutine that
+// runs the durability barrier and writes acks off the fold path.
 type Server struct {
 	lis     net.Listener
 	handler Handler
@@ -190,14 +192,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	// wmu serializes everything the server writes on this connection:
 	// JSON responses from this goroutine and, in batched mode, binary
-	// acks from the fold goroutine.
+	// acks from the ack goroutine.
 	var wmu sync.Mutex
 	// st is non-nil once the connection has negotiated batched
 	// acknowledgements: report frames then flow through its bounded
 	// channel to the fold goroutine instead of being folded inline.
 	var st *connStream
 	defer func() {
-		// Close the socket first so a fold goroutine blocked on an ack
+		// Close the socket first so an ack goroutine blocked on an ack
 		// write to a stalled peer errors out, then drain the pipeline
 		// (every queued pooled buffer is folded and recycled).
 		conn.Close()
@@ -353,7 +355,8 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // Close stops accepting and tears down open connections (waiting for
-// per-connection fold goroutines to drain). Safe to call more than once.
+// per-connection fold and ack goroutines to drain). Safe to call more
+// than once.
 func (s *Server) Close() error {
 	var err error
 	s.once.Do(func() {
