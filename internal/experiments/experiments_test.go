@@ -105,10 +105,19 @@ func TestFig2CMSTrackActual(t *testing.T) {
 		if len(w.ActualCounts) == 0 || len(w.CMSCounts) == 0 {
 			t.Fatalf("week %d: empty distributions", w.Week)
 		}
-		// The CMS threshold sits at or slightly above the actual one
-		// (collisions only inflate), and close to it.
-		if w.CMSTh < w.ActualTh-1e-9 {
-			t.Fatalf("week %d: CMS_Th %.3f below Act_Th %.3f", w.Week, w.CMSTh, w.ActualTh)
+		// The CMS threshold tracks the actual one, but not from above
+		// only. The OPRF key is random, so the ad → ID mapping changes
+		// from run to run: an ID shared by two ads counts their audiences'
+		// union once, and a phantom ID (every row cell hit by other IDs)
+		// adds a low count — both pull the sample mean under the true one.
+		// Measured over 1 000 weeks of this configuration (500 runs, a
+		// fresh key each): CMS_Th / Act_Th in [0.977, 1.024], 63 weeks
+		// below 1 (41 of the 500 runs failed a CMS_Th ≥ Act_Th check). The
+		// lowest is one phantom ID of count 1 among 40 ads,
+		// (40·18.1 + 1)/41 = 17.68 against 18.10. The 5 % tolerance is
+		// twice that deficit: it admits two count-1 phantom IDs (0.955).
+		if w.CMSTh < w.ActualTh*0.95 {
+			t.Fatalf("week %d: CMS_Th %.3f more than 5%% below Act_Th %.3f", w.Week, w.CMSTh, w.ActualTh)
 		}
 		if w.CMSTh > w.ActualTh*1.5+1 {
 			t.Fatalf("week %d: CMS_Th %.3f far above Act_Th %.3f", w.Week, w.CMSTh, w.ActualTh)

@@ -24,8 +24,10 @@ type Fig2Week struct {
 	// ActualCounts and CMSCounts are the per-ad user counts.
 	ActualCounts, CMSCounts []float64
 	// ActualTh and CMSTh are the Mean-estimator thresholds (the figure's
-	// Act_Th / CMS_Th annotations). CMS_Th is expected to sit slightly
-	// above Act_Th because sketch and ID-space collisions only inflate.
+	// Act_Th / CMS_Th annotations). CMS_Th tracks Act_Th closely but can
+	// land on either side: sketch collisions inflate counts, while an ID
+	// shared by two ads (counted once for both audiences) or a phantom
+	// ID (a low count no ad produced) pulls the mean down.
 	ActualTh, CMSTh float64
 	// ActualDensity and CMSDensity sample the KDE curves of the figure
 	// over DensityX.

@@ -27,7 +27,18 @@ const (
 	// primary, so a half-dead primary surfaces as a transient error
 	// instead of wedging the tail loop.
 	opTimeout = 15 * time.Second
+	// fetchDepth is how many ReplFetch requests fetchInto keeps in
+	// flight. The primary answers requests in order on one connection,
+	// so the pipeline needs nothing from it: while the follower reads
+	// and writes one chunk, the primary is already reading the next and
+	// the round trip overlaps both. Four DefaultChunk requests (1 MiB)
+	// keep a loopback or LAN link busy.
+	fetchDepth = 4
 )
+
+// errRefused marks a ReplError answer to a fetch: the primary refused
+// that request, and the connection stays in step for the next one.
+var errRefused = errors.New("repl: primary refused fetch")
 
 // errFellBehind marks a fetch that hit the primary's pruning: the
 // bytes the follower wanted are gone, covered by a newer snapshot. The
@@ -430,8 +441,18 @@ func (f *Follower) fetchBase(files []wire.ReplFileInfo) (again bool, err error) 
 }
 
 // fetchInto appends the byte range [localSize, size) of one remote
-// file to its local mirror. gone=true reports the file was pruned on
-// the primary mid-fetch.
+// file to its local mirror, keeping up to fetchDepth chunk requests in
+// flight. gone=true reports the file was pruned on the primary
+// mid-fetch.
+//
+// Only contiguous bytes are written: each response answers the oldest
+// request in flight, and the first request always starts at the local
+// size. A response that breaks the sequence — ReplChunkGone, an empty
+// chunk, a short chunk, or a ReplError — stops the pipeline, and the
+// responses still in flight are read and discarded (drain) before
+// fetchInto returns or, after a short chunk, re-requests from the new
+// local size; the connection is then back in step for its next
+// exchange.
 func (f *Follower) fetchInto(fi wire.ReplFileInfo, size int64) (gone bool, err error) {
 	info := store.FileInfo{Kind: store.FileKind(fi.FileKind), Gen: fi.Gen}
 	off := f.localSize(info)
@@ -443,34 +464,88 @@ func (f *Follower) fetchInto(fi wire.ReplFileInfo, size int64) (gone bool, err e
 		return false, fatalError{err}
 	}
 	defer w.Close()
+	var inflight []pendingFetch // oldest first; the oldest starts at off
+	next := off                 // first byte not yet requested
 	for off < size {
-		want := size - off
-		if want > int64(f.opts.Chunk) {
-			want = int64(f.opts.Chunk)
+		for len(inflight) < fetchDepth && next < size {
+			want := size - next
+			if want > int64(f.opts.Chunk) {
+				want = int64(f.opts.Chunk)
+			}
+			p := pendingFetch{want: want, sent: time.Now()}
+			if err := f.c.sendFetch(byte(info.Kind), info.Gen, next, uint32(want)); err != nil {
+				return false, err
+			}
+			inflight = append(inflight, p)
+			next += want
 		}
-		data, flags, err := f.fetch(byte(info.Kind), info.Gen, off, uint32(want))
-		if err != nil {
-			return false, err
-		}
-		if flags&wire.ReplChunkGone != 0 {
-			return true, nil
-		}
-		if len(data) == 0 {
-			return false, nil // flushed size moved below the manifest's claim; next poll settles it
+		p := inflight[0]
+		inflight = inflight[1:]
+		data, flags, err := f.c.readChunk()
+		observeSince(f.m.fetchLat, p.sent)
+		switch {
+		case errors.Is(err, errRefused):
+			return false, f.drain(inflight, err)
+		case err != nil:
+			return false, err // stream position unknowable: the caller drops the connection
+		case int64(len(data)) > p.want:
+			return false, fmt.Errorf("%w: %d-byte chunk for a %d-byte request", wire.ErrReplProto, len(data), p.want)
+		case flags&wire.ReplChunkGone != 0:
+			return true, f.drain(inflight, nil)
+		case len(data) == 0:
+			// The flushed size moved below the manifest's claim; the next
+			// poll settles it.
+			return false, f.drain(inflight, nil)
 		}
 		if _, err := w.Write(data); err != nil {
-			return false, fatalError{err}
+			return false, f.drain(inflight, fatalError{err})
 		}
 		off += int64(len(data))
+		if int64(len(data)) < p.want {
+			// The requests behind a short chunk start past a gap: discard
+			// their answers and re-request from the local size.
+			if err := f.drain(inflight, nil); err != nil {
+				return false, err
+			}
+			inflight, next = inflight[:0], off
+		}
 	}
 	return false, nil
 }
 
-// fetch is conn.fetch with the exchange latency recorded (failures
-// included — a slow refusal is still a slow exchange).
+// pendingFetch is one chunk request fetchInto has written and not yet
+// read the answer to.
+type pendingFetch struct {
+	want int64     // bytes requested
+	sent time.Time // when the request was written: the latency clock
+}
+
+// drain reads and discards the answers to the requests still in
+// flight, observing each in the fetch-latency histogram like any other
+// chunk. It returns err — or, when err is nil, the transport error that
+// cut the drain short.
+func (f *Follower) drain(inflight []pendingFetch, err error) error {
+	for _, p := range inflight {
+		_, _, rerr := f.c.readChunk()
+		observeSince(f.m.fetchLat, p.sent)
+		if rerr != nil && !errors.Is(rerr, errRefused) {
+			if err == nil {
+				err = rerr
+			}
+			return err
+		}
+	}
+	return err
+}
+
+// fetch is one unpipelined chunk exchange, with its latency recorded
+// (failures included — a slow refusal is still a slow exchange).
 func (f *Follower) fetch(fileKind byte, gen uint64, off int64, maxLen uint32) (data []byte, flags byte, err error) {
 	start := time.Now()
-	data, flags, err = f.c.fetch(fileKind, gen, off, maxLen)
+	if err := f.c.sendFetch(fileKind, gen, off, maxLen); err != nil {
+		return nil, 0, err
+	}
+	data, flags, err = f.c.readChunk()
 	observeSince(f.m.fetchLat, start)
 	return data, flags, err
 }
@@ -737,15 +812,24 @@ func (c *conn) manifest() ([]wire.ReplFileInfo, error) {
 	}
 }
 
-// fetch requests one byte range. The returned data aliases the
-// connection's buffer and is valid until the next call.
-func (c *conn) fetch(fileKind byte, gen uint64, off int64, maxLen uint32) (data []byte, flags byte, err error) {
-	c.nc.SetDeadline(time.Now().Add(opTimeout))
-	defer c.nc.SetDeadline(time.Time{})
+// sendFetch writes one chunk request. Its answer is read by
+// readChunk; requests may be written ahead of reading their answers,
+// which the primary sends in request order.
+func (c *conn) sendFetch(fileKind byte, gen uint64, off int64, maxLen uint32) error {
+	c.nc.SetWriteDeadline(time.Now().Add(opTimeout))
+	defer c.nc.SetWriteDeadline(time.Time{})
 	req := wire.EncodeReplFetch(wire.ReplFetchReq{FileKind: fileKind, Gen: gen, Off: off, MaxLen: maxLen})
-	if err := wire.WriteReplFrame(c.nc, wire.ReplFetch, req); err != nil {
-		return nil, 0, err
-	}
+	return wire.WriteReplFrame(c.nc, wire.ReplFetch, req)
+}
+
+// readChunk reads the answer to the oldest unanswered chunk request. A
+// ReplError answer returns an error wrapping errRefused (the stream is
+// still in step); any other error leaves the connection unusable. The
+// returned data aliases the connection's buffer and is valid until the
+// next read.
+func (c *conn) readChunk() (data []byte, flags byte, err error) {
+	c.nc.SetReadDeadline(time.Now().Add(opTimeout))
+	defer c.nc.SetReadDeadline(time.Time{})
 	kind, body, buf, err := wire.ReadReplFrame(c.nc, c.buf)
 	c.buf = buf
 	if err != nil {
@@ -758,7 +842,7 @@ func (c *conn) fetch(fileKind byte, gen uint64, off int64, maxLen uint32) (data 
 		}
 		return body[1:], body[0], nil
 	case wire.ReplError:
-		return nil, 0, fmt.Errorf("repl: primary refused fetch: %s", body)
+		return nil, 0, fmt.Errorf("%w: %s", errRefused, body)
 	default:
 		return nil, 0, fmt.Errorf("%w: unexpected frame %#02x", wire.ErrReplProto, kind)
 	}

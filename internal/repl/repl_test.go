@@ -1,8 +1,10 @@
 package repl_test
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"os"
@@ -16,6 +18,7 @@ import (
 	"eyewnder/internal/blind"
 	"eyewnder/internal/detector"
 	"eyewnder/internal/group"
+	"eyewnder/internal/obs"
 	"eyewnder/internal/privacy"
 	"eyewnder/internal/repl"
 	"eyewnder/internal/store"
@@ -300,18 +303,39 @@ func TestFollowerRestartAfterPrune(t *testing.T) {
 
 // fakeSource serves scripted file bytes with a controllable visible
 // size, so tests can freeze a torn (mid-record) tail exactly where
-// they want it.
+// they want it. It logs the offset of every read it serves, and an
+// optional fault hook can answer a read in its place.
 type fakeSource struct {
 	mu    sync.Mutex
 	data  map[store.FileKind]map[uint64][]byte
 	limit map[store.FileKind]map[uint64]int64
+	offs  map[store.FileKind][]int64 // every ReadFileAt offset served, per kind
+
+	// fault, when set, sees every read of a present file before it is
+	// served: nth counts reads of that kind (1-based) and data is the
+	// visible bytes from the offset on. ok=true answers the read with
+	// (n, err) instead.
+	fault func(kind store.FileKind, nth int, data, p []byte) (n int, err error, ok bool)
 }
 
 func newFakeSource() *fakeSource {
 	return &fakeSource{
 		data:  map[store.FileKind]map[uint64][]byte{store.FileWAL: {}, store.FileSnapshot: {}},
 		limit: map[store.FileKind]map[uint64]int64{store.FileWAL: {}, store.FileSnapshot: {}},
+		offs:  map[store.FileKind][]int64{},
 	}
+}
+
+// reads returns the number of reads served and a copy of the offsets
+// read from files of kind.
+func (s *fakeSource) reads(kind store.FileKind) (int, []int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, o := range s.offs {
+		n += len(o)
+	}
+	return n, append([]int64(nil), s.offs[kind]...)
 }
 
 func (s *fakeSource) set(kind store.FileKind, gen uint64, data []byte, limit int64) {
@@ -341,6 +365,12 @@ func (s *fakeSource) ReadFileAt(kind store.FileKind, gen uint64, off int64, p []
 		return 0, os.ErrNotExist
 	}
 	visible := data[:s.limit[kind][gen]]
+	s.offs[kind] = append(s.offs[kind], off)
+	if s.fault != nil && off < int64(len(visible)) {
+		if n, err, ok := s.fault(kind, len(s.offs[kind]), visible[off:], p); ok {
+			return n, err
+		}
+	}
 	if off >= int64(len(visible)) {
 		return 0, io.EOF
 	}
@@ -450,6 +480,116 @@ func TestFollowerConvergesTornTail(t *testing.T) {
 		return err == nil && th >= 0
 	})
 	assertMirror(t, b, f.Replica(), 1)
+}
+
+// The follower keeps several chunk requests in flight while it mirrors
+// a file. When an answer mid-pipeline breaks the sequence — the file is
+// gone, a chunk comes back short or empty, or the primary refuses the
+// read — the follower must write only contiguous bytes, read every
+// answer still in flight before it reuses (or drops) the connection,
+// and still converge on a byte-identical mirror. "Nothing left unread"
+// is checked by counting: every read the primary served must have been
+// answered into the follower's per-chunk latency histogram, which only
+// the chunk reads observe.
+func TestFollowerPipelineBrokenSequence(t *testing.T) {
+	const chunk = 1024
+	for _, tc := range []struct {
+		name  string
+		fault func(data, p []byte) (int, error)
+	}{
+		{"gone", func(data, p []byte) (int, error) { return 0, os.ErrNotExist }},
+		{"short", func(data, p []byte) (int, error) { return copy(p[:len(p)/2], data), nil }},
+		{"empty", func(data, p []byte) (int, error) { return 0, nil }},
+		{"refused", func(data, p []byte) (int, error) { return 0, errors.New("injected read failure") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// An empty WAL segment to start from, then a snapshot of many
+			// chunks appears and the fault fires on its second read, while
+			// the requests behind it are in flight.
+			walDir := t.TempDir()
+			st, err := store.Open(walDir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Close()
+			walName := store.FileInfo{Kind: store.FileWAL, Gen: 1}.Name()
+			wal, err := os.ReadFile(filepath.Join(walDir, walName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := newFakeSource()
+			src.set(store.FileWAL, 1, wal, int64(len(wal)))
+			p, err := repl.ServePrimary("127.0.0.1:0", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			reg := obs.New()
+			mirror := filepath.Join(t.TempDir(), "mirror")
+			f, err := repl.StartFollower(repl.Options{
+				Dir: mirror, Addr: p.Addr(), Poll: 2 * time.Millisecond, Chunk: chunk, Metrics: reg, Logf: t.Logf,
+			}, backendCfg(testParams(), 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Stop()
+			waitFor(t, "initial sync", func() bool { return f.Status().CaughtUp })
+
+			snap := make([]byte, 10*chunk+123)
+			if _, err := rand.Read(snap); err != nil {
+				t.Fatal(err)
+			}
+			fired := false
+			src.mu.Lock()
+			src.fault = func(kind store.FileKind, nth int, data, p []byte) (int, error, bool) {
+				if kind != store.FileSnapshot || nth != 2 || fired {
+					return 0, nil, false
+				}
+				fired = true
+				n, err := tc.fault(data, p)
+				return n, err, true
+			}
+			src.mu.Unlock()
+			src.set(store.FileSnapshot, 2, snap, int64(len(snap)))
+
+			snapName := store.FileInfo{Kind: store.FileSnapshot, Gen: 2}.Name()
+			waitFor(t, "mirror to converge with every answer read", func() bool {
+				got, err := os.ReadFile(filepath.Join(mirror, snapName))
+				served, _ := src.reads(store.FileSnapshot)
+				answered := reg.Snapshot()["eyewnder_repl_fetch_seconds_count"]
+				return err == nil && bytes.Equal(got, snap) && f.Status().CaughtUp && float64(served) == answered
+			})
+			if got, err := os.ReadFile(filepath.Join(mirror, walName)); err != nil || !bytes.Equal(got, wal) {
+				t.Fatalf("WAL mirror differs from the source (%v)", err)
+			}
+			if s := f.Status(); s.Err != nil {
+				t.Fatalf("replication stopped: %v", s.Err)
+			}
+			src.mu.Lock()
+			if !fired {
+				t.Error("the fault never fired")
+			}
+			src.mu.Unlock()
+
+			// The first pass asked for chunks 0–3 before reading an answer,
+			// so the fault at chunk 1 landed with chunks 2 and 3 in flight.
+			_, offs := src.reads(store.FileSnapshot)
+			if len(offs) < 4 || offs[2] != 2*chunk || offs[3] != 3*chunk {
+				t.Fatalf("snapshot read offsets %v: the requests behind the fault were not in flight", offs)
+			}
+			if tc.name == "short" {
+				// After the drain the pipeline restarts at the local size,
+				// half-way into chunk 1: the first offset to step back.
+				i := 1
+				for i < len(offs) && offs[i] > offs[i-1] {
+					i++
+				}
+				if i == len(offs) || offs[i] != chunk+chunk/2 {
+					t.Fatalf("snapshot read offsets %v: after the short chunk the pipeline must restart at the local size %d", offs, chunk+chunk/2)
+				}
+			}
+		})
+	}
 }
 
 // A connection that does not speak the protocol must be dropped at the

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -207,7 +208,64 @@ func (e *RecordEncoder) record(w io.Writer, kind byte, fixed, rest []byte) error
 // end of input returns io.EOF; a torn or corrupt record returns
 // ErrCorruptRecord. Exported so the fuzz harness and offline WAL tools
 // share the exact decoder recovery runs.
+//
+// When r can also Peek and Discard (a *bufio.Reader — what segment
+// replay passes) and the framed record fits r's buffer, the record is
+// checked and returned in place: the body then aliases r's buffer, still
+// valid until the next call on r, and buf is returned untouched. A
+// record larger than the buffer takes the copying path, and both paths
+// classify torn and corrupt input identically.
 func ReadWALRecord(r io.Reader, buf []byte) (kind byte, body, newBuf []byte, err error) {
+	if pr, ok := r.(peekDiscarder); ok {
+		return readWALRecordInPlace(pr, buf)
+	}
+	return readWALRecordCopy(r, buf)
+}
+
+// peekDiscarder is the part of *bufio.Reader the in-place path uses.
+type peekDiscarder interface {
+	io.Reader
+	Peek(n int) ([]byte, error)
+	Discard(n int) (int, error)
+}
+
+// readWALRecordInPlace serves a record from r's buffer when it fits. A
+// Peek that comes back short for any reason other than bufio's
+// ErrBufferFull means the input ended (or failed) inside the record —
+// the same torn cases the copying path reports.
+func readWALRecordInPlace(r peekDiscarder, buf []byte) (kind byte, body, newBuf []byte, err error) {
+	hdr, err := r.Peek(5)
+	if len(hdr) < 5 {
+		if len(hdr) == 0 && err == io.EOF {
+			return 0, nil, buf, io.EOF
+		}
+		return 0, nil, buf, fmt.Errorf("%w: torn header: %v", ErrCorruptRecord, err)
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	kind = hdr[4]
+	if n > maxRecordBody {
+		return 0, nil, buf, fmt.Errorf("%w: %d-byte body", ErrCorruptRecord, n)
+	}
+	frame, err := r.Peek(walRecordOverhead + int(n))
+	if errors.Is(err, bufio.ErrBufferFull) {
+		// Larger than the buffer: the copying path reads it through.
+		return readWALRecordCopy(r, buf)
+	}
+	if err != nil {
+		return 0, nil, buf, fmt.Errorf("%w: torn record: %v", ErrCorruptRecord, err)
+	}
+	body = frame[5 : 5+n]
+	crc := crc32.Update(0, castagnoli, frame[4:5])
+	crc = crc32.Update(crc, castagnoli, body)
+	if binary.LittleEndian.Uint32(frame[5+n:]) != crc {
+		return 0, nil, buf, fmt.Errorf("%w: checksum mismatch", ErrCorruptRecord)
+	}
+	r.Discard(len(frame)) // cannot fail: the bytes are buffered
+	return kind, body, buf, nil
+}
+
+// readWALRecordCopy reads a record through r into buf.
+func readWALRecordCopy(r io.Reader, buf []byte) (kind byte, body, newBuf []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {

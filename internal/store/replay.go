@@ -1,8 +1,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"sort"
+	"time"
 
 	"eyewnder/internal/vec"
 )
@@ -44,6 +44,11 @@ type recovered struct {
 	campaigns     map[uint32][]byte
 	configVersion uint32
 	rosterVersion uint32
+
+	// replayBytes and replayTime measure the WAL half of recovery: the
+	// segment bytes applied and the time spent applying them.
+	replayBytes int64
+	replayTime  time.Duration
 }
 
 // newRecovered seeds recovery from a loaded snapshot (nil for none).
@@ -94,7 +99,11 @@ func (rec *recovered) apply(kind byte, body []byte) error {
 }
 
 // applyEvent folds one typed event into the recovered state, skipping
-// whatever the live acceptance rules would have rejected.
+// whatever the live acceptance rules would have rejected. The event's
+// byte slices alias the replay reader's buffer (ReadWALRecord serves
+// records in place) and are overwritten by the next read, so no case
+// retains one: keys and campaign definitions are copied, shares decoded
+// into fresh vectors, report cells folded.
 func (rec *recovered) applyEvent(ev Event) {
 	switch e := ev.(type) {
 	case *RegisterEvent:
@@ -139,10 +148,10 @@ func (rec *recovered) applyEvent(ev Event) {
 		}
 		rs.Reported[e.User] = true
 		rs.N += e.N
-		raw := e.Cells
-		for i := range rs.Cells {
-			rs.Cells[i] += binary.LittleEndian.Uint64(raw[8*i:])
-		}
+		// The raw block sits at whatever alignment the record landed at
+		// (often inside the reader's buffer): the fused kernel decodes
+		// and adds in one pass.
+		vec.AddLE(rs.Cells, e.Cells)
 
 	case *AdjustEvent:
 		rs, ok := rec.rounds[roundKey{e.Campaign, e.Round}]

@@ -2,9 +2,10 @@ package vec
 
 import "os"
 
-// Kernel dispatch. The four element kernels — wraparound add/sub and
-// the bulk little-endian (de)serialization — are selected exactly once,
-// at package init, and then called through these package-level function
+// Kernel dispatch. The five element kernels — wraparound add/sub, the
+// fused little-endian decode-add (AddLE, the WAL replay fold), and the
+// bulk little-endian (de)serialization — are selected exactly once, at
+// package init, and then called through these package-level function
 // variables. The selection order is:
 //
 //  1. `purego` build tag: the assembly kernels (and the unsafe bulk
@@ -19,12 +20,14 @@ import "os"
 //
 // Every kernel computes bit-identical results (uint64 wraparound
 // arithmetic has no rounding to disagree on); the equivalence tests in
-// dispatch_test.go assert it over random lengths, unaligned tails and
-// wraparound values.
+// dispatch_test.go assert it over random lengths, unaligned bases and
+// tails, every source byte offset, and wraparound values.
 var (
-	// Selected kernels, called by Add/Sub/PutLE/GetLE and Striped.Add.
+	// Selected kernels, called by Add/Sub/AddLE/PutLE/GetLE and
+	// Striped.Add.
 	addImpl   func(dst, src []uint64)
 	subImpl   func(dst, src []uint64)
+	addLEImpl func(dst []uint64, src []byte)
 	putLEImpl func(dst []byte, src []uint64)
 	getLEImpl func(dst []uint64, src []byte)
 
@@ -33,10 +36,11 @@ var (
 	// generic set, so restoring never resurrects a disabled kernel.
 	selAdd   func(dst, src []uint64)
 	selSub   func(dst, src []uint64)
+	selAddLE func(dst []uint64, src []byte)
 	selPutLE func(dst []byte, src []uint64)
 	selGetLE func(dst []uint64, src []byte)
 
-	// kernelName names the selected add/sub kernel ("avx2", "neon",
+	// kernelName names the selected arithmetic kernels ("avx2", "neon",
 	// "generic"); activeNote carries why a faster path was not taken.
 	kernelName = "generic"
 	activeNote string
@@ -44,15 +48,15 @@ var (
 )
 
 func init() {
-	selAdd, selSub = addGeneric, subGeneric
+	selAdd, selSub, selAddLE = addGeneric, subGeneric, addLEGeneric
 	selPutLE, selGetLE = putLEGeneric, getLEGeneric
 	if os.Getenv("EYEWNDER_NOSIMD") != "" {
 		activeNote = "EYEWNDER_NOSIMD"
 	} else {
 		pickEncode()  // bulk LE (memmove) encode where unsafe is allowed
-		pickKernels() // AVX2 / NEON add+sub where the hardware has them
+		pickKernels() // AVX2 / NEON add, sub and decode-add where the hardware has them
 	}
-	addImpl, subImpl = selAdd, selSub
+	addImpl, subImpl, addLEImpl = selAdd, selSub, selAddLE
 	putLEImpl, getLEImpl = selPutLE, selGetLE
 }
 
@@ -75,14 +79,14 @@ func Active() string {
 // runtime; ForceGeneric(false) restores the init-time selection. It
 // exists for the paired asm-vs-generic benchmark rows and the
 // equivalence tests; it is NOT synchronized with concurrent kernel
-// callers, so flip it only while no Add/Sub/PutLE/GetLE is in flight.
+// callers, so flip it only while no kernel call is in flight.
 func ForceGeneric(on bool) {
 	forced = on
 	if on {
-		addImpl, subImpl = addGeneric, subGeneric
+		addImpl, subImpl, addLEImpl = addGeneric, subGeneric, addLEGeneric
 		putLEImpl, getLEImpl = putLEGeneric, getLEGeneric
 		return
 	}
-	addImpl, subImpl = selAdd, selSub
+	addImpl, subImpl, addLEImpl = selAdd, selSub, selAddLE
 	putLEImpl, getLEImpl = selPutLE, selGetLE
 }

@@ -3,6 +3,7 @@ package vec
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -107,6 +108,48 @@ func TestKernelEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// Decode-add: every length 0–67 (the 16-word main loop, its scalar
+	// tail, and both around the boundary) plus the random lengths above,
+	// each at all 8 source byte offsets.
+	for n := 0; n <= 67; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		for off := 0; off < 8; off++ {
+			checkAddLE(t, rng, n, off)
+		}
+	}
+}
+
+// checkAddLE compares the selected AddLE kernel with the generic one for
+// an n-word destination and a source starting off bytes into its
+// backing array.
+func checkAddLE(t *testing.T, rng *rand.Rand, n, off int) {
+	t.Helper()
+	defer ForceGeneric(false)
+	words := make([]uint64, n)
+	randomFill(rng, words)
+	back := make([]byte, off+8*n)
+	src := back[off:]
+	putLEGeneric(src, words)
+	dst := make([]uint64, n)
+	randomFill(rng, dst)
+
+	want := append([]uint64(nil), dst...)
+	ForceGeneric(true)
+	AddLE(want, src)
+	ForceGeneric(false)
+	got := append([]uint64(nil), dst...)
+	AddLE(got, src)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("n=%d off=%d: AddLE[%d] = %#x, generic %#x (kernel %s)", n, off, i, got[i], want[i], Active())
+		}
+		if want[i] != dst[i]+words[i] {
+			t.Fatalf("n=%d off=%d: generic AddLE[%d] = %#x, want %#x", n, off, i, want[i], dst[i]+words[i])
+		}
+	}
 }
 
 // TestKernelEquivalenceConcurrent reruns the selected kernel under
@@ -142,6 +185,42 @@ func TestKernelEquivalenceConcurrent(t *testing.T) {
 			t.Fatalf("striped dispatch sum[%d] = %#x, generic %#x", i, dst[i], want[i])
 		}
 	}
+
+	// Decode-add from concurrent goroutines into disjoint ranges, each
+	// source range at an unaligned byte offset. The second size runs
+	// AddLE above parallelThreshold, which fans out internally.
+	for _, size := range []int{n, parallelThreshold + 123} {
+		words := make([]uint64, size)
+		randomFill(rng, words)
+		raw := make([]byte, 8*size+3)[3:]
+		putLEGeneric(raw, words)
+		got := make([]uint64, size)
+		randomFill(rng, got)
+		want := append([]uint64(nil), got...)
+		ForceGeneric(true)
+		AddLE(want, raw)
+		ForceGeneric(false)
+		if size == n {
+			const parts = 8
+			var wg sync.WaitGroup
+			for p := 0; p < parts; p++ {
+				lo, hi := p*size/parts, (p+1)*size/parts
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					AddLE(got[lo:hi], raw[8*lo:8*hi])
+				}()
+			}
+			wg.Wait()
+		} else {
+			AddLE(got, raw)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("size %d: concurrent AddLE[%d] = %#x, generic %#x", size, i, got[i], want[i])
+			}
+		}
+	}
 }
 
 // The dispatch indirection must not cost an allocation: these are the
@@ -162,6 +241,9 @@ func TestDispatchZeroAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { GetLE(src, buf) }); a != 0 {
 		t.Fatalf("GetLE allocates %v per op through dispatch, want 0", a)
 	}
+	if a := testing.AllocsPerRun(100, func() { AddLE(dst, buf) }); a != 0 {
+		t.Fatalf("AddLE allocates %v per op through dispatch, want 0", a)
+	}
 	s := NewStriped(dst, 4)
 	if a := testing.AllocsPerRun(100, func() { s.Add(src) }); a != 0 {
 		t.Fatalf("Striped.Add allocates %v per op through dispatch, want 0", a)
@@ -180,8 +262,8 @@ func TestForceGenericToggles(t *testing.T) {
 	}
 }
 
-// FuzzKernelEquivalence drives the selected add/sub kernels against the
-// generic reference from fuzzed byte strings (length and contents), so
+// FuzzKernelEquivalence drives the selected add/sub/decode-add kernels
+// against the generic reference from fuzzed byte strings (length and contents), so
 // the CI fuzz smoke can grow a corpus of adversarial tails.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0xff})
@@ -213,6 +295,29 @@ func FuzzKernelEquivalence(f *testing.F) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("kernel %s diverges from generic at %d: %#x vs %#x", Active(), i, got[i], want[i])
+			}
+		}
+
+		// Decode-add with a's bytes as the source, at the byte offset
+		// len(b) picks, into the words just computed.
+		off := len(b) % 8
+		if off > len(a) {
+			off = len(a)
+		}
+		m := (len(a) - off) / 8
+		if m > n {
+			m = n
+		}
+		raw := a[off : off+8*m]
+		wantLE := append([]uint64(nil), want[:m]...)
+		ForceGeneric(true)
+		AddLE(wantLE, raw)
+		ForceGeneric(false)
+		gotLE := append([]uint64(nil), want[:m]...)
+		AddLE(gotLE, raw)
+		for i := range wantLE {
+			if gotLE[i] != wantLE[i] {
+				t.Fatalf("AddLE kernel %s diverges from generic at %d (source offset %d): %#x vs %#x", Active(), i, off, gotLE[i], wantLE[i])
 			}
 		}
 	})

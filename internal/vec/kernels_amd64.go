@@ -16,11 +16,21 @@ func addAVX2(dst, src []uint64)
 //go:noescape
 func subAVX2(dst, src []uint64)
 
-// pickKernels selects the AVX2 add/sub kernels when the CPU and OS
-// support them (VPADDQ/VPSUBQ need AVX2 and OS-enabled YMM state).
+// addLEAVX2 adds the little-endian words of src into dst: addAVX2 with
+// a byte source of any alignment. x86 is little-endian, so an unaligned
+// 256-bit load of the raw bytes already is four decoded words. The
+// wrapper guarantees len(src) == 8*len(dst); the kernel reads the
+// length from dst.
+//
+//go:noescape
+func addLEAVX2(dst []uint64, src []byte)
+
+// pickKernels selects the AVX2 add/sub/decode-add kernels when the CPU
+// and OS support them (VPADDQ/VPSUBQ need AVX2 and OS-enabled YMM
+// state).
 func pickKernels() {
 	if cpu.HasAVX2 {
-		selAdd, selSub = addAVX2, subAVX2
+		selAdd, selSub, selAddLE = addAVX2, subAVX2, addLEAVX2
 		kernelName = "avx2"
 	} else {
 		activeNote = "no avx2"

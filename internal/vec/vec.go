@@ -1,7 +1,8 @@
 // Package vec provides the bulk uint64-vector arithmetic shared by the
 // privacy hot path: cell-wise addition and subtraction modulo 2⁶⁴ over the
 // flat counter slices of package sketch and the blinding/adjustment
-// vectors of package blind.
+// vectors of package blind, and the fused little-endian decode-add WAL
+// replay folds logged report cells with.
 //
 // All operations wrap around, matching the additive-shares-of-zero
 // arithmetic of the protocol. Large vectors are split into chunks and
@@ -18,11 +19,12 @@
 package vec
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 )
 
-// parallelThreshold is the element count above which Add/Sub fan out to
+// parallelThreshold is the element count above which Add/Sub/AddLE fan out to
 // worker goroutines. Below it the goroutine hand-off costs more than the
 // adds it would save.
 const parallelThreshold = 1 << 15
@@ -56,6 +58,22 @@ func Sub(dst, src []uint64) {
 	parallel(len(dst), minChunk, func(lo, hi int) { subImpl(dst[lo:hi], src[lo:hi]) })
 }
 
+// AddLE adds the little-endian uint64 words of src into dst element-wise
+// modulo 2⁶⁴: dst[i] += word i of src. It is GetLE and Add fused into
+// one pass with no intermediate vector — the fold of a logged report's
+// raw cell block during WAL replay. src may sit at any byte alignment;
+// it must hold exactly 8*len(dst) bytes.
+func AddLE(dst []uint64, src []byte) {
+	if len(src) != 8*len(dst) {
+		panic("vec: length mismatch")
+	}
+	if len(dst) < parallelThreshold {
+		addLEImpl(dst, src)
+		return
+	}
+	parallel(len(dst), minChunk, func(lo, hi int) { addLEImpl(dst[lo:hi], src[8*lo:8*hi]) })
+}
+
 // addGeneric is the portable scalar kernel, unrolled 4-wide; after the
 // bounds hint the compiler keeps the loop check-free. It is both the
 // fallback when no SIMD kernel is selected and the reference the
@@ -85,6 +103,15 @@ func subGeneric(dst, src []uint64) {
 	}
 	for i := n; i < len(src); i++ {
 		dst[i] -= src[i]
+	}
+}
+
+// addLEGeneric is the portable decode-add: one little-endian load per
+// word, valid on any host byte order and any source alignment.
+func addLEGeneric(dst []uint64, src []byte) {
+	_ = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] += binary.LittleEndian.Uint64(src[8*i:])
 	}
 }
 

@@ -83,6 +83,26 @@ func benchAdd(b *testing.B, n int) {
 	}
 }
 
+// BenchmarkAddLE folds a paper-geometry report's raw cell block (19 033
+// words, source one byte off alignment, as a WAL record body lands) with
+// the selected kernel; BenchmarkAddLEGeneric is the same fold through
+// the generic loop — the pair is the kernel's speed-up.
+func BenchmarkAddLE(b *testing.B)        { benchAddLE(b, false) }
+func BenchmarkAddLEGeneric(b *testing.B) { benchAddLE(b, true) }
+
+func benchAddLE(b *testing.B, generic bool) {
+	const n = 19033
+	ForceGeneric(generic)
+	defer ForceGeneric(false)
+	dst := make([]uint64, n)
+	src := make([]byte, 8*n+1)[1:]
+	b.SetBytes(int64(8 * n))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AddLE(dst, src)
+	}
+}
+
 // Concurrent striped adds must produce exactly the serial sum, for any
 // stripe count including the degenerate single-lock case.
 func TestStripedAddMatchesSerial(t *testing.T) {
