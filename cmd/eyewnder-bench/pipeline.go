@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -227,10 +226,8 @@ func runPipeline(outPath, baselinePath string, checkPct, checkNsPct float64) err
 		return err
 	}
 
-	fmt.Fprintln(os.Stderr, "pipeline: durable round store, WAL append + crash recovery ...")
-	if err := benchStore(rep, newCMS); err != nil {
-		return err
-	}
+	fmt.Fprintln(os.Stderr, "pipeline: durable round store, WAL append ...")
+	benchStore(rep, newCMS)
 
 	fmt.Fprintln(os.Stderr, "pipeline: end-to-end ingest, batched stream into a durable back-end ...")
 	if err := benchE2EIngest(rep); err != nil {
@@ -458,8 +455,7 @@ func benchIngestion(rep *pipelineReport, newCMS func() *sketch.CMS, key []byte) 
 	return nil
 }
 
-// benchStore measures the durable round store's two sides of the
-// crash-safety bargain.
+// benchStore measures the durable round store's hot-path cost.
 //
 // wal_append is the hot-path cost a durable back-end adds to every
 // streamed report: encoding the report event as a CRC-framed WAL record
@@ -468,12 +464,9 @@ func benchIngestion(rep *pipelineReport, newCMS func() *sketch.CMS, key []byte) 
 // deterministically, independent of the runner's disk. The fsync is
 // deliberately excluded: it is group-committed per ack window, and disk
 // latencies on shared CI runners would drown the regression signal.
-//
-// recover_round is the restart cost: open a data dir whose WAL holds a
-// 64-report round at paper geometry and replay it back into round state
-// (cells, weight, reported bitmap), i.e. one full crash recovery per
-// op.
-func benchStore(rep *pipelineReport, newCMS func() *sketch.CMS) error {
+// The restart cost is measured end to end by the benchmark's recover_ms
+// (store.Open plus the back-end's replay).
+func benchStore(rep *pipelineReport, newCMS func() *sketch.CMS) {
 	cms := newCMS()
 	cells := cms.FlatCells()
 	for i := range cells {
@@ -492,67 +485,6 @@ func benchStore(rep *pipelineReport, newCMS func() *sketch.CMS) error {
 			}
 		}
 	})
-
-	dir, err := os.MkdirTemp("", "eyewnder-bench-wal")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	const reporters = 64
-	st, err := store.Open(dir, store.Options{Sync: store.SyncOff})
-	if err != nil {
-		return err
-	}
-	if err := st.AppendOpen(0, 1, reporters, d, w, 0, 0, 0, 0); err != nil {
-		return err
-	}
-	for u := 0; u < reporters; u++ {
-		if err := st.AppendReport(0, 1, u, d, w, 50, 0, 0, 0, cells); err != nil {
-			return err
-		}
-	}
-	if err := st.Close(); err != nil {
-		return err
-	}
-	// Every Open starts a fresh (empty) segment for its own appends;
-	// remove anything setup did not create after each iteration, so op
-	// N replays exactly the same files as op 1 (allocs/op must not
-	// drift with b.N — the regression gate treats it as deterministic).
-	setupFiles := map[string]bool{}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		setupFiles[e.Name()] = true
-	}
-	rep.Benchmarks["recover_round"] = measure(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rst, err := store.Open(dir, store.Options{Sync: store.SyncOff})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rounds := rst.Rounds()
-			if len(rounds) != 1 || rounds[0].N != 50*reporters {
-				b.Fatalf("recovery dropped state: %d rounds", len(rounds))
-			}
-			if err := rst.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, e := range entries {
-				if !setupFiles[e.Name()] {
-					os.Remove(filepath.Join(dir, e.Name()))
-				}
-			}
-			b.StartTimer()
-		}
-	})
-	return nil
 }
 
 // benchE2EIngest is the whole system under one number: a batched report

@@ -139,8 +139,6 @@ func main() {
 		}
 		defer disk.Close()
 		st = disk
-		log.Printf("round store in %s (fsync=%s, %d rounds and %d registrations recovered)",
-			*dataDir, *fsync, len(disk.Rounds()), len(disk.Roster()))
 	}
 	beCfg.Store = st
 	be, err := backend.New(beCfg)
@@ -148,6 +146,17 @@ func main() {
 		log.Fatalf("back-end: %v", err)
 	}
 	defer be.Close()
+	if disk != nil {
+		keys, _, _ := be.Roster()
+		registered := 0
+		for _, k := range keys {
+			if k != nil {
+				registered++
+			}
+		}
+		log.Printf("round store in %s (fsync=%s, %d rounds and %d registrations recovered)",
+			*dataDir, *fsync, len(be.RoundsProgress()), registered)
+	}
 	if *campaigns != "" {
 		list, err := campaign.ParseSpec(*campaigns)
 		if err != nil {
@@ -381,7 +390,7 @@ func (n *node) promote() (int, error) {
 		return 0, err
 	}
 	n.promoted, n.disk = b, disk
-	n.rounds = len(disk.Rounds())
+	n.rounds = len(b.RoundsProgress())
 	log.Printf("promoted: %d rounds recovered from the mirror, now writable", n.rounds)
 	if n.replAddr != "" {
 		rp, err := repl.ServePrimary(n.replAddr, disk)

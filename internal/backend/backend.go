@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eyewnder/internal/blind"
@@ -139,10 +140,10 @@ type Backend struct {
 	cfg   Config
 	cells int             // sketch cell count implied by Params, for share validation
 	m     *backendMetrics // pre-registered instrument handles, always non-nil
-	// refinalize is how long restore spent re-finalizing the recovered
-	// closed rounds (eyewnder_restore_refinalize_seconds); written once,
-	// before New returns.
-	refinalize time.Duration
+	// refinalize is the time (ns) the WAL applier spent re-finalizing
+	// logged closes (eyewnder_restore_refinalize_seconds): at startup,
+	// and on a replica for every close the primary's stream carries.
+	refinalize atomic.Int64
 
 	// store is the durability sink (store.Null when Config.Store is
 	// nil); durable is false for the null store, gating the snapshot
@@ -243,10 +244,13 @@ type round struct {
 }
 
 // New constructs a back-end. With a durable Config.Store, the store's
-// recovered state — bulletin-board registrations and full round states
-// (aggregate cells, reported bitmaps, adjustment shares, closed flags)
-// — is replayed into live rounds before the back-end accepts traffic,
-// so a restart resumes every round exactly where the crash left it.
+// log — snapshot base plus every later WAL event — is replayed through
+// the WAL applier (restore) before the back-end accepts traffic:
+// bulletin-board registrations, version counters, campaigns and full
+// round states (aggregate cells, reported bitmaps, adjustment shares,
+// closed flags), so a restart resumes every round exactly where the
+// crash left it. A log from a different deployment (geometry, roster
+// size or blinding suite) refuses to start rather than corrupt rounds.
 func New(cfg Config) (*Backend, error) {
 	if cfg.Users < 1 {
 		return nil, errors.New("backend: Users must be >= 1")
@@ -277,6 +281,9 @@ func New(cfg Config) (*Backend, error) {
 		retiredBelow: make(map[uint32]uint64),
 	}
 	b.m = newBackendMetrics(cfg.Metrics)
+	// Version 0 is reserved for the unversioned legacy style; the replay
+	// raises the counters to what the log holds.
+	b.configVersion, b.rosterVersion = 1, 1
 	if err := b.restore(); err != nil {
 		return nil, err
 	}
@@ -314,8 +321,8 @@ func New(cfg Config) (*Backend, error) {
 				return float64(len(b.campaigns))
 			})
 		cfg.Metrics.GaugeFunc("eyewnder_restore_refinalize_seconds",
-			"Time this back-end's startup spent re-finalizing recovered closed rounds.",
-			func() float64 { return b.refinalize.Seconds() })
+			"Time this back-end spent re-finalizing closed rounds from the log (at startup, and on a replica for every replicated close).",
+			func() float64 { return time.Duration(b.refinalize.Load()).Seconds() })
 		cfg.Metrics.GaugeFunc("eyewnder_replica",
 			"1 when this back-end is a read-only hot-standby replica.",
 			func() float64 {
@@ -332,110 +339,6 @@ func New(cfg Config) (*Backend, error) {
 		go b.snapshotLoop()
 	}
 	return b, nil
-}
-
-// restore replays the store's recovered state into live rounds. The
-// recovered geometry, roster size, and blinding suite must match this
-// back-end's configuration: persisted rounds from a different protocol
-// configuration could never aggregate correctly, so a mismatch refuses
-// to start rather than corrupt rounds silently. The deployment-wide
-// config/roster version counters are adopted from the store (floored at
-// 1 — version 0 is reserved for the unversioned legacy style — and at
-// the highest version any recovered round was opened under), so the
-// negotiated state a restart advertises is exactly the one the crash
-// interrupted. Closed rounds past the retention horizon are not
-// resurrected.
-func (b *Backend) restore() error {
-	for u, key := range b.store.Roster() {
-		if u < 0 || u >= b.cfg.Users {
-			return fmt.Errorf("backend: recovered roster entry for user %d, roster size %d — data dir from a different deployment?", u, b.cfg.Users)
-		}
-		b.roster[u] = append([]byte(nil), key...)
-	}
-	cv, rv := b.store.ConfigVersions()
-	b.configVersion, b.rosterVersion = max32(cv, 1), max32(rv, 1)
-	// The campaign directory recovers before the rounds: a recovered
-	// round of campaign c needs c's resolved geometry to validate
-	// against, exactly as a replayed report needs its round open first.
-	for id, def := range b.store.Campaigns() {
-		c, _, err := campaign.DecodeBinary(def)
-		if err != nil {
-			return fmt.Errorf("backend: recovered campaign %d does not decode: %w", id, err)
-		}
-		if c.ID != id {
-			return fmt.Errorf("backend: recovered campaign body claims ID %d under directory key %d", c.ID, id)
-		}
-		cs, err := b.newCampaignState(c)
-		if err != nil {
-			return fmt.Errorf("backend: recovered campaign %d (%s): %w", id, c.Name, err)
-		}
-		b.campaigns[id] = cs
-	}
-	recovered := b.store.Rounds()
-	closedBy := make(map[uint32][]uint64)
-	for _, rs := range recovered {
-		if rs.Closed {
-			closedBy[rs.Campaign] = append(closedBy[rs.Campaign], rs.Round)
-		}
-	}
-	for c, closed := range closedBy {
-		if cut := retentionCutoff(closed, b.retainFor(c)); cut > 0 {
-			b.retiredBelow[c] = cut
-		}
-	}
-	for _, rs := range recovered {
-		params, cells := b.cfg.Params, b.cells
-		if rs.Campaign != 0 {
-			cs, ok := b.campaigns[rs.Campaign]
-			if !ok {
-				return fmt.Errorf("backend: recovered round %d belongs to unprovisioned campaign %d — data dir from a different deployment?", rs.Round, rs.Campaign)
-			}
-			params, cells = cs.params, cs.cells
-		}
-		if rs.D*rs.W != cells {
-			return fmt.Errorf("backend: recovered round %d (campaign %d) has %dx%d cells, config wants %d — data dir from a different geometry?", rs.Round, rs.Campaign, rs.D, rs.W, cells)
-		}
-		if rs.RosterSize != b.cfg.Users {
-			return fmt.Errorf("backend: recovered round %d expects %d users, config says %d", rs.Round, rs.RosterSize, b.cfg.Users)
-		}
-		if rs.Keystream != byte(params.Keystream) {
-			return fmt.Errorf("backend: recovered round %d (campaign %d) used keystream suite %#02x, config says %#02x", rs.Round, rs.Campaign, rs.Keystream, byte(params.Keystream))
-		}
-		b.configVersion = max32(b.configVersion, rs.ConfigVersion)
-		b.rosterVersion = max32(b.rosterVersion, rs.RosterVersion)
-		if rs.Closed && rs.Round < b.retiredBelow[rs.Campaign] {
-			continue // aged out: its Users_th has been served long enough
-		}
-		rcfg := privacy.RoundConfig{
-			Version:       rs.ConfigVersion,
-			RosterVersion: rs.RosterVersion,
-			RosterSize:    b.cfg.Users,
-			Params:        params,
-		}
-		agg, err := privacy.RestoreAggregatorStripes(rcfg, rs.Round, b.cfg.MergeStripes,
-			rs.Cells, rs.N, rs.Seed, rs.Reported)
-		if err != nil {
-			return err
-		}
-		adjusts := rs.Adjusts
-		if adjusts == nil {
-			adjusts = make(map[int][]uint64)
-		}
-		r := &round{agg: agg, adjusts: adjusts}
-		if rs.Closed {
-			// Re-derive the close-time results (final sketch, count
-			// table, Users_th) from the recovered aggregate: the inputs
-			// are byte-identical, so the counts are too.
-			start := time.Now()
-			if err := b.finalizeLocked(r); err != nil {
-				return fmt.Errorf("backend: re-closing recovered round %d: %w", rs.Round, err)
-			}
-			b.refinalize += time.Since(start)
-			r.closed = true
-		}
-		b.rounds[roundKey{rs.Campaign, rs.Round}] = r
-	}
-	return nil
 }
 
 // newCampaignState resolves one campaign definition into runtime state:
@@ -508,14 +411,6 @@ func retentionCutoff(closed []uint64, retain int) uint64 {
 	}
 	sort.Slice(closed, func(i, j int) bool { return closed[i] > closed[j] })
 	return closed[retain-1]
-}
-
-// max32 returns the larger of two uint32s.
-func max32(a, b uint32) uint32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // snapshotLoop runs store snapshots off the hot path: report ingestion
@@ -1356,8 +1251,8 @@ func (b *Backend) retireRounds() {
 // finalizeLocked computes a round's close-time results — the unblinded
 // final sketch, the per-ad count table, and Users_th — without marking
 // it closed: clone the aggregate, subtract the adjustment shares, sweep
-// the ID space once, derive the threshold. Shared by CloseRound, the
-// recovery path and the replica's close-apply, which re-run it on a
+// the ID space once, derive the threshold. Shared by CloseRound and
+// the WAL applier's close (restart and replica), which re-runs it on a
 // restored or replicated aggregate: the inputs are byte-identical to the
 // original close, and every step reads them in index order, so the
 // results are too. Each stage is timed into

@@ -447,6 +447,15 @@ func (a *Aggregator) FoldReserved(cells []uint64) {
 	a.merger.Add(cells)
 }
 
+// FoldReservedLE folds a reserved report whose cells are still a raw
+// little-endian block (a WAL record body) straight into the aggregate,
+// decoding and adding in one pass (vec.AddLE) and bypassing the striped
+// merger. The caller must be the round's only writer: the back-end's
+// WAL applier, which runs alone during construction and on a replica.
+func (a *Aggregator) FoldReservedLE(raw []byte) {
+	vec.AddLE(a.agg.FlatCells(), raw)
+}
+
 // Unreserve rolls back a successful ReserveCells whose fold will not
 // happen (the back-end uses it when the WAL append fails): the user's
 // slot reopens and the report's weight is subtracted again.

@@ -330,12 +330,13 @@ func (f *Follower) step() error {
 
 // resync brings the mirror to a consistent base and rebuilds the warm
 // replica from it: fetch the primary's newest snapshot and every WAL
-// segment at or above it, run read-only recovery over the mirror
-// (store.Recover), truncate the local tail to the last valid record,
-// and build a fresh replica back-end whose state loads through the
-// same restore path a restarted primary uses. It is both the startup
-// path and the fell-behind path; mid-follow it replaces the replica
-// atomically, so readers only ever see a complete state.
+// segment at or above it, build a fresh replica back-end over a
+// read-only view of the mirror (store.Recover) — its state loads
+// through the same WAL applier a restarted primary runs, reading the
+// WAL once — then truncate the local tail to the last valid record that
+// replay found. It is both the startup path and the fell-behind path;
+// mid-follow it replaces the replica atomically, so readers only ever
+// see a complete state.
 func (f *Follower) resync() error {
 	if f.curFile != nil {
 		f.curFile.Close()
@@ -367,22 +368,24 @@ func (f *Follower) resync() error {
 	if err != nil {
 		return fatalError{err}
 	}
-	// Drop torn bytes past the last valid record: they re-fetch from
-	// the primary, which holds the same bytes (or their completion).
-	if rec.TailGen() != 0 {
-		tail := filepath.Join(f.opts.Dir, store.FileInfo{Kind: store.FileWAL, Gen: rec.TailGen()}.Name())
-		if st, err := os.Stat(tail); err == nil && st.Size() > rec.TailOff() {
-			if err := os.Truncate(tail, rec.TailOff()); err != nil {
-				return fatalError{err}
-			}
-		}
-	}
 	cfg := f.cfg
 	cfg.Replica = true
 	cfg.Store = rec
 	replica, err := backend.New(cfg)
 	if err != nil {
 		return fatalError{err}
+	}
+	// New consumed the replay, which located the last valid record: drop
+	// torn bytes past it — they re-fetch from the primary, which holds
+	// the same bytes (or their completion).
+	if rec.TailGen() != 0 {
+		tail := filepath.Join(f.opts.Dir, store.FileInfo{Kind: store.FileWAL, Gen: rec.TailGen()}.Name())
+		if st, err := os.Stat(tail); err == nil && st.Size() > rec.TailOff() {
+			if err := os.Truncate(tail, rec.TailOff()); err != nil {
+				replica.Close()
+				return fatalError{err}
+			}
+		}
 	}
 	f.curGen = rec.TailGen()
 	f.curOff = rec.TailOff()

@@ -42,29 +42,6 @@ func TestConservativeUpdateZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestSBFUpdateZeroAllocs(t *testing.T) {
-	s, err := NewSBFForElements(1000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := []byte("https://ads.example.com/creative/123456")
-	if allocs := testing.AllocsPerRun(1000, func() { s.Update(key) }); allocs != 0 {
-		t.Fatalf("SBF Update allocates %v times per call, want 0", allocs)
-	}
-}
-
-func TestSBFQueryZeroAllocs(t *testing.T) {
-	s, err := NewSBFForElements(1000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := []byte("https://ads.example.com/creative/123456")
-	s.Update(key)
-	if allocs := testing.AllocsPerRun(1000, func() { s.Query(key) }); allocs != 0 {
-		t.Fatalf("SBF Query allocates %v times per call, want 0", allocs)
-	}
-}
-
 func TestIndexesReusesBuffer(t *testing.T) {
 	c, err := New(0.01, 0.01)
 	if err != nil {

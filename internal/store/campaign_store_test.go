@@ -61,15 +61,15 @@ func TestCampaignWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openTestStore(t, dir, Options{})
+	d2, ref := openReplayed(t, dir, Options{})
 	defer d2.Close()
 
-	camps := d2.Campaigns()
+	camps := ref.campaigns
 	if len(camps) != 2 || !reflect.DeepEqual(camps[7], def7) || !reflect.DeepEqual(camps[9], def9) {
 		t.Fatalf("recovered campaigns = %v", camps)
 	}
 	byKey := make(map[[2]uint64]*RoundState)
-	for _, rs := range d2.Rounds() {
+	for _, rs := range ref.sortedRounds() {
 		byKey[[2]uint64{uint64(rs.Campaign), rs.Round}] = rs
 	}
 	if len(byKey) != 3 {
@@ -94,7 +94,7 @@ func TestCampaignWALRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rec.Campaigns(), camps) {
+	if !reflect.DeepEqual(replayRef(t, rec).campaigns, camps) {
 		t.Fatal("Recover campaign directory differs from Disk recovery")
 	}
 	if err := rec.AppendCampaign(def7); err == nil {
@@ -166,9 +166,9 @@ func TestCampaignZeroWALByteIdentity(t *testing.T) {
 		}
 	}
 	// And nothing campaign-shaped was journaled.
-	d2 := openTestStore(t, dir, Options{})
+	d2, ref := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	if len(d2.Campaigns()) != 0 {
+	if len(ref.campaigns) != 0 {
 		t.Fatal("campaign-0 traffic created directory entries")
 	}
 }
@@ -211,12 +211,12 @@ func TestCampaignSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openTestStore(t, dir, Options{})
+	d2, ref := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	if camps := d2.Campaigns(); !reflect.DeepEqual(camps[5], def) {
+	if camps := ref.campaigns; !reflect.DeepEqual(camps[5], def) {
 		t.Fatalf("campaign lost across snapshot: %v", camps)
 	}
-	rounds := d2.Rounds()
+	rounds := ref.sortedRounds()
 	if len(rounds) != 1 {
 		t.Fatalf("recovered %d rounds, want 1", len(rounds))
 	}

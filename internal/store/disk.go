@@ -35,6 +35,12 @@ const replayBufSize = 1 << 19
 // store.
 var ErrStoreClosed = errors.New("store: closed")
 
+// ErrNotReplayed refuses a Snapshot on a Disk whose log has not been
+// read back through Replay yet: the capture would miss every
+// registration, campaign and round the log holds, and the prune after
+// it would delete them.
+var ErrNotReplayed = errors.New("store: snapshot before replay")
+
 // Disk is the durable Store: WAL segments plus snapshots in one
 // directory. Safe for concurrent use.
 //
@@ -87,13 +93,20 @@ type Disk struct {
 	// copy reflects every recCampaign record the snapshot supersedes.
 	campaigns map[uint32][]byte
 
-	rounds []*RoundState // recovered at Open, consumed by the back-end
+	// view is the replay plan Open settled; Replay streams it. replayed
+	// (guarded by mu) turns true once a Replay has completed — Snapshot
+	// refuses before that — and replayTime/replayBytes (guarded by mu)
+	// measure it for the replay gauges.
+	view        *logView
+	replayed    bool
+	replayTime  time.Duration
+	replayBytes int64
 }
 
-// Open opens (creating if needed) the store directory, recovers the
-// round and roster state from the newest valid snapshot plus every WAL
-// segment after it, and starts a fresh segment for new appends. The
-// recovered state is available from Rounds and Roster.
+// Open opens (creating if needed) the store directory, picks the newest
+// valid snapshot, prunes the files below it, and starts a fresh segment
+// for new appends. It reads no WAL: the owner consumes the recovered log
+// through Replay before its first append.
 func Open(dir string, opts Options) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -102,11 +115,7 @@ func Open(dir string, opts Options) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	rec, baseGen, _, _, err := recoverState(dir, walGens, snapGens)
-	if err != nil {
-		return nil, err
-	}
+	view := newLogView(dir, walGens, snapGens)
 
 	// New appends go to a fresh segment: the previous segment may end in
 	// a torn record, and appending after one would hide every record
@@ -119,43 +128,110 @@ func Open(dir string, opts Options) (*Disk, error) {
 	// Stale files below the recovered snapshot are leftovers of a crash
 	// between snapshot and prune; their content is in the snapshot.
 	for _, g := range walGens {
-		if g < baseGen {
+		if g < view.baseGen {
 			os.Remove(filepath.Join(dir, walName(g)))
 		}
 	}
 	for _, g := range snapGens {
-		if g < baseGen {
+		if g < view.baseGen {
 			os.Remove(filepath.Join(dir, snapName(g)))
 		}
 	}
 
 	d := &Disk{
-		dir:    dir,
-		opts:   opts,
-		f:      f,
-		bw:     bufio.NewWriterSize(f, walBufSize),
-		gen:    gen,
-		cfgVer: rec.configVersion,
-		rosVer: rec.rosterVersion,
-		rounds: rec.sortedRounds(),
+		dir:       dir,
+		opts:      opts,
+		f:         f,
+		bw:        bufio.NewWriterSize(f, walBufSize),
+		gen:       gen,
+		view:      view,
+		roster:    make(map[int][]byte),
+		campaigns: make(map[uint32][]byte),
+	}
+	if base := view.base; base != nil {
+		for u, k := range base.Roster {
+			d.roster[u] = k
+		}
+		for id, def := range base.Campaigns {
+			d.campaigns[id] = def
+		}
+		d.cfgVer, d.rosVer = base.ConfigVersion, base.RosterVersion
 	}
 	d.cond = sync.NewCond(&d.mu)
-	d.roster = rec.roster
-	d.campaigns = rec.campaigns
 	d.m = newStoreMetrics(opts.Metrics)
 	if opts.Metrics != nil {
 		opts.Metrics.GaugeFunc("eyewnder_store_generation",
 			"Active WAL segment generation.",
 			func() float64 { return float64(d.Generation()) })
-		replaySeconds, replayBytes := rec.replayTime.Seconds(), float64(rec.replayBytes)
 		opts.Metrics.GaugeFunc("eyewnder_store_replay_seconds",
-			"Time Open spent replaying WAL segments (snapshot load excluded).",
-			func() float64 { return replaySeconds })
+			"Time Replay spent streaming WAL segments to the owner (snapshot load excluded).",
+			func() float64 {
+				d.mu.Lock()
+				defer d.mu.Unlock()
+				return d.replayTime.Seconds()
+			})
 		opts.Metrics.GaugeFunc("eyewnder_store_replay_bytes",
-			"WAL segment bytes Open replayed (magic included, up to each segment's last valid record).",
-			func() float64 { return replayBytes })
+			"WAL segment bytes Replay streamed (magic included, up to each segment's last valid record).",
+			func() float64 {
+				d.mu.Lock()
+				defer d.mu.Unlock()
+				return float64(d.replayBytes)
+			})
 	}
 	return d, nil
+}
+
+// Replay implements Store. While the events stream past, the Disk keeps
+// the last-write-wins bookkeeping its future snapshots need — the
+// roster, the campaign directory and the version counters — and hands
+// every event on to apply unchanged. Snapshot is refused until a Replay
+// has completed.
+func (d *Disk) Replay(load func(*Base) error, apply func(Event) error) error {
+	var start time.Time // the replay gauges time the segments, not the base
+	_, streamed, err := d.view.replay(func(b *Base) error {
+		err := load(b)
+		start = time.Now()
+		return err
+	}, func(ev Event) error {
+		d.track(ev)
+		return apply(ev)
+	})
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.replayed = true
+	d.replayTime, d.replayBytes = time.Since(start), streamed
+	d.mu.Unlock()
+	return nil
+}
+
+// track folds one replayed event into the Disk's snapshot bookkeeping.
+// The event's byte slices alias the replay buffer, so they are copied.
+func (d *Disk) track(ev Event) {
+	if _, ok := ev.(*ReportEvent); ok {
+		return // the bulk of a log, and round state is the owner's
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch e := ev.(type) {
+	case *RegisterEvent:
+		d.roster[e.User] = append([]byte(nil), e.PublicKey...)
+	case *CampaignEvent:
+		d.campaigns[e.ID] = append([]byte(nil), e.Def...)
+	case *ConfigEvent:
+		d.bumpVersionsLocked(e.ConfigVersion, e.RosterVersion)
+	case *OpenEvent:
+		d.bumpVersionsLocked(e.ConfigVersion, e.RosterVersion)
+	}
+}
+
+// bumpVersionsLocked raises the version counters (never lowers: replay
+// on top of a snapshot may revisit older bumps, and the counters only
+// ever grow). Caller holds d.mu.
+func (d *Disk) bumpVersionsLocked(cv, rv uint32) {
+	d.cfgVer = max(d.cfgVer, cv)
+	d.rosVer = max(d.rosVer, rv)
 }
 
 // Generation returns the active WAL segment's generation. It advances
@@ -202,86 +278,6 @@ func scanStoreDir(dir string, clean bool) (walGens, snapGens []uint64, maxGen ui
 	return walGens, snapGens, maxGen, nil
 }
 
-// recoverState rebuilds round/roster state from the newest valid
-// snapshot plus every WAL segment at or after it. It also reports the
-// snapshot generation the recovery is based on, and the tail position —
-// the generation of the last segment replayed and the byte offset just
-// past its last valid record — which a replication follower resumes
-// tailing from. snapGens must be sorted newest-first and walGens
-// ascending (scanStoreDir's order).
-func recoverState(dir string, walGens, snapGens []uint64) (rec *recovered, baseGen, tailGen uint64, tailOff int64, err error) {
-	// Newest snapshot that validates wins; a torn one (crash mid-cycle)
-	// is skipped and the previous generation carries the recovery.
-	var snap *snapshotData
-	for _, g := range snapGens {
-		s, err := loadSnapshot(filepath.Join(dir, snapName(g)))
-		if err == nil {
-			snap, baseGen = s, g
-			break
-		}
-	}
-	rec = newRecovered(snap)
-	start := time.Now()
-	// One reader serves every segment: a directory restarted many times
-	// holds many near-empty segments, and a fresh replay buffer for each
-	// would cost more to allocate and zero than replaying them.
-	var br *bufio.Reader
-	for _, g := range walGens {
-		if g < baseGen {
-			continue // fully reflected in the snapshot
-		}
-		if br == nil {
-			br = bufio.NewReaderSize(nil, replayBufSize)
-		}
-		off, err := replaySegment(filepath.Join(dir, walName(g)), rec, br)
-		if err != nil {
-			return nil, 0, 0, 0, err
-		}
-		tailGen, tailOff = g, off
-		rec.replayBytes += off
-	}
-	rec.replayTime = time.Since(start)
-	return rec, baseGen, tailGen, tailOff, nil
-}
-
-// replaySegment folds one WAL segment into rec and returns the byte
-// offset just past the last record it applied. A record that fails its
-// CRC ends the segment cleanly — everything before it is applied; a
-// crash mid-append only ever leaves such a record at the tail, so
-// nothing real can follow it. A record whose CRC *validates* but whose
-// body does not parse is different: it means version skew or an
-// encoder bug, and silently stopping there would discard
-// fsync-acknowledged records behind it — so that refuses recovery
-// loudly instead. br is the replay reader, reset onto the segment.
-func replaySegment(path string, rec *recovered, br *bufio.Reader) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	br.Reset(f)
-	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
-		return 0, nil // empty or foreign file: nothing to replay
-	}
-	off := int64(len(walMagic))
-	var buf []byte
-	for {
-		kind, body, nbuf, err := ReadWALRecord(br, buf)
-		buf = nbuf
-		if err == io.EOF {
-			return off, nil
-		}
-		if err != nil {
-			return off, nil // torn tail: recovery stops at the last valid record
-		}
-		if err := rec.apply(kind, body); err != nil {
-			return off, fmt.Errorf("store: %s: checksummed record does not parse (version skew?): %w", path, err)
-		}
-		off += walRecordOverhead + int64(len(body))
-	}
-}
-
 // walRecordOverhead is the framing cost of one WAL record beyond its
 // body: length(4) + kind(1) + crc(4).
 const walRecordOverhead = 9
@@ -325,38 +321,6 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 		g = g*10 + uint64(c-'0')
 	}
 	return g, true
-}
-
-// Rounds implements Store.
-func (d *Disk) Rounds() []*RoundState { return d.rounds }
-
-// Roster implements Store.
-func (d *Disk) Roster() map[int][]byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[int][]byte, len(d.roster))
-	for u, k := range d.roster {
-		out[u] = append([]byte(nil), k...)
-	}
-	return out
-}
-
-// ConfigVersions implements Store.
-func (d *Disk) ConfigVersions() (uint32, uint32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cfgVer, d.rosVer
-}
-
-// Campaigns implements Store.
-func (d *Disk) Campaigns() map[uint32][]byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[uint32][]byte, len(d.campaigns))
-	for id, def := range d.campaigns {
-		out[id] = append([]byte(nil), def...)
-	}
-	return out
 }
 
 // append runs one encoded record append under the store lock, honoring
@@ -422,9 +386,6 @@ func (d *Disk) AppendRegister(user int, publicKey []byte) error {
 	}
 	d.seq++
 	wrote := d.enc.lastWrote
-	if d.roster == nil {
-		d.roster = make(map[int][]byte)
-	}
 	d.roster[user] = append([]byte(nil), publicKey...)
 	sync := d.opts.Sync == SyncAlways
 	d.mu.Unlock()
@@ -453,12 +414,7 @@ func (d *Disk) AppendConfig(configVersion, rosterVersion uint32) error {
 	}
 	d.seq++
 	wrote := d.enc.lastWrote
-	if configVersion > d.cfgVer {
-		d.cfgVer = configVersion
-	}
-	if rosterVersion > d.rosVer {
-		d.rosVer = rosterVersion
-	}
+	d.bumpVersionsLocked(configVersion, rosterVersion)
 	sync := d.opts.Sync == SyncAlways
 	d.mu.Unlock()
 	d.m.walAppends.Inc()
@@ -530,9 +486,6 @@ func (d *Disk) AppendCampaign(def []byte) error {
 	}
 	d.seq++
 	wrote := d.enc.lastWrote
-	if d.campaigns == nil {
-		d.campaigns = make(map[uint32][]byte)
-	}
 	d.campaigns[binary.LittleEndian.Uint32(def)] = append([]byte(nil), def...)
 	sync := d.opts.Sync == SyncAlways
 	d.mu.Unlock()
@@ -624,6 +577,12 @@ func (d *Disk) Snapshot(capture func() ([]*RoundState, error)) error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
 	start := time.Now()
+	d.mu.Lock()
+	replayed := d.replayed
+	d.mu.Unlock()
+	if !replayed {
+		return ErrNotReplayed
+	}
 
 	rot, err := d.rotate()
 	if err != nil {

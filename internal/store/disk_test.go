@@ -29,12 +29,11 @@ func testCells(seed uint64) []uint64 {
 	return cells
 }
 
+// openTestStore opens dir and consumes its replay, so the store is
+// ready for appends and snapshots.
 func openTestStore(t *testing.T, dir string, opts Options) *Disk {
 	t.Helper()
-	d, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	d, _ := openReplayed(t, dir, opts)
 	return d
 }
 
@@ -81,9 +80,9 @@ func TestRecoverFromWALOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openTestStore(t, dir, Options{})
+	d2, rec := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	rounds := d2.Rounds()
+	rounds := rec.sortedRounds()
 	if len(rounds) != 1 {
 		t.Fatalf("recovered %d rounds, want 1", len(rounds))
 	}
@@ -107,21 +106,24 @@ func TestRecoverFromWALOnly(t *testing.T) {
 	if !reflect.DeepEqual(rs.Adjusts[2], testCells(99)) {
 		t.Fatalf("adjust share not recovered: %v", rs.Adjusts)
 	}
-	roster := d2.Roster()
+	roster := rec.roster
 	if string(roster[3]) != "pubkey-3" {
 		t.Fatalf("roster = %v", roster)
 	}
 }
 
-// Replay must mirror the aggregator's acceptance rules: duplicates,
-// out-of-roster users, layout mismatches, and suite mismatches are all
-// skipped, and a closed round accepts nothing.
+// Replay must let its owner mirror the aggregator's acceptance rules:
+// the store filters nothing, so duplicates, out-of-roster users, layout
+// and suite mismatches and post-close records all reach the applier, in
+// log order, and the rules skip them there — the fold here is the
+// reference; the back-end's applier is held to the live primary by its
+// own equivalence test.
 func TestReplayMirrorsAggregatorInvariants(t *testing.T) {
 	dir := t.TempDir()
 	d := openTestStore(t, dir, Options{})
 	logRound(t, d, 1, 4, 0)
-	// Duplicate of user 0: skipped on replay (the live path would never
-	// log it, but replay must reject it anyway for snapshot overlap).
+	// Duplicate of user 0: the live path would never log it, but the
+	// applier must reject it anyway for snapshot overlap.
 	if err := d.AppendReport(0, 1, 0, testD, testW, 5, 0, 1, 0, testCells(42)); err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +156,30 @@ func TestReplayMirrorsAggregatorInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openTestStore(t, dir, Options{})
+	r, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var users []int
+	adjusts := 0
+	if err := r.Replay(func(*Base) error { return nil }, func(ev Event) error {
+		switch e := ev.(type) {
+		case *ReportEvent:
+			users = append(users, e.User)
+		case *AdjustEvent:
+			adjusts++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(users, []int{0, 0, 9, 1, 0, 1}) || adjusts != 1 {
+		t.Fatalf("replay handed over reports from users %v and %d shares, want every logged record", users, adjusts)
+	}
+
+	d2, rec := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	rounds := d2.Rounds()
+	rounds := rec.sortedRounds()
 	if len(rounds) != 2 {
 		t.Fatalf("recovered %d rounds, want 2", len(rounds))
 	}
@@ -199,8 +222,8 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		d2 := openTestStore(t, dir, Options{})
-		rounds := d2.Rounds()
+		d2, rec := openReplayed(t, dir, Options{})
+		rounds := rec.sortedRounds()
 		if len(rounds) != 1 {
 			t.Fatalf("cut %d: recovered %d rounds, want 1", cut, len(rounds))
 		}
@@ -220,8 +243,8 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 		if err := d2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		d3 := openTestStore(t, dir, Options{})
-		if rs := d3.Rounds()[0]; !reflect.DeepEqual(rs.Cells, wantRoundCells(0, 1)) {
+		d3, rec3 := openReplayed(t, dir, Options{})
+		if rs := rec3.sortedRounds()[0]; !reflect.DeepEqual(rs.Cells, wantRoundCells(0, 1)) {
 			t.Fatalf("cut %d: resubmitted report lost", cut)
 		}
 		d3.Close()
@@ -248,9 +271,9 @@ func TestRecoveryTornWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openTestStore(t, dir, Options{})
+	d2, rec := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	rs := d2.Rounds()[0]
+	rs := rec.sortedRounds()[0]
 	if rs.Reported[2] {
 		t.Fatal("torn record was applied")
 	}
@@ -282,8 +305,17 @@ func TestRecoveryRefusesUnparseableValidRecord(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("recovery accepted a segment with an unparseable checksummed record")
+	d2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	rec := newRefState()
+	if err := d2.Replay(rec.load, rec.apply); err == nil {
+		t.Fatal("replay accepted a segment with an unparseable checksummed record")
+	}
+	if err := d2.Snapshot(func() ([]*RoundState, error) { return nil, nil }); !errors.Is(err, ErrNotReplayed) {
+		t.Fatalf("Snapshot after a failed replay = %v, want ErrNotReplayed", err)
 	}
 }
 
@@ -319,9 +351,9 @@ func TestLoadSnapshotInconsistentInterior(t *testing.T) {
 		t.Fatal("inconsistent snapshot accepted")
 	}
 	// And the store as a whole must fall back (empty recovery), not die.
-	d := openTestStore(t, dir, Options{})
+	d, rec := openReplayed(t, dir, Options{})
 	defer d.Close()
-	if len(d.Rounds()) != 0 {
+	if len(rec.rounds) != 0 {
 		t.Fatal("corrupt snapshot produced rounds")
 	}
 }
@@ -364,9 +396,9 @@ func TestSnapshotCycleAndPrune(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d2 := openTestStore(t, dir, Options{})
+	d2, rec := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	rs := d2.Rounds()[0]
+	rs := rec.sortedRounds()[0]
 	if !reflect.DeepEqual(rs.Reported, []bool{true, true, true, false}) {
 		t.Fatalf("reported after snapshot+replay = %v", rs.Reported)
 	}
@@ -376,7 +408,7 @@ func TestSnapshotCycleAndPrune(t *testing.T) {
 	if rs.N != 15 {
 		t.Fatalf("N = %d, want 15", rs.N)
 	}
-	if string(d2.Roster()[0]) != "k0" {
+	if string(rec.roster[0]) != "k0" {
 		t.Fatal("roster lost across snapshot")
 	}
 }
@@ -395,9 +427,9 @@ func TestRecoverySkipsCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(2)), []byte("EYWSNAP1 not really"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2 := openTestStore(t, dir, Options{})
+	d2, rec := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	rounds := d2.Rounds()
+	rounds := rec.sortedRounds()
 	if len(rounds) != 1 || !reflect.DeepEqual(rounds[0].Cells, wantRoundCells(0, 1)) {
 		t.Fatal("corrupt snapshot shadowed the WAL recovery")
 	}
@@ -463,9 +495,9 @@ func TestConcurrentAppendsGroupCommit(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := openTestStore(t, dir, Options{})
+	d2, rec := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	rs := d2.Rounds()[0]
+	rs := rec.sortedRounds()[0]
 	all := make([]int, users)
 	for i := range all {
 		all[i] = i
@@ -690,9 +722,11 @@ func BenchmarkRecover(b *testing.B) {
 			b.SetBytes(dirBytes(b, dir))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Recover(dir); err != nil {
+				rec, err := Recover(dir)
+				if err != nil {
 					b.Fatal(err)
 				}
+				replayRef(b, rec)
 			}
 		})
 	}
@@ -716,7 +750,7 @@ func dirBytes(tb testing.TB, dir string) int64 {
 	return n
 }
 
-// Open exports how much WAL it replayed and how long that took, so
+// Replay exports how much WAL it streamed and how long that took, so
 // replay MB/s reads straight off /metrics: after recovering a directory
 // of records both gauges are non-zero and the byte gauge equals the
 // replayed segments' bytes.
@@ -742,5 +776,54 @@ func TestOpenReplayGauges(t *testing.T) {
 	}
 	if got := snap["eyewnder_store_replay_seconds"]; got <= 0 {
 		t.Fatalf("replay seconds gauge = %v, want > 0", got)
+	}
+}
+
+// A Disk refuses to snapshot before its log has been read back, and the
+// bookkeeping Replay does for later snapshots — roster, campaign
+// directory, version counters — survives a snapshot taken right after a
+// restart that pruned every segment holding it.
+func TestSnapshotAfterReplayKeepsLog(t *testing.T) {
+	dir := t.TempDir()
+	d := openTestStore(t, dir, Options{})
+	def := testCampaignDef(t, 4)
+	if err := d.AppendRegister(1, []byte("k1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendConfig(5, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AppendCampaign(def); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := func() ([]*RoundState, error) { return nil, nil }
+	if err := d2.Snapshot(capture); !errors.Is(err, ErrNotReplayed) {
+		t.Fatalf("Snapshot before Replay = %v, want ErrNotReplayed", err)
+	}
+	replayRef(t, d2)
+	if err := d2.Snapshot(capture); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walName(1))); !os.IsNotExist(err) {
+		t.Fatal("the segment holding the records was not pruned")
+	}
+
+	d3, rec := openReplayed(t, dir, Options{})
+	defer d3.Close()
+	if string(rec.roster[1]) != "k1" || !reflect.DeepEqual(rec.campaigns[4], def) ||
+		rec.configVersion != 5 || rec.rosterVersion != 2 {
+		t.Fatalf("snapshot after replay lost the log: roster %v campaigns %v versions %d/%d",
+			rec.roster, rec.campaigns, rec.configVersion, rec.rosterVersion)
 	}
 }

@@ -4,13 +4,14 @@ import "encoding/binary"
 
 // Decoded WAL events: the exported, typed view of the record layer.
 //
-// Three consumers replay WAL records and must agree byte-for-byte on
-// what each one means: crash recovery (replay.go), the replication
-// follower's live tail replay (internal/repl feeding
-// backend.ApplyEvent), and any offline WAL tooling. DecodeEvent is the
-// single decode path all of them share — the record layouts themselves
-// are documented in record.go, and the acceptance rules (what a decoded
-// event *does* to round state) are documented on recovered.apply.
+// Every consumer of WAL records — restart (Store.Replay feeding the
+// back-end's applier), the replication follower's live tail (internal/repl
+// feeding backend.ApplyEvent, the same applier), and offline WAL tooling
+// — must agree byte-for-byte on what each record means. DecodeEvent is
+// the single decode path all of them share. The record layouts
+// themselves are documented in record.go; the acceptance rules (what a
+// decoded event *does* to round state) live in the back-end's applier,
+// not in this package.
 
 // Event is one decoded WAL record. The concrete types are
 // RegisterEvent, ConfigEvent, OpenEvent, ReportEvent, AdjustEvent,

@@ -1,192 +1,140 @@
 package store
 
 import (
-	"sort"
-	"time"
-
-	"eyewnder/internal/vec"
+	"bufio"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 )
 
-// Replay: applying WAL records to recovered state.
+// Replay: handing a store directory's log back to its owner.
 //
-// The applier mirrors the live aggregator's acceptance rules exactly —
-// unknown round, out-of-roster user, duplicate report, mismatched cell
-// layout, mismatched blinding suite, stale round-config version, and
-// closed round are all *skipped*, never applied — for two reasons. First, byte-identical recovery: the
-// live path logs a report only after reserving its user slot, so a
-// record the live aggregator accepted is accepted on replay and one it
-// would have rejected is rejected on replay. Second, idempotence: a
-// snapshot is taken *after* the WAL rotates, so the segment replayed on
-// top of it may contain records the snapshot already reflects; the
-// duplicate/closed checks make re-applying them a no-op, which is what
-// lets recovery compose a fuzzy snapshot with its overlapping segment.
-//
-// The replication follower applies the same record stream to a *live*
-// replica back-end (backend.ApplyEvent); both appliers consume the
-// typed events of DecodeEvent, so their acceptance rules can only drift
-// if one of them diverges from this file's documented semantics.
+// The store applies no acceptance rule. A replay is the newest valid
+// snapshot (the base) followed by every WAL record after it, decoded
+// into typed events and handed over in log order; what each event does
+// to round state — which reports count, which are duplicates of the
+// fuzzy snapshot's overlap — is decided by the back-end's one applier,
+// which a restart (backend.New over a Disk) and a warm replica
+// (backend.New over a Recovered, then ApplyEvent on the primary's
+// stream) share.
 
-// roundKey identifies one round of one campaign. Every piece of round
-// state in the multi-campaign service keys on the pair: campaign 0 is
-// the implicit legacy campaign, so pre-campaign WAL records and
-// snapshots recover under {0, round} byte-identically.
-type roundKey struct {
-	Campaign uint32
-	Round    uint64
+// logView is a store directory's replay plan, settled by a scan: the
+// newest snapshot that validates and the WAL segments at or above its
+// generation.
+type logView struct {
+	dir string
+	// base is the loaded snapshot, handed over by the first replay (nil
+	// afterwards, and nil when the directory holds no valid snapshot).
+	base *Base
+	// baseGen is base's generation (0 = no snapshot).
+	baseGen uint64
+	// walGens are the segments a replay streams, ascending.
+	walGens []uint64
 }
 
-// recovered accumulates state during recovery: the bulletin board, the
-// per-round states keyed by (campaign, round), the opaque campaign
-// directory, and the deployment-wide config/roster version counters.
-type recovered struct {
-	rounds        map[roundKey]*RoundState
-	roster        map[int][]byte
-	campaigns     map[uint32][]byte
-	configVersion uint32
-	rosterVersion uint32
-
-	// replayBytes and replayTime measure the WAL half of recovery: the
-	// segment bytes applied and the time spent applying them.
-	replayBytes int64
-	replayTime  time.Duration
-}
-
-// newRecovered seeds recovery from a loaded snapshot (nil for none).
-func newRecovered(snap *snapshotData) *recovered {
-	rec := &recovered{
-		rounds:    make(map[roundKey]*RoundState),
-		roster:    make(map[int][]byte),
-		campaigns: make(map[uint32][]byte),
-	}
-	if snap != nil {
-		for _, rs := range snap.rounds {
-			rec.rounds[roundKey{rs.Campaign, rs.Round}] = rs
+// newLogView picks the newest snapshot that validates — a torn one
+// (crash mid-cycle) is skipped and the previous generation carries the
+// replay — and the segments at or above it. snapGens must be sorted
+// newest-first and walGens ascending (scanStoreDir's order).
+func newLogView(dir string, walGens, snapGens []uint64) *logView {
+	v := &logView{dir: dir}
+	for _, g := range snapGens {
+		if s, err := loadSnapshot(filepath.Join(dir, snapName(g))); err == nil {
+			v.base, v.baseGen = s, g
+			break
 		}
-		for u, k := range snap.roster {
-			rec.roster[u] = k
-		}
-		for id, def := range snap.campaigns {
-			rec.campaigns[id] = def
-		}
-		rec.configVersion, rec.rosterVersion = snap.configVersion, snap.rosterVersion
 	}
-	return rec
+	for _, g := range walGens {
+		if g >= v.baseGen {
+			v.walGens = append(v.walGens, g)
+		}
+	}
+	return v
 }
 
-// bumpVersions raises the recovered version counters (never lowers:
-// replay on top of a snapshot may revisit older bumps, and version
-// counters only ever grow).
-func (rec *recovered) bumpVersions(cv, rv uint32) {
-	if cv > rec.configVersion {
-		rec.configVersion = cv
+// tailGen is the generation of the last segment a replay streams — the
+// segment a follower resumes tailing — or 0 if there is none.
+func (v *logView) tailGen() uint64 {
+	if len(v.walGens) == 0 {
+		return 0
 	}
-	if rv > rec.rosterVersion {
-		rec.rosterVersion = rv
-	}
+	return v.walGens[len(v.walGens)-1]
 }
 
-// apply folds one decoded WAL record into the recovered state. A record
-// that fails the live acceptance rules is skipped; a record whose body
-// does not parse at all returns ErrBadRecord (the caller treats it like
-// a corrupt record and ends the segment).
-func (rec *recovered) apply(kind byte, body []byte) error {
-	ev, err := DecodeEvent(kind, body)
+// replay hands load the base — the snapshot loaded at the scan the first
+// time, re-read on later calls — then streams every segment's events to
+// apply. It returns the byte offset just past the tail segment's last
+// valid record and the segment bytes streamed (magic included).
+func (v *logView) replay(load func(*Base) error, apply func(Event) error) (tailOff, streamed int64, err error) {
+	base := v.base
+	v.base = nil
+	if base == nil && v.baseGen != 0 {
+		if base, err = loadSnapshot(filepath.Join(v.dir, snapName(v.baseGen))); err != nil {
+			return 0, 0, err
+		}
+	}
+	if base == nil {
+		base = &Base{}
+	}
+	if err := load(base); err != nil {
+		return 0, 0, err
+	}
+	// One reader serves every segment: a directory restarted many times
+	// holds many near-empty segments, and a fresh replay buffer for each
+	// would cost more to allocate and zero than replaying them.
+	var br *bufio.Reader
+	for _, g := range v.walGens {
+		if br == nil {
+			br = bufio.NewReaderSize(nil, replayBufSize)
+		}
+		off, err := replaySegment(filepath.Join(v.dir, walName(g)), br, apply)
+		if err != nil {
+			return 0, 0, err
+		}
+		tailOff = off
+		streamed += off
+	}
+	return tailOff, streamed, nil
+}
+
+// replaySegment streams one WAL segment's events to apply and returns
+// the byte offset just past the last record it handed over. A record
+// that fails its CRC ends the segment cleanly — everything before it is
+// applied; a crash mid-append only ever leaves such a record at the
+// tail, so nothing real can follow it. A record whose CRC *validates*
+// but whose body does not parse is different: it means version skew or
+// an encoder bug, and silently stopping there would discard
+// fsync-acknowledged records behind it — so that refuses the replay
+// loudly instead. br is the replay reader, reset onto the segment;
+// records that fit it are served in place (ReadWALRecord), so an
+// event's byte slices are valid only during its apply call.
+func replaySegment(path string, br *bufio.Reader, apply func(Event) error) (int64, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	rec.applyEvent(ev)
-	return nil
-}
-
-// applyEvent folds one typed event into the recovered state, skipping
-// whatever the live acceptance rules would have rejected. The event's
-// byte slices alias the replay reader's buffer (ReadWALRecord serves
-// records in place) and are overwritten by the next read, so no case
-// retains one: keys and campaign definitions are copied, shares decoded
-// into fresh vectors, report cells folded.
-func (rec *recovered) applyEvent(ev Event) {
-	switch e := ev.(type) {
-	case *RegisterEvent:
-		rec.roster[e.User] = append([]byte(nil), e.PublicKey...)
-
-	case *OpenEvent:
-		rec.bumpVersions(e.ConfigVersion, e.RosterVersion)
-		if _, ok := rec.rounds[roundKey{e.Campaign, e.Round}]; ok {
-			return // round already open (snapshot overlap): idempotent
-		}
-		rec.rounds[roundKey{e.Campaign, e.Round}] = &RoundState{
-			Campaign:      e.Campaign,
-			Round:         e.Round,
-			RosterSize:    e.RosterSize,
-			ConfigVersion: e.ConfigVersion,
-			RosterVersion: e.RosterVersion,
-			D:             e.D,
-			W:             e.W,
-			Seed:          e.Seed,
-			Keystream:     e.Keystream,
-			Cells:         make([]uint64, e.D*e.W),
-			Reported:      make([]bool, e.RosterSize),
-			Adjusts:       make(map[int][]uint64),
-		}
-
-	case *ConfigEvent:
-		rec.bumpVersions(e.ConfigVersion, e.RosterVersion)
-
-	case *ReportEvent:
-		rs, ok := rec.rounds[roundKey{e.Campaign, e.Round}]
-		if !ok || rs.Closed {
-			return // unknown or closed round: the live path rejects too
-		}
-		if e.User < 0 || e.User >= rs.RosterSize || rs.Reported[e.User] {
-			return // out-of-roster or duplicate: skip, as live
-		}
-		if e.D != rs.D || e.W != rs.W || e.Seed != rs.Seed || e.Keystream != rs.Keystream {
-			return // layout or blinding-suite mismatch: skip, as live
-		}
-		if e.ConfigVersion != 0 && rs.ConfigVersion != 0 && e.ConfigVersion != rs.ConfigVersion {
-			return // stale config version: skip, as live (ErrIncompatibleConfig)
-		}
-		rs.Reported[e.User] = true
-		rs.N += e.N
-		// The raw block sits at whatever alignment the record landed at
-		// (often inside the reader's buffer): the fused kernel decodes
-		// and adds in one pass.
-		vec.AddLE(rs.Cells, e.Cells)
-
-	case *AdjustEvent:
-		rs, ok := rec.rounds[roundKey{e.Campaign, e.Round}]
-		if !ok || rs.Closed {
-			return
-		}
-		if e.User < 0 || e.User >= rs.RosterSize || len(e.Cells) != 8*len(rs.Cells) {
-			return
-		}
-		cells := make([]uint64, len(rs.Cells))
-		vec.GetLE(cells, e.Cells)
-		rs.Adjusts[e.User] = cells // overwrite, as the live map store does
-
-	case *CloseEvent:
-		if rs, ok := rec.rounds[roundKey{e.Campaign, e.Round}]; ok {
-			rs.Closed = true
-		}
-
-	case *CampaignEvent:
-		rec.campaigns[e.ID] = append([]byte(nil), e.Def...)
+	defer f.Close()
+	br.Reset(f)
+	magic := make([]byte, len(walMagic))
+	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
+		return 0, nil // empty or foreign file: nothing to replay
 	}
-}
-
-// sortedRounds returns the recovered rounds ordered by (campaign,
-// round), so recovery hands the back-end a deterministic sequence.
-func (rec *recovered) sortedRounds() []*RoundState {
-	out := make([]*RoundState, 0, len(rec.rounds))
-	for _, rs := range rec.rounds {
-		out = append(out, rs)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Campaign != out[j].Campaign {
-			return out[i].Campaign < out[j].Campaign
+	off := int64(len(walMagic))
+	var buf []byte
+	for {
+		kind, body, nbuf, err := ReadWALRecord(br, buf)
+		buf = nbuf
+		if err != nil {
+			return off, nil // EOF, or a torn tail: replay stops at the last valid record
 		}
-		return out[i].Round < out[j].Round
-	})
-	return out
+		ev, err := DecodeEvent(kind, body)
+		if err != nil {
+			return off, fmt.Errorf("store: %s: checksummed record does not parse (version skew?): %w", path, err)
+		}
+		if err := apply(ev); err != nil {
+			return off, err
+		}
+		off += walRecordOverhead + int64(len(body))
+	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -10,12 +9,14 @@ import (
 	"testing"
 )
 
-// Replay equivalence: recovery through the production reader and fold
-// must rebuild exactly the state an independent reference rebuilds —
-// the reference parses each segment from memory with SegmentParser and
-// folds reports with the plain per-word little-endian loop. The WAL it
-// runs over holds every record kind and acceptance case, records that
-// straddle the replay reader's buffer, and one record larger than it.
+// The replay reader over a WAL that holds every record kind and
+// acceptance case, records that straddle the replay reader's buffer, and
+// one record larger than it. Whether each record counts is the back-end
+// applier's business (its equivalence test holds restart and replica to
+// the live primary); here the log's own properties are checked: the
+// production reader hands over exactly the event stream an independent
+// in-memory parse of each segment yields, and a torn tail ends the
+// replay where it should.
 
 // equivReport appends one report with deterministic pseudo-random cells
 // (wraparound values included) and fails the test on error.
@@ -146,9 +147,10 @@ func writeEquivWAL(t *testing.T, dir string) (tailGen uint64, lastStart int64) {
 	return 2, off
 }
 
-// referenceRecover rebuilds state from dir's WAL segments (no snapshots)
-// with the in-memory SegmentParser and the scalar report fold.
-func referenceRecover(t *testing.T, dir string) (*recovered, uint64, int64) {
+// referenceRecover folds dir's WAL segments (no snapshots) through the
+// reference fold, each segment parsed from memory with SegmentParser
+// instead of the replay reader.
+func referenceRecover(t *testing.T, dir string) (*refState, uint64, int64) {
 	t.Helper()
 	walGens, snapGens, _, err := scanStoreDir(dir, false)
 	if err != nil {
@@ -157,7 +159,7 @@ func referenceRecover(t *testing.T, dir string) (*recovered, uint64, int64) {
 	if len(snapGens) != 0 {
 		t.Fatal("reference recovery expects a WAL-only directory")
 	}
-	rec := newRecovered(nil)
+	rec := newRefState()
 	var tailGen uint64
 	var tailOff int64
 	for _, g := range walGens {
@@ -178,56 +180,34 @@ func referenceRecover(t *testing.T, dir string) (*recovered, uint64, int64) {
 			if ev == nil {
 				break
 			}
-			referenceApply(rec, ev)
+			if err := rec.apply(ev); err != nil {
+				t.Fatal(err)
+			}
 		}
 		tailGen, tailOff = g, p.Offset()
 	}
 	return rec, tailGen, tailOff
 }
 
-// referenceApply is recovered.applyEvent with the report fold spelled
-// out as the per-word scalar loop; every other event delegates.
-func referenceApply(rec *recovered, ev Event) {
-	e, ok := ev.(*ReportEvent)
-	if !ok {
-		rec.applyEvent(ev)
-		return
-	}
-	rs, ok := rec.rounds[roundKey{e.Campaign, e.Round}]
-	if !ok || rs.Closed || e.User < 0 || e.User >= rs.RosterSize || rs.Reported[e.User] {
-		return
-	}
-	if e.D != rs.D || e.W != rs.W || e.Seed != rs.Seed || e.Keystream != rs.Keystream {
-		return
-	}
-	if e.ConfigVersion != 0 && rs.ConfigVersion != 0 && e.ConfigVersion != rs.ConfigVersion {
-		return
-	}
-	rs.Reported[e.User] = true
-	rs.N += e.N
-	for i := range rs.Cells {
-		rs.Cells[i] += binary.LittleEndian.Uint64(e.Cells[8*i:])
-	}
-}
-
-// assertSameRecovery compares a Recover result with the reference.
-func assertSameRecovery(t *testing.T, got *Recovered, want *recovered, wantGen uint64, wantOff int64) {
+// assertSameRecovery compares the fold of a Recover replay with the
+// reference.
+func assertSameRecovery(t *testing.T, r *Recovered, got, want *refState, wantGen uint64, wantOff int64) {
 	t.Helper()
-	if got.TailGen() != wantGen || got.TailOff() != wantOff {
-		t.Fatalf("tail = gen %d off %d, reference gen %d off %d", got.TailGen(), got.TailOff(), wantGen, wantOff)
+	if r.TailGen() != wantGen || r.TailOff() != wantOff {
+		t.Fatalf("tail = gen %d off %d, reference gen %d off %d", r.TailGen(), r.TailOff(), wantGen, wantOff)
 	}
-	wantRounds := want.sortedRounds()
-	if len(got.Rounds()) != len(wantRounds) {
-		t.Fatalf("recovered %d rounds, reference %d", len(got.Rounds()), len(wantRounds))
+	gotRounds, wantRounds := got.sortedRounds(), want.sortedRounds()
+	if len(gotRounds) != len(wantRounds) {
+		t.Fatalf("recovered %d rounds, reference %d", len(gotRounds), len(wantRounds))
 	}
-	for i, rs := range got.Rounds() {
+	for i, rs := range gotRounds {
 		ref := wantRounds[i]
 		id := [2]uint64{uint64(ref.Campaign), ref.Round}
 		if rs.Campaign != ref.Campaign || rs.Round != ref.Round {
 			t.Fatalf("round %d is %d/%d, reference %v", i, rs.Campaign, rs.Round, id)
 		}
 		if !reflect.DeepEqual(rs.Cells, ref.Cells) {
-			t.Fatalf("round %v: cells differ from the scalar reference", id)
+			t.Fatalf("round %v: cells differ from the reference", id)
 		}
 		if rs.N != ref.N || rs.Closed != ref.Closed || !reflect.DeepEqual(rs.Reported, ref.Reported) {
 			t.Fatalf("round %v: N/closed/reported %d/%v/%v, reference %d/%v/%v",
@@ -237,23 +217,29 @@ func assertSameRecovery(t *testing.T, got *Recovered, want *recovered, wantGen u
 			t.Fatalf("round %v: adjustment shares differ", id)
 		}
 	}
-	if !reflect.DeepEqual(got.Roster(), want.roster) || !reflect.DeepEqual(got.Campaigns(), want.campaigns) {
+	if !reflect.DeepEqual(got.roster, want.roster) || !reflect.DeepEqual(got.campaigns, want.campaigns) {
 		t.Fatal("roster or campaign directory differs from the reference")
 	}
-	if cv, rv := got.ConfigVersions(); cv != want.configVersion || rv != want.rosterVersion {
-		t.Fatalf("versions %d/%d, reference %d/%d", cv, rv, want.configVersion, want.rosterVersion)
+	if got.configVersion != want.configVersion || got.rosterVersion != want.rosterVersion {
+		t.Fatalf("versions %d/%d, reference %d/%d", got.configVersion, got.rosterVersion, want.configVersion, want.rosterVersion)
 	}
 }
 
+// Replaying through the production reader — buffered, in-place record
+// reads, a copying path for records larger than its buffer — must hand
+// over the same events, in the same order, as a whole-segment in-memory
+// parse: folded through the same reference, both rebuild == state and
+// stop at the same tail.
 func TestReplayEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	writeEquivWAL(t, dir)
-	got, err := Recover(dir)
+	r, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := replayRef(t, r)
 	want, gen, off := referenceRecover(t, dir)
-	assertSameRecovery(t, got, want, gen, off)
+	assertSameRecovery(t, r, got, want, gen, off)
 
 	// The WAL must have exercised what it claims to: every acceptance
 	// case left its mark on the reference state.
@@ -296,10 +282,10 @@ func TestReplayTruncatedLastRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantN := replayRef(t, whole).sortedRounds()[0].N // round 0/3 holds only the last record's report
 	if whole.TailOff() != end {
 		t.Fatalf("untruncated TailOff %d, want %d", whole.TailOff(), end)
 	}
-	wantN := whole.Rounds()[0].N // round 0/3 holds only the last record's report
 	if wantN == 0 {
 		t.Fatal("last record was not applied on the intact segment")
 	}
@@ -311,11 +297,12 @@ func TestReplayTruncatedLastRecord(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
+		ref := replayRef(t, rec)
 		if rec.TailGen() != gen || rec.TailOff() != start {
 			t.Fatalf("cut at %d (record spans [%d, %d)): tail gen %d off %d, want gen %d off %d",
 				cut, start, end, rec.TailGen(), rec.TailOff(), gen, start)
 		}
-		if rs := rec.Rounds()[0]; rs.Round != 3 || rs.N != 0 {
+		if rs := ref.sortedRounds()[0]; rs.Round != 3 || rs.N != 0 {
 			t.Fatalf("cut at %d: torn record applied (round %d N %d)", cut, rs.Round, rs.N)
 		}
 	}

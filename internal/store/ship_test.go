@@ -64,7 +64,7 @@ func TestSealEmptyActiveSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Rounds()) != 1 || !reflect.DeepEqual(rec.Rounds()[0].Cells, wantRoundCells(0)) {
+	if rounds := replayRef(t, rec).sortedRounds(); len(rounds) != 1 || !reflect.DeepEqual(rounds[0].Cells, wantRoundCells(0)) {
 		t.Fatal("empty sealed segments broke recovery")
 	}
 	if rec.TailGen() != 4 || rec.TailOff() != int64(len(walMagic)) {
@@ -223,9 +223,9 @@ func TestShippingDuringRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Whatever interleaving happened, recovery still folds all 200.
-	d2 := openTestStore(t, dir, Options{})
+	d2, ref := openReplayed(t, dir, Options{})
 	defer d2.Close()
-	rs := d2.Rounds()[0]
+	rs := ref.sortedRounds()[0]
 	if rs.N != 200 {
 		t.Fatalf("recovered N = %d, want 200", rs.N)
 	}
@@ -364,6 +364,7 @@ func TestRecoverTailOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	replayRef(t, rec)
 	if rec.TailGen() != 2 || rec.TailOff() != st.Size() {
 		t.Fatalf("clean tail = gen %d off %d, want gen 2 off %d", rec.TailGen(), rec.TailOff(), st.Size())
 	}
@@ -389,13 +390,14 @@ func TestRecoverTailOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref2 := replayRef(t, rec2)
 	if rec2.TailGen() != 2 {
 		t.Fatalf("torn tail gen = %d", rec2.TailGen())
 	}
 	if rec2.TailOff() >= int64(len(raw)-5) || rec2.TailOff() < int64(len(walMagic)) {
 		t.Fatalf("torn TailOff = %d, want a record boundary inside [8, %d)", rec2.TailOff(), len(raw)-5)
 	}
-	rounds := rec2.Rounds()
+	rounds := ref2.sortedRounds()
 	if len(rounds) != 2 || !reflect.DeepEqual(rounds[0].Cells, wantRoundCells(0, 1)) {
 		t.Fatal("tear in gen 2 damaged gen 1 state")
 	}

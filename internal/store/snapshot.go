@@ -61,15 +61,6 @@ const (
 // header cannot provoke a huge allocation.
 const maxSnapshotCells = 1 << 28
 
-// snapshotData is a decoded snapshot.
-type snapshotData struct {
-	rounds        []*RoundState
-	roster        map[int][]byte
-	campaigns     map[uint32][]byte
-	configVersion uint32
-	rosterVersion uint32
-}
-
 // writeSnapshot writes the state to path atomically.
 func writeSnapshot(path string, roster map[int][]byte, campaigns map[uint32][]byte, rounds []*RoundState, configVersion, rosterVersion uint32) error {
 	buf := encodeSnapshot(roster, campaigns, rounds, configVersion, rosterVersion)
@@ -183,7 +174,7 @@ func appendCells(buf []byte, cells []uint64) []byte {
 // loadSnapshot reads and validates a snapshot file. Any structural
 // problem — bad magic, failed CRC, truncated section — returns an
 // error; the caller falls back to an older generation.
-func loadSnapshot(path string) (*snapshotData, error) {
+func loadSnapshot(path string) (*Base, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -200,10 +191,10 @@ func loadSnapshot(path string) (*snapshotData, error) {
 	if v != snapVersion && v != snapVersionV2 && v != snapVersionV1 {
 		return nil, fmt.Errorf("store: %s: snapshot version %d", path, v)
 	}
-	snap := &snapshotData{roster: make(map[int][]byte), campaigns: make(map[uint32][]byte)}
+	snap := &Base{Roster: make(map[int][]byte), Campaigns: make(map[uint32][]byte)}
 	if v >= snapVersionV2 {
-		snap.configVersion = r.uint32()
-		snap.rosterVersion = r.uint32()
+		snap.ConfigVersion = r.uint32()
+		snap.RosterVersion = r.uint32()
 	}
 	if v >= snapVersion {
 		camps := r.uint64()
@@ -221,7 +212,7 @@ func loadSnapshot(path string) (*snapshotData, error) {
 				return nil, fmt.Errorf("store: %s: snapshot campaign order", path)
 			}
 			prev = id
-			snap.campaigns[id] = append([]byte(nil), def...)
+			snap.Campaigns[id] = append([]byte(nil), def...)
 		}
 	}
 	users := r.uint64()
@@ -231,7 +222,7 @@ func loadSnapshot(path string) (*snapshotData, error) {
 		if u > 1<<31 {
 			return nil, fmt.Errorf("store: %s: snapshot roster entry", path)
 		}
-		snap.roster[int(u)] = append([]byte(nil), key...)
+		snap.Roster[int(u)] = append([]byte(nil), key...)
 	}
 	rounds := r.uint64()
 	for i := uint64(0); i < rounds && r.err == nil; i++ {
@@ -281,7 +272,7 @@ func loadSnapshot(path string) (*snapshotData, error) {
 		}
 		rs.Cells = r.cells(d * w)
 		if r.err == nil {
-			snap.rounds = append(snap.rounds, rs)
+			snap.Rounds = append(snap.Rounds, rs)
 		}
 	}
 	if r.err != nil {

@@ -1,8 +1,11 @@
 // Package store is the back-end's durable round store: an append-only
 // write-ahead log (WAL) of binary round events — round open, report
 // folded, adjustment uploaded, round closed, user registered — with
-// periodic snapshots of the full round state and crash recovery that
-// replays WAL-after-snapshot into byte-identical round state.
+// periodic snapshots of the full round state. The store is a log: it
+// frames, checksums, snapshots, ships and iterates records, and knows no
+// acceptance rule. What a logged record does to round state is decided
+// by the back-end's one WAL applier, which restart and the warm replica
+// share (see Store.Replay).
 //
 // The aggregation protocol only works if a round completes: each user's
 // report is blinded noise on its own, and the blinding factors cancel
@@ -10,10 +13,10 @@
 // crash mid-round would therefore silently destroy the work of the
 // entire user population for that round. The store makes the round
 // survive the process: every event is logged *before* it mutates the
-// in-memory aggregate, and recovery rebuilds the aggregate — including
+// in-memory aggregate, and replay hands the owner the snapshot base plus
+// every later event, from which it rebuilds the aggregate — including
 // the reported-bitmap, the adjustment shares, and the blinding-suite
-// byte — exactly as it was, so the aggregator's duplicate-report and
-// suite-mismatch invariants keep holding across restarts.
+// byte — exactly as it was.
 //
 // # Durability model
 //
@@ -31,20 +34,21 @@
 //
 // A snapshot at generation G is written only after the WAL has rotated
 // to segment G, so snap-G is a superset of every record in segments
-// < G and possibly includes a prefix of segment G. Recovery loads the
-// newest valid snapshot and replays every segment with generation ≥ its
-// own; replay is idempotent (a record already reflected in the snapshot
-// is rejected by the same duplicate/closed checks the live aggregator
-// applies), which is what makes the fuzzy snapshot safe. Torn or
-// corrupt records — a crash mid-append leaves one, at a segment's tail
-// — fail their CRC and cleanly end that segment's replay.
+// < G and possibly includes a prefix of segment G. Replay hands over the
+// newest valid snapshot and every segment with generation ≥ its own; the
+// overlap is harmless because the back-end's applier skips a record the
+// base already reflects (a duplicate report, an open of an existing
+// round, anything into a closed round), which is what makes the fuzzy
+// snapshot safe. Torn or corrupt records — a crash mid-append leaves
+// one, at a segment's tail — fail their CRC and cleanly end that
+// segment's replay.
 package store
 
 import "eyewnder/internal/obs"
 
 // RoundState is one round's complete durable state: everything needed
 // to rebuild the back-end's in-memory aggregator byte-identically. It
-// is the unit both snapshots and recovery speak in.
+// is the unit snapshots speak in.
 type RoundState struct {
 	// Campaign is the counting campaign the round belongs to. Campaign 0
 	// is the deployment's implicit legacy campaign; rounds recovered from
@@ -85,26 +89,42 @@ type RoundState struct {
 	Adjusts map[int][]uint64
 }
 
+// Base is the state a store directory's newest valid snapshot holds —
+// the starting point of a replay. It is empty for a directory with no
+// snapshot (and for the volatile store).
+type Base struct {
+	// Rounds are the snapshot's round states. The receiver owns them,
+	// cells included.
+	Rounds []*RoundState
+	// Roster is the bulletin board: user index → blinding public key.
+	// The keys are shared with the store's own bookkeeping: read only.
+	Roster map[int][]byte
+	// Campaigns is the campaign directory: campaign ID → opaque canonical
+	// campaign encoding, exactly as provisioned; read only, like Roster.
+	Campaigns map[uint32][]byte
+	// ConfigVersion and RosterVersion are the deployment-wide negotiated
+	// config and roster version counters (0, 0 for a data dir written
+	// before the config handshake existed).
+	ConfigVersion uint32
+	RosterVersion uint32
+}
+
 // Store is the back-end's durability interface. The Disk implementation
 // persists every event; Null is the in-memory no-op that preserves the
 // original (volatile) behavior. All methods are safe for concurrent
 // use.
 type Store interface {
-	// Rounds returns the round states recovered at Open (nil for a fresh
-	// or volatile store). Valid until the first mutation; the back-end
-	// consumes it once during construction.
-	Rounds() []*RoundState
-	// Roster returns the recovered bulletin-board entries (user index →
-	// blinding public key).
-	Roster() map[int][]byte
-	// ConfigVersions returns the recovered deployment-wide config and
-	// roster version counters (0, 0 for a fresh or volatile store, or a
-	// data dir written before the config handshake existed).
-	ConfigVersions() (configVersion, rosterVersion uint32)
-	// Campaigns returns the recovered campaign directory: campaign ID →
-	// opaque canonical campaign encoding, exactly as provisioned. Nil or
-	// empty for a fresh, volatile, or pre-campaign store.
-	Campaigns() map[uint32][]byte
+	// Replay hands the owner the recovered log: load receives the
+	// snapshot base, then apply receives every WAL event after it, in log
+	// order, up to each segment's last valid record. The store applies no
+	// acceptance rule — deciding what each event does, and skipping what
+	// the base already reflects, is the owner's job. Event byte slices
+	// alias the replay buffer and are valid only during the apply call.
+	// An error from either callback ends the replay and is returned. The
+	// back-end consumes the replay once, during construction, before its
+	// first append; unlike the other methods, Replay is not safe for
+	// concurrent use with itself.
+	Replay(load func(*Base) error, apply func(Event) error) error
 
 	// AppendRegister logs a bulletin-board registration.
 	AppendRegister(user int, publicKey []byte) error
@@ -141,7 +161,9 @@ type Store interface {
 	ShouldSnapshot() bool
 	// Snapshot rotates the WAL, captures the owner's current state via
 	// the callback (which runs without any store lock held), writes it
-	// as a new snapshot, and prunes old segments. Calls are serialized.
+	// as a new snapshot, and prunes old segments. Calls are serialized,
+	// and a Disk refuses them until Replay has run: a snapshot taken
+	// before the log was read back would drop what the log holds.
 	Snapshot(capture func() ([]*RoundState, error)) error
 
 	// Close flushes and releases the store. Appends after Close fail.
@@ -149,21 +171,12 @@ type Store interface {
 }
 
 // Null is the volatile no-op store: every append succeeds without doing
-// anything and recovery finds nothing. A back-end configured with it
+// anything and replay finds nothing. A back-end configured with it
 // behaves exactly like one with no store at all.
 type Null struct{}
 
-// Rounds implements Store.
-func (Null) Rounds() []*RoundState { return nil }
-
-// Roster implements Store.
-func (Null) Roster() map[int][]byte { return nil }
-
-// ConfigVersions implements Store.
-func (Null) ConfigVersions() (uint32, uint32) { return 0, 0 }
-
-// Campaigns implements Store.
-func (Null) Campaigns() map[uint32][]byte { return nil }
+// Replay implements Store: the base is empty and there are no events.
+func (Null) Replay(load func(*Base) error, _ func(Event) error) error { return load(&Base{}) }
 
 // AppendRegister implements Store.
 func (Null) AppendRegister(int, []byte) error { return nil }
