@@ -1,6 +1,10 @@
-// Command eyewnder-eval runs the live-validation analogue (Section 7.3)
+// Command eyewnder-eval prints the paper's study outputs: the
+// privacy-protocol overhead study (Section 7.1), the Figure 2
+// distribution comparison, the live-validation analogue (Section 7.3)
 // and the socio-economic bias analysis (Section 8):
 //
+//	eyewnder-eval -overhead  # CMS sizes, blinding traffic/compute, OPRF latency
+//	eyewnder-eval -fig2      # actual vs CMS #Users distributions, 3 weeks
 //	eyewnder-eval -fig4      # evaluation tree + unknown resolution + precision
 //	eyewnder-eval -table2    # logistic regression odds ratios
 //	eyewnder-eval -fig5      # predicted targeting probability per level
@@ -13,17 +17,75 @@ import (
 	"sort"
 
 	"eyewnder/internal/experiments"
+	"eyewnder/internal/group"
 )
 
 func main() {
 	var (
-		fig4   = flag.Bool("fig4", false, "run the Figure 4 evaluation tree")
-		table2 = flag.Bool("table2", false, "run the Table 2 regression")
-		fig5   = flag.Bool("fig5", false, "print the Figure 5 predicted probabilities")
+		overhead = flag.Bool("overhead", false, "run the §7.1 overhead study")
+		fig2     = flag.Bool("fig2", false, "run the Figure 2 comparison")
+		fig4     = flag.Bool("fig4", false, "run the Figure 4 evaluation tree")
+		table2   = flag.Bool("table2", false, "run the Table 2 regression")
+		fig5     = flag.Bool("fig5", false, "print the Figure 5 predicted probabilities")
+		rsaBits  = flag.Int("rsa-bits", 1024, "oprf RSA modulus (paper: 1024-bit elements)")
+		users    = flag.Int("users", 0, "override Figure 2 user count")
 	)
 	flag.Parse()
 
 	switch {
+	case *overhead:
+		rep, err := experiments.Overhead(*rsaBits, group.P256())
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("Section 7.1: protocol overhead")
+		sizes := make([]int, 0, len(rep.CMSKB))
+		for t := range rep.CMSKB {
+			sizes = append(sizes, t)
+		}
+		sort.Ints(sizes)
+		for _, t := range sizes {
+			fmt.Printf("  CMS size (T=%6d, ε=δ=0.001, 4B cells): %6.0f KB\n", t, rep.CMSKB[t])
+		}
+		fmt.Printf("  (paper: 185 / 196 / 207 KB)\n")
+		fmt.Printf("  cleartext alternative, average user:      %6.1f KB (paper: ~3.5 KB)\n", rep.CleartextAvgKB)
+		ns := make([]int, 0, len(rep.BlindingTrafficMB))
+		for n := range rep.BlindingTrafficMB {
+			ns = append(ns, n)
+		}
+		sort.Ints(ns)
+		for _, n := range ns {
+			fmt.Printf("  blinding key exchange, %6d users:      %6.2f MB\n", n, rep.BlindingTrafficMB[n])
+		}
+		fmt.Printf("  (paper: 0.38 / 1.9 MB with 1024-bit shares)\n")
+		fmt.Printf("  blinding compute, 1k users × 5k cells:    %v (paper: ~30 s)\n",
+			rep.BlindingComputeFor1kUsers5kCells)
+		fmt.Printf("  OPRF mapping round trip:                  %v (paper bound: 500 ms)\n", rep.OPRFRoundTrip)
+		fmt.Printf("  OPRF exchange: %d bits (2 group elements)\n", rep.OPRFExchangeBits)
+
+	case *fig2:
+		cfg := experiments.DefaultFig2Config()
+		cfg.RSABits = *rsaBits
+		if *users > 0 {
+			cfg.Sim.Users = *users
+		}
+		weeks, err := experiments.Fig2(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("Figure 2: #Users distribution, actual vs privacy-preserving CMS")
+		for _, w := range weeks {
+			fmt.Printf("  week %d: ads(actual)=%d ads(CMS)=%d  Act_Th=%.2f  CMS_Th=%.2f\n",
+				w.Week+1, len(w.ActualCounts), len(w.CMSCounts), w.ActualTh, w.CMSTh)
+		}
+		fmt.Println("  density series (x, actual, cms) for week 1:")
+		if len(weeks) > 0 && len(weeks[0].DensityX) > 0 {
+			w := weeks[0]
+			for i := 0; i < len(w.DensityX); i += 7 {
+				fmt.Printf("    %5.2f  %.4f  %.4f\n", w.DensityX[i], w.ActualDensity[i], w.CMSDensity[i])
+			}
+		}
+
 	case *fig4:
 		res, err := experiments.Fig4(experiments.DefaultFig4Config())
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"eyewnder/internal/group"
+	"eyewnder/internal/vec"
 )
 
 func makeRoster(t testing.TB, n int) *Roster {
@@ -293,8 +294,41 @@ func TestMissingSet(t *testing.T) {
 	}
 }
 
+// A blinding vector allocates its output plus each peer's keystream
+// keying. The ceilings are the counts measured when they were set, for
+// a 16-user roster and 5k cells (AllocsPerRun pins GOMAXPROCS to 1, so
+// this is the serial path). They only forbid growth.
+func TestBlindingAllocCeiling(t *testing.T) {
+	defer vec.ForceGeneric(false)
+	for _, tc := range []struct {
+		ks      Keystream
+		ceiling float64
+	}{
+		{KeystreamHMACSHA256, 109},
+		{KeystreamAESCTR, 49},
+	} {
+		if raceEnabled && tc.ks == KeystreamHMACSHA256 {
+			continue // the race build's hmac keying allocates more
+		}
+		r, err := NewRosterKeystream(group.P256(), 16, rand.Reader, tc.ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, generic := range []bool{false, true} {
+			vec.ForceGeneric(generic)
+			allocs := testing.AllocsPerRun(20, func() { r.Parties[0].Blinding(7, 5000) })
+			if allocs > tc.ceiling {
+				t.Errorf("%v blinding (generic=%v) allocates %v times, ceiling %v", tc.ks, generic, allocs, tc.ceiling)
+			}
+		}
+	}
+}
+
+// BenchmarkBlindingVector5kCells is the HMAC-SHA256 suite's blinding
+// for a 16-user roster, the same geometry as
+// BenchmarkBlindingVector5kCellsAESCTR: the pair is the suites' gap.
 func BenchmarkBlindingVector5kCells(b *testing.B) {
-	r := makeRoster(b, 10)
+	r := makeRoster(b, 16)
 	p := r.Parties[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

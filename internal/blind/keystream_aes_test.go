@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"eyewnder/internal/group"
+	"eyewnder/internal/vec"
 )
 
 // refAESFactor recomputes factor m the slow way, straight from the spec:
@@ -205,14 +206,25 @@ func BenchmarkAESKeystream(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkBlindingVector5kCellsAESCTR runs a "simd" sub-benchmark on
+// the dispatched kernels and a "generic" one on the generic loops a
+// purego build selects; the pair is the kernels' share of the blinding.
 func BenchmarkBlindingVector5kCellsAESCTR(b *testing.B) {
 	r, err := NewRosterKeystream(group.P256(), 16, rand.Reader, KeystreamAESCTR)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Parties[0].Blinding(uint64(i), 5000)
+	for _, k := range []struct {
+		name    string
+		generic bool
+	}{{"simd", false}, {"generic", true}} {
+		b.Run(k.name, func(b *testing.B) {
+			vec.ForceGeneric(k.generic)
+			defer vec.ForceGeneric(false)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Parties[0].Blinding(uint64(i), 5000)
+			}
+		})
 	}
 }

@@ -225,10 +225,10 @@ var flagDefRE = regexp.MustCompile(`\bflag\.[A-Za-z0-9]+\(\s*"([^"]+)"`)
 var flagCoveredBinaries = []string{
 	"cmd/eyewnder-server",
 	"cmd/eyewnder-sim",
-	"cmd/eyewnder-bench",
+	"cmd/eyewnder-eval",
 }
 
-// TestREADMEFlagCoverage extracts every flag the server, sim, and bench
+// TestREADMEFlagCoverage extracts every flag the server, sim, and eval
 // binaries define from their sources and fails if the README never
 // mentions `-name`. This is the flag-drift check: adding a flag without
 // documenting it (or renaming one and leaving the old name in the

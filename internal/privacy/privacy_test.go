@@ -488,6 +488,19 @@ func TestCheckIDSpace(t *testing.T) {
 	}
 }
 
+// CountTable allocates its table and the worker split's bookkeeping.
+// The ceiling is the count measured when it was set, at the paper's
+// geometry and |A| (AllocsPerRun pins GOMAXPROCS to 1, so this is the
+// serial split). It only forbids growth.
+func TestCountTableAllocCeiling(t *testing.T) {
+	params := DefaultParams()
+	cms := countSketch(t, params, 200000)
+	const ceiling = 4
+	if allocs := testing.AllocsPerRun(20, func() { CountTable(cms, params) }); allocs > ceiling {
+		t.Fatalf("CountTable allocates %v times, ceiling %d", allocs, ceiling)
+	}
+}
+
 // BenchmarkCountTable is the close path's extraction at the paper's
 // scale: saturated paper-geometry sketch, |A| = 100k.
 func BenchmarkCountTable(b *testing.B) {

@@ -6,6 +6,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -565,15 +567,35 @@ func (f *Follower) localSize(info store.FileInfo) int64 {
 
 // pruneBelow mirrors the primary's snapshot compaction locally:
 // segments and snapshots below gen are covered by the snapshot at gen
-// and can go. Same downward gap-stop idiom as the primary's prune.
+// and can go. It lists the directory rather than walking down from gen:
+// a mirror can skip generations (a resync fetches only the newest
+// snapshot and the segments above it), and a walk that stopped at the
+// first gap would keep the stale files below it.
 func (f *Follower) pruneBelow(gen uint64) {
-	for g := gen - 1; g > 0; g-- {
-		w := os.Remove(filepath.Join(f.opts.Dir, store.FileInfo{Kind: store.FileWAL, Gen: g}.Name()))
-		s := os.Remove(filepath.Join(f.opts.Dir, store.FileInfo{Kind: store.FileSnapshot, Gen: g}.Name()))
-		if w != nil && s != nil {
-			return
+	entries, err := os.ReadDir(f.opts.Dir)
+	if err != nil {
+		return // the next snapshot's prune retries
+	}
+	for _, e := range entries {
+		if g, ok := storeFileGen(e.Name()); ok && g < gen {
+			os.Remove(filepath.Join(f.opts.Dir, e.Name()))
 		}
 	}
+}
+
+// storeFileGen returns the generation of a file named as the store
+// names its WAL segments and snapshots.
+func storeFileGen(name string) (uint64, bool) {
+	g, err := strconv.ParseUint(strings.TrimFunc(name, func(r rune) bool { return r < '0' || r > '9' }), 10, 64)
+	if err != nil {
+		return 0, false
+	}
+	for _, k := range []store.FileKind{store.FileWAL, store.FileSnapshot} {
+		if (store.FileInfo{Kind: k, Gen: g}).Name() == name {
+			return g, true
+		}
+	}
+	return 0, false
 }
 
 // pollOnce runs one tail iteration: fetch the manifest, extend the

@@ -1,6 +1,10 @@
 package sketch
 
-import "testing"
+import (
+	"testing"
+
+	"eyewnder/internal/vec"
+)
 
 // The privacy hot path must stay allocation-free: every client report
 // hashes thousands of keys through Update, and the back-end's close-round
@@ -39,6 +43,58 @@ func TestConservativeUpdateZeroAllocs(t *testing.T) {
 	key := []byte("https://ads.example.com/creative/abc")
 	if allocs := testing.AllocsPerRun(1000, func() { c.ConservativeUpdate(key, 1) }); allocs != 0 {
 		t.Fatalf("ConservativeUpdate allocates %v times per call, want 0", allocs)
+	}
+}
+
+// The aggregate and codec paths run over every cell of every report, so
+// they must stay allocation-free too — under the dispatched kernels and
+// under the generic loops a purego build selects. The buffers are the
+// steady state a repeat caller runs in: a pre-sized encode scratch and a
+// same-geometry decode receiver.
+func TestCellPathsZeroAllocs(t *testing.T) {
+	src, err := New(0.001, 0.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Update([]byte("https://ads.example.com/creative/123456"))
+	dst := src.Clone()
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]byte, 0, len(data))
+	var recv CMS
+	if err := recv.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	type allocCase struct {
+		name string
+		fn   func() error
+	}
+	cases := []allocCase{
+		{"Merge", func() error { return dst.Merge(src) }},
+		{"UnmarshalBinary", func() error { return recv.UnmarshalBinary(data) }},
+	}
+	// A race build compiles append(b, make(...)...) as a real make.
+	if !raceEnabled {
+		cases = append(cases, allocCase{"AppendBinary", func() (err error) {
+			scratch, err = src.AppendBinary(scratch[:0])
+			return err
+		}})
+	}
+	defer vec.ForceGeneric(false)
+	for _, generic := range []bool{false, true} {
+		vec.ForceGeneric(generic)
+		for _, tc := range cases {
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := tc.fn(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s (generic=%v) allocates %v times per call, want 0", tc.name, generic, allocs)
+			}
+		}
 	}
 }
 

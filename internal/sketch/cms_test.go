@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"eyewnder/internal/vec"
 )
 
 func TestNewDimensions(t *testing.T) {
@@ -458,11 +460,74 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-func BenchmarkMerge(b *testing.B) {
-	x, _ := New(0.001, 0.001)
-	y, _ := New(0.001, 0.001)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = x.Merge(y)
+// benchKernels runs fn as a "simd" sub-benchmark on the dispatched
+// kernels and a "generic" one on the generic loops a purego build
+// selects; the pair is the kernels' speed-up on the host.
+func benchKernels(b *testing.B, fn func(b *testing.B)) {
+	for _, k := range []struct {
+		name    string
+		generic bool
+	}{{"simd", false}, {"generic", true}} {
+		b.Run(k.name, func(b *testing.B) {
+			vec.ForceGeneric(k.generic)
+			defer vec.ForceGeneric(false)
+			b.ReportAllocs()
+			fn(b)
+		})
 	}
+}
+
+func BenchmarkMerge(b *testing.B) {
+	benchKernels(b, func(b *testing.B) {
+		x, _ := New(0.001, 0.001)
+		y, _ := New(0.001, 0.001)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := x.Merge(y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkAppendBinary and BenchmarkUnmarshalBinary time the report
+// codec the way repeat callers run it: into a reused buffer and a
+// reused receiver, warmed in setup, so the figure is the cell-block
+// transcode and not a 152 KB allocation per op.
+func BenchmarkAppendBinary(b *testing.B) {
+	benchKernels(b, func(b *testing.B) {
+		c, _ := New(0.001, 0.001)
+		scratch, err := c.AppendBinary(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(scratch)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if scratch, err = c.AppendBinary(scratch[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkUnmarshalBinary(b *testing.B) {
+	benchKernels(b, func(b *testing.B) {
+		c, _ := New(0.001, 0.001)
+		data, err := c.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var d CMS
+		if err := d.UnmarshalBinary(data); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := d.UnmarshalBinary(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

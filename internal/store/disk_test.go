@@ -585,8 +585,7 @@ func TestClosedStoreFails(t *testing.T) {
 
 // The report append path must be allocation-free: the encoder's scratch
 // replaces the stack arrays that used to escape through the io.Writer
-// interface (the ~3 allocs/report the ROADMAP flagged). wal_append in
-// BENCH_pipeline.json tracks the same property under the -check gate.
+// interface (the ~3 allocs/report the ROADMAP flagged).
 func TestRecordEncoderReportZeroAllocs(t *testing.T) {
 	var enc RecordEncoder
 	cells := testCells(1)

@@ -132,9 +132,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // escape, and those per-append allocations (three of them) were the
 // last ones left on the durable report-ingestion path. A long-lived
 // encoder — the Disk store owns one, serialized by its append lock —
-// makes every append allocation-free (wal_append in
-// BENCH_pipeline.json tracks it at 0 allocs/op). The zero value is
-// ready to use; an encoder is not safe for concurrent use.
+// makes every append allocation-free (TestRecordEncoderReportZeroAllocs
+// holds it at 0 allocs/op). The zero value is ready to use; an encoder
+// is not safe for concurrent use.
 type RecordEncoder struct {
 	hdr  [5]byte
 	pre  [reportPreamble]byte // largest fixed body prefix

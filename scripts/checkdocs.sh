@@ -4,7 +4,7 @@
 #   - godoc coverage: every exported identifier in internal/store,
 #     internal/wire, and internal/repl carries a doc comment
 #   - markdown links: every relative link in every *.md resolves
-#   - flag coverage: every eyewnder-server / -sim / -bench flag is
+#   - flag coverage: every eyewnder-server / -sim / -eval flag is
 #     mentioned in README.md
 #
 # CI's docs job runs exactly this script; the lint job additionally
