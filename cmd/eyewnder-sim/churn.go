@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"eyewnder/internal/churn"
@@ -19,21 +20,13 @@ import (
 // internal/churn for the mechanics; this file is the CLI and the
 // machine-readable summary CI consumes.
 type churnConfig struct {
-	users      int
-	rounds     int
-	seed       uint64
-	ads        int
-	idSpace    uint64
-	window     int
-	pDark      float64
-	pDrop      float64
-	pArrive    float64
-	pRereg     float64
-	adjustWait time.Duration
-	campaign   uint32
-	dataDir    string
-	artifacts  string
-	scrape     string
+	users     int
+	rounds    int
+	seed      uint64
+	campaign  uint32
+	dataDir   string
+	artifacts string
+	scrape    string
 }
 
 // churnSummary is the final stdout line (single-line JSON), the
@@ -55,7 +48,9 @@ type churnSummary struct {
 	Seconds   float64 `json:"seconds"`
 	Digest    string  `json:"digest"`
 	// Metrics holds the run's /metrics counter deltas when -scrape was
-	// set (see loadSummary.Metrics).
+	// set: every _total/_count/_sum sample that advanced during the
+	// run, keyed by its rendered Prometheus name. CI cross-checks
+	// eyewnder_reports_accepted_total against Reports.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -66,14 +61,6 @@ func runChurn(cfg churnConfig) error {
 		Users:       cfg.users,
 		Rounds:      cfg.rounds,
 		Seed:        cfg.seed,
-		AdsPerUser:  cfg.ads,
-		IDSpace:     cfg.idSpace,
-		Window:      cfg.window,
-		PDark:       cfg.pDark,
-		PDrop:       cfg.pDrop,
-		PArrive:     cfg.pArrive,
-		PRereg:      cfg.pRereg,
-		AdjustWait:  cfg.adjustWait,
 		Campaign:    cfg.campaign,
 		DataDir:     cfg.dataDir,
 		ArtifactDir: cfg.artifacts,
@@ -140,4 +127,31 @@ func printChurnSummary(cfg churnConfig, res *churn.Result, elapsed time.Duration
 	if line, err := json.Marshal(sum); err == nil {
 		os.Stdout.Write(append(line, '\n'))
 	}
+}
+
+// metricsDelta folds a run's counter movement for the summary line:
+// every counter or histogram sample (_total, _count, _sum) that
+// advanced between the two snapshots. Gauges are skipped — they
+// describe state, not work done by the run.
+func metricsDelta(before, after map[string]float64) map[string]float64 {
+	out := make(map[string]float64)
+	for k, v := range after {
+		base := strings.SplitN(k, "{", 2)[0]
+		if !strings.HasSuffix(base, "_total") &&
+			!strings.HasSuffix(base, "_count") &&
+			!strings.HasSuffix(base, "_sum") {
+			continue
+		}
+		if d := v - before[k]; d != 0 {
+			out[k] = d
+		}
+	}
+	return out
+}
+
+func durabilityNote(dataDir string) string {
+	if dataDir == "" {
+		return ""
+	}
+	return ", durable WAL in " + dataDir
 }

@@ -5,15 +5,12 @@
 //	eyewnder-sim -fig3            # FN% vs frequency cap (Figure 3)
 //	eyewnder-sim -fpstudy 30      # false-positive configurations (§7.2.2)
 //	eyewnder-sim -ablate          # threshold/window/min-data ablations
-//	eyewnder-sim -load 64         # stream a population's reports over one
-//	                              # batched connection (wire load harness)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"time"
 
 	"eyewnder/internal/adsim"
 	"eyewnder/internal/experiments"
@@ -29,35 +26,19 @@ func main() {
 		users   = flag.Int("users", 0, "override user count (0 = Table 1)")
 		reps    = flag.Int("reps", 1, "repetitions per Figure 3 point")
 
-		load     = flag.Int("load", 0, "stream N users' blinded reports over one batched wire connection (the load harness)")
-		loadRnds = flag.Int("load-rounds", 2, "rounds to run in -load mode")
-		loadWin  = flag.Int("load-window", 0, "in-flight frame window in -load mode (0 = twice the server's ack batch)")
-		loadAds  = flag.Int("load-ads", 50, "distinct ads per user per round in -load mode")
-		loadDir  = flag.String("load-data-dir", "", "run the -load back-end on a durable round store in this directory")
-		loadCamp = flag.Int("load-campaigns", 0, "in -load mode, provision N extra campaigns with distinct geometries and multiplex all of them (plus campaign 0) over the one batched connection")
-
 		pipeline  = flag.Bool("pipeline", false, "run the end-to-end pipeline demo: adsim pages → detector → campaign mapper → blinded multi-campaign reporting, byte-matched against an unblinded oracle")
 		pipeUsers = flag.Int("pipeline-users", 16, "population size in -pipeline mode")
 		pipeWeeks = flag.Int("pipeline-weeks", 2, "simulated weeks (reporting rounds) in -pipeline mode")
 		pipeCamps = flag.Int("pipeline-campaigns", 8, "counting campaigns to provision in -pipeline mode")
-		pipeWin   = flag.Int("pipeline-window", 0, "in-flight frame window in -pipeline mode (0 = twice the server's ack batch)")
 
-		churnN     = flag.Int("churn", 0, "replay a deterministic N-user population-lifecycle trace (the churn harness)")
-		seed       = flag.Uint64("seed", 1, "master seed for -churn (same seed → identical trace and finalized counts)")
-		churnRnds  = flag.Int("churn-rounds", 4, "rounds to replay in -churn mode")
-		churnAds   = flag.Int("churn-ads", 3, "ad observations per reporter per round in -churn mode")
-		churnIDs   = flag.Uint64("churn-idspace", 20000, "ad-ID space in -churn mode")
-		churnWin   = flag.Int("churn-window", 256, "in-flight frame window in -churn mode")
-		churnDark  = flag.Float64("churn-dark", 0.12, "per-round probability an active user goes dark (forces the adjustment round)")
-		churnDrop  = flag.Float64("churn-drop", 0.03, "per-round probability an active user drops out permanently")
-		churnJoin  = flag.Float64("churn-arrive", 0.05, "per-round probability an unregistered user joins")
-		churnRereg = flag.Float64("churn-rereg", 0.02, "per-round probability an active user re-registers (version bump)")
-		churnWait  = flag.Duration("churn-adjust-wait", 10*time.Second, "adjustment-share deadline for closing rounds in -churn mode")
-		churnDir   = flag.String("churn-data-dir", "", "run the -churn back-end on a durable round store in this directory")
-		churnArts  = flag.String("churn-artifacts", "", "directory for trace + oracle-diff artifacts on a -churn failure")
-		churnCamp  = flag.Uint("churn-campaign", 0, "scope the whole -churn replay to this campaign ID (0 = the implicit legacy campaign)")
+		churnN    = flag.Int("churn", 0, "replay a deterministic N-user population-lifecycle trace (the churn harness)")
+		seed      = flag.Uint64("seed", 1, "master seed for -churn and -pipeline (same seed → identical trace and finalized counts)")
+		churnRnds = flag.Int("churn-rounds", 4, "rounds to replay in -churn mode")
+		churnDir  = flag.String("churn-data-dir", "", "run the -churn back-end on a durable round store in this directory")
+		churnArts = flag.String("churn-artifacts", "", "directory for trace + oracle-diff artifacts on a -churn failure")
+		churnCamp = flag.Uint("churn-campaign", 0, "scope the whole -churn replay to this campaign ID (0 = the implicit legacy campaign)")
 
-		scrape = flag.String("scrape", "", "with -load or -churn: serve the harness's admin endpoint (/metrics, /statusz, /healthz, pprof) on this address during the run and fold the /metrics counter deltas into the JSON summary line")
+		scrape = flag.String("scrape", "", "with -churn: serve the harness's admin endpoint (/metrics, /healthz, pprof) on this address during the run and fold the /metrics counter deltas into the JSON summary line")
 	)
 	flag.Parse()
 
@@ -74,10 +55,7 @@ func main() {
 	case *churnN > 0:
 		if err := runChurn(churnConfig{
 			users: *churnN, rounds: *churnRnds, seed: *seed,
-			ads: *churnAds, idSpace: *churnIDs, window: *churnWin,
-			pDark: *churnDark, pDrop: *churnDrop,
-			pArrive: *churnJoin, pRereg: *churnRereg,
-			adjustWait: *churnWait, dataDir: *churnDir, artifacts: *churnArts,
+			dataDir: *churnDir, artifacts: *churnArts,
 			campaign: uint32(*churnCamp), scrape: *scrape,
 		}); err != nil {
 			log.Fatal(err)
@@ -86,17 +64,7 @@ func main() {
 	case *pipeline:
 		if err := runPipeline(pipelineConfig{
 			users: *pipeUsers, weeks: *pipeWeeks,
-			campaigns: *pipeCamps, window: *pipeWin,
-			seed: int64(*seed),
-		}); err != nil {
-			log.Fatal(err)
-		}
-
-	case *load > 0:
-		if err := runLoad(loadConfig{
-			users: *load, rounds: *loadRnds, window: *loadWin,
-			adsEach: *loadAds, campaigns: *loadCamp,
-			dataDir: *loadDir, scrape: *scrape,
+			campaigns: *pipeCamps, seed: int64(*seed),
 		}); err != nil {
 			log.Fatal(err)
 		}

@@ -48,7 +48,6 @@ type pipelineConfig struct {
 	users     int
 	weeks     int // one reporting round per simulated week
 	campaigns int
-	window    int
 	seed      int64
 }
 
@@ -84,8 +83,8 @@ type pipelineCampaign struct {
 func runPipeline(cfg pipelineConfig) error {
 	start := time.Now()
 
-	// 1. Simulate browsing with full ground truth. The scale is small —
-	// the demo's value is the path, not the load (that's -load's job).
+	// 1. Simulate browsing with full ground truth. The scale is small:
+	// the demo's value is the path, not the load.
 	simCfg := adsim.DefaultConfig()
 	simCfg.Seed = cfg.seed
 	simCfg.Users = cfg.users
@@ -304,7 +303,7 @@ func runPipeline(cfg pipelineConfig) error {
 		// Every roster member submits one frame per campaign — users
 		// with no detections send an empty sketch, because the pairwise
 		// pads only cancel when the whole population reports.
-		rs, err := cli.OpenReportStream(cfg.window)
+		rs, err := cli.OpenReportStream(0)
 		if err != nil {
 			return err
 		}

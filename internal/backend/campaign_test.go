@@ -5,13 +5,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"eyewnder/internal/blind"
 	"eyewnder/internal/campaign"
 	"eyewnder/internal/detector"
+	"eyewnder/internal/obs"
 	"eyewnder/internal/privacy"
 	"eyewnder/internal/sketch"
 	"eyewnder/internal/store"
@@ -408,4 +412,132 @@ func TestIDSpaceBounded(t *testing.T) {
 	if _, err := New(Config{Params: params, Users: 4, UsersEstimator: detector.EstimatorMean, Store: st2}); !errors.Is(err, campaign.ErrBadCampaign) {
 		t.Fatalf("restart over a directory entry with id space 2^40 = %v, want ErrBadCampaign", err)
 	}
+}
+
+// scrapeMetrics GETs the admin endpoint's /metrics and returns every
+// sample keyed by its rendered name (labels included).
+func scrapeMetrics(t *testing.T, addr string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// Campaign 0 and four provisioned campaigns of distinct geometries,
+// multiplexed over one batched report stream for two rounds: the
+// scraped per-campaign accepted series must count exactly the frames
+// sent for each campaign and sum to the global accepted counter, both
+// before the rounds close and after every (campaign, round) has.
+func TestCampaignCountersOverOneStream(t *testing.T) {
+	const (
+		users  = 6
+		rounds = 2
+	)
+	params := storeTestParams()
+	reg := obs.New()
+	b, err := New(Config{Params: params, Users: users, UsersEstimator: detector.EstimatorMean, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	camps := append([]campaign.Campaign{{ID: 0, Epsilon: params.Epsilon, Delta: params.Delta, IDSpace: params.IDSpace}}, testCampaigns(4)...)
+	for _, c := range camps[1:] {
+		if err := b.AddCampaign(c); err != nil {
+			t.Fatalf("AddCampaign(%d): %v", c.ID, err)
+		}
+	}
+	srv, err := b.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	admin, err := obs.ServeAdmin("127.0.0.1:0", obs.AdminOptions{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+
+	roster, err := blind.NewRosterKeystream(params.Suite, users, rand.Reader, params.Keystream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	rs, err := cli.OpenReportStream(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(map[uint32]int)
+	for round := uint64(1); round <= rounds; round++ {
+		for _, c := range camps {
+			fs, _ := buildCampaignFrames(t, roster, c, params, users, round)
+			for _, f := range fs {
+				if err := rs.Submit(f); err != nil {
+					t.Fatalf("campaign %d round %d user %d: %v", c.ID, round, f.User, err)
+				}
+				sent[c.ID]++
+			}
+		}
+	}
+	if err := rs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(when string, closed float64) {
+		t.Helper()
+		m := scrapeMetrics(t, admin.Addr())
+		series, sum := 0, 0.0
+		for k, v := range m {
+			if strings.HasPrefix(k, "eyewnder_campaign_reports_accepted_total{") {
+				series++
+				sum += v
+			}
+		}
+		if series != len(camps) {
+			t.Fatalf("%s: %d per-campaign accepted series, want %d", when, series, len(camps))
+		}
+		for _, c := range camps {
+			k := fmt.Sprintf("eyewnder_campaign_reports_accepted_total{campaign=%q}", strconv.FormatUint(uint64(c.ID), 10))
+			if m[k] != float64(sent[c.ID]) {
+				t.Fatalf("%s: %s = %v, want %d frames sent", when, k, m[k], sent[c.ID])
+			}
+		}
+		if total := m["eyewnder_reports_accepted_total"]; sum != total {
+			t.Fatalf("%s: per-campaign series sum to %v, eyewnder_reports_accepted_total = %v", when, sum, total)
+		}
+		if got := m["eyewnder_rounds_closed_total"]; got != closed {
+			t.Fatalf("%s: eyewnder_rounds_closed_total = %v, want %v", when, got, closed)
+		}
+	}
+	check("after ingest", 0)
+	for round := uint64(1); round <= rounds; round++ {
+		for _, c := range camps {
+			if _, _, err := b.CloseRound(c.ID, round, 0); err != nil {
+				t.Fatalf("close campaign %d round %d: %v", c.ID, round, err)
+			}
+		}
+	}
+	check("after the closes", rounds*float64(len(camps)))
 }

@@ -1,7 +1,8 @@
 // Package docscheck holds the repository's documentation checks: godoc
 // coverage over the protocol/durability packages, relative-link
-// integrity across every markdown file, and README coverage of every
-// command-line flag the main binaries define. CI's lint and docs jobs
+// integrity across every markdown file, README coverage of every
+// command-line flag the main binaries define, and the reverse: every
+// flag a README flag-table row names exists. CI's lint and docs jobs
 // run these tests (see scripts/checkdocs.sh for the local entry point);
 // they exist so the documentation cannot silently drift from the code.
 package docscheck
@@ -228,6 +229,30 @@ var flagCoveredBinaries = []string{
 	"cmd/eyewnder-eval",
 }
 
+// definedFlags returns every flag name the non-test sources of the
+// command in dir define.
+func definedFlags(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range flagDefRE.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}
+
 // TestREADMEFlagCoverage extracts every flag the server, sim, and eval
 // binaries define from their sources and fails if the README never
 // mentions `-name`. This is the flag-drift check: adding a flag without
@@ -241,29 +266,57 @@ func TestREADMEFlagCoverage(t *testing.T) {
 	}
 	readme := string(raw)
 	for _, cmd := range flagCoveredBinaries {
-		dir := filepath.Join(root, cmd)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", cmd, err)
-		}
-		found := 0
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range flagDefRE.FindAllStringSubmatch(string(src), -1) {
-				found++
-				if !strings.Contains(readme, "-"+m[1]) {
-					t.Errorf("%s defines -%s but README.md never mentions it", cmd, m[1])
-				}
+		names := definedFlags(t, filepath.Join(root, cmd))
+		for _, name := range names {
+			if !strings.Contains(readme, "-"+name) {
+				t.Errorf("%s defines -%s but README.md never mentions it", cmd, name)
 			}
 		}
-		if found == 0 {
+		if len(names) == 0 {
 			t.Errorf("%s: no flag definitions found — extractor regex out of date?", cmd)
+		}
+	}
+}
+
+// flagRowRE captures the first cell of a README table row that names
+// flags: a row starting with a backticked -name.
+var flagRowRE = regexp.MustCompile("(?m)^\\|\\s*(`-[^|]*)\\|")
+
+// flagNameRE captures the name of each backticked -name in a cell
+// (`-churn N` names -churn).
+var flagNameRE = regexp.MustCompile("`-([A-Za-z0-9][A-Za-z0-9-]*)")
+
+// TestREADMEFlagRowsExist is the reverse of TestREADMEFlagCoverage:
+// every flag a README flag-table row names must be defined by some
+// binary under cmd/, so deleting a flag without its row breaks the
+// docs job too.
+func TestREADMEFlagRowsExist(t *testing.T) {
+	root := repoRoot(t)
+	raw, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := make(map[string]bool)
+	for _, c := range cmds {
+		if c.IsDir() {
+			for _, name := range definedFlags(t, filepath.Join(root, "cmd", c.Name())) {
+				defined[name] = true
+			}
+		}
+	}
+	rows := flagRowRE.FindAllStringSubmatch(string(raw), -1)
+	if len(rows) == 0 {
+		t.Fatal("no flag-table rows found in README.md — row regex out of date?")
+	}
+	for _, row := range rows {
+		for _, m := range flagNameRE.FindAllStringSubmatch(row[1], -1) {
+			if !defined[m[1]] {
+				t.Errorf("README.md flag table names -%s, which no cmd/ binary defines", m[1])
+			}
 		}
 	}
 }

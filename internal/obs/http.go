@@ -1,8 +1,8 @@
 // The admin HTTP endpoint: /metrics (Prometheus text), /metrics.json,
 // /statusz (one consistent JSON status snapshot), /healthz, and the
 // standard /debug/pprof/* handlers. eyewnder-server serves this behind
-// -admin; eyewnder-sim serves it behind -scrape so CI can watch a load
-// run from outside the process.
+// -admin; eyewnder-sim serves it behind -scrape so CI can watch a churn
+// replay from outside the process.
 package obs
 
 import (

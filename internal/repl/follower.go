@@ -47,6 +47,21 @@ var errRefused = errors.New("repl: primary refused fetch")
 // run loop answers it by resyncing from that snapshot.
 var errFellBehind = errors.New("repl: segment pruned on primary, resyncing from newer snapshot")
 
+// errGappedBase marks a manifest that cannot seed a resync: its WAL
+// segments from the newest snapshot's generation up (from generation 1
+// when there is no snapshot) are not one unbroken run. A primary's
+// manifest scan can overlap its own snapshot: it lists the old snapshot
+// and segments, which the prune removes before they are stat'ed, and
+// misses the new snapshot, still a temp file. A replica built from the
+// segments left over would lack everything the pruned files held.
+var errGappedBase = errors.New("repl: manifest segments are not an unbroken run from the base")
+
+// maxGapRetries bounds the fresh manifests one resync asks for while
+// the primary keeps listing a gapped base, one poll interval apart. A
+// manifest that overlapped a snapshot is gone by the next ask; a
+// primary whose own directory has a gap fails the resync instead.
+const maxGapRetries = 8
+
 // fatalError wraps an error replication must not continue past:
 // version skew in the stream (store.ErrBadRecord), a deployment
 // mismatch from ApplyEvent, or a local filesystem failure. The run
@@ -347,7 +362,7 @@ func (f *Follower) resync() error {
 	// Fetching can race the primary's pruning: a segment listed in the
 	// manifest may be gone by the time its bytes are requested. Retry
 	// with a fresh manifest until a full pass lands.
-	for {
+	for gaps := 0; ; {
 		select {
 		case <-f.stop:
 			return errors.New("repl: stopped during resync")
@@ -358,6 +373,16 @@ func (f *Follower) resync() error {
 			return err
 		}
 		again, err := f.fetchBase(files)
+		if errors.Is(err, errGappedBase) && gaps < maxGapRetries {
+			gaps++
+			f.opts.Logf("%v, retrying with fresh manifest", err)
+			select {
+			case <-f.stop:
+				return errors.New("repl: stopped during resync")
+			case <-time.After(f.opts.Poll):
+			}
+			continue
+		}
 		if err != nil {
 			return err
 		}
@@ -413,13 +438,18 @@ func (f *Follower) resync() error {
 // fetchBase fetches the resync base: the newest snapshot in the
 // manifest (in full) and every WAL segment at or above its generation,
 // each up to its manifest size. It returns again=true when a fetch hit
-// pruning and the caller should retry with a fresh manifest.
+// pruning and the caller should retry with a fresh manifest, and an
+// errGappedBase error, fetching nothing, when those segments are not
+// an unbroken run.
 func (f *Follower) fetchBase(files []wire.ReplFileInfo) (again bool, err error) {
 	var base uint64
 	for _, fi := range files {
 		if store.FileKind(fi.FileKind) == store.FileSnapshot && fi.Gen > base {
 			base = fi.Gen
 		}
+	}
+	if err := checkUnbroken(files, base); err != nil {
+		return false, err
 	}
 	for _, fi := range files {
 		kind := store.FileKind(fi.FileKind)
@@ -443,6 +473,29 @@ func (f *Follower) fetchBase(files []wire.ReplFileInfo) (again bool, err error) 
 		f.pruneBelow(base)
 	}
 	return false, nil
+}
+
+// checkUnbroken returns an errGappedBase error unless the manifest's
+// WAL segments at or above the base snapshot's generation (1 without
+// one) are exactly that generation and the ones after it. A snapshot
+// needs at least its own segment; a manifest with no segment and no
+// snapshot is an empty primary's base.
+func checkUnbroken(files []wire.ReplFileInfo, base uint64) error {
+	from := max(base, 1)
+	gens := make(map[uint64]bool)
+	for _, fi := range files {
+		if store.FileKind(fi.FileKind) == store.FileWAL && fi.Gen >= from {
+			gens[fi.Gen] = true
+		}
+	}
+	next := from
+	for gens[next] {
+		next++
+	}
+	if int(next-from) == len(gens) && (next > from || base == 0) {
+		return nil
+	}
+	return fmt.Errorf("%w: %d segments at or above generation %d, generation %d missing", errGappedBase, len(gens), from, next)
 }
 
 // fetchInto appends the byte range [localSize, size) of one remote

@@ -301,6 +301,111 @@ func TestFollowerRestartAfterPrune(t *testing.T) {
 	}
 }
 
+// closedRoundWAL runs round 1 to its close on a durable primary that
+// never snapshots, and returns the primary and its first WAL segment's
+// bytes.
+func closedRoundWAL(t *testing.T, params privacy.Params, users int) (*backend.Backend, []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := backendCfg(params, users)
+	cfg.Store = st
+	b, err := backend.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		b.Close()
+		st.Close()
+	})
+	for _, r := range buildReports(t, params, users, 1) {
+		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := b.CloseRound(0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SyncReports(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, store.FileInfo{Kind: store.FileWAL, Gen: 1}.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, raw
+}
+
+// A resync base must be one unbroken run of WAL segments: from the
+// newest snapshot's generation up, or from generation 1 without one. A
+// primary's manifest scan that overlaps its own snapshot can list only
+// a fresh later segment; a follower that took that as its base would
+// serve an empty replica and report itself caught up. It must ask for
+// a fresh manifest instead, and fail the sync after a bounded number of
+// asks while the primary keeps listing the gap.
+func TestFollowerRefusesGappedBase(t *testing.T) {
+	const users = 4
+	params := testParams()
+	// The primary's history: round 1 reported and closed in wal-1, then
+	// a restart's fresh wal-2 holding only the segment magic.
+	b, wal1 := closedRoundWAL(t, params, users)
+
+	for _, tc := range []struct {
+		name    string
+		gapped  int // manifests that leave wal-1 out; -1 = every one
+		wantErr bool
+	}{
+		{"overlapped-snapshot", 1, false},
+		{"gapped-primary", -1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := newFakeSource()
+			src.set(store.FileWAL, 1, wal1, int64(len(wal1)))
+			src.set(store.FileWAL, 2, wal1[:8], 8)
+			src.hide = func(nth int, fi store.FileInfo) bool {
+				return fi.Kind == store.FileWAL && fi.Gen == 1 && (tc.gapped < 0 || nth <= tc.gapped)
+			}
+			p, err := repl.ServePrimary("127.0.0.1:0", src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			f, err := repl.StartFollower(repl.Options{
+				Dir: filepath.Join(t.TempDir(), "mirror"), Addr: p.Addr(),
+				Poll: 2 * time.Millisecond, Logf: t.Logf,
+			}, backendCfg(params, users))
+			src.mu.Lock()
+			asked := src.manifests
+			src.mu.Unlock()
+			if tc.wantErr {
+				if err == nil {
+					f.Stop()
+					t.Fatal("initial sync took a gapped manifest as its base")
+				}
+				if asked < 2 || asked > 20 {
+					t.Fatalf("%d manifests asked before giving up, want a few retries and a bound", asked)
+				}
+				t.Logf("initial sync refused after %d manifests: %v", asked, err)
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Stop()
+			// The initial sync is complete when StartFollower returns: the
+			// replica must already hold round 1.
+			assertMirror(t, b, f.Replica(), 1)
+			waitFor(t, "follower to catch up", func() bool { return f.Status().CaughtUp })
+			if s := f.Status(); s.TailGen != 2 || s.Resyncs != 1 {
+				t.Fatalf("status %+v, want tailing wal-2 after one resync", s)
+			}
+		})
+	}
+}
+
 // fakeSource serves scripted file bytes with a controllable visible
 // size, so tests can freeze a torn (mid-record) tail exactly where
 // they want it. It logs the offset of every read it serves, and an
@@ -316,6 +421,11 @@ type fakeSource struct {
 	// visible bytes from the offset on. ok=true answers the read with
 	// (n, err) instead.
 	fault func(kind store.FileKind, nth int, data, p []byte) (n int, err error, ok bool)
+
+	// hide, when set, sees every file before a manifest lists it: nth
+	// counts Manifest calls (1-based), and true leaves the file out.
+	hide      func(nth int, fi store.FileInfo) bool
+	manifests int
 }
 
 func newFakeSource() *fakeSource {
@@ -348,10 +458,14 @@ func (s *fakeSource) set(kind store.FileKind, gen uint64, data []byte, limit int
 func (s *fakeSource) Manifest() ([]store.FileInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.manifests++
 	var files []store.FileInfo
 	for kind, gens := range s.data {
 		for gen := range gens {
-			files = append(files, store.FileInfo{Kind: kind, Gen: gen, Size: s.limit[kind][gen], Sealed: kind == store.FileSnapshot})
+			fi := store.FileInfo{Kind: kind, Gen: gen, Size: s.limit[kind][gen], Sealed: kind == store.FileSnapshot}
+			if s.hide == nil || !s.hide(s.manifests, fi) {
+				files = append(files, fi)
+			}
 		}
 	}
 	return files, nil
@@ -408,35 +522,7 @@ func recordBoundaries(t *testing.T, raw []byte) []int64 {
 func TestFollowerConvergesTornTail(t *testing.T) {
 	const users = 4
 	params := testParams()
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{SnapshotEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	cfg := backendCfg(params, users)
-	cfg.Store = st
-	b, err := backend.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	for _, r := range buildReports(t, params, users, 1) {
-		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, err := b.CloseRound(0, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SyncReports(); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(filepath.Join(dir, "wal-0000000000000001.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b, raw := closedRoundWAL(t, params, users)
 	offs := recordBoundaries(t, raw)
 	// Cut 3 bytes into the third report record: open + 2 full reports
 	// are visible, the third is torn.

@@ -76,7 +76,7 @@ const DefaultAckBatch = 16
 const maxAdaptiveAckBatch = 64
 
 // defaultPipelineDepth bounds the decoded-but-unfolded frames buffered
-// per connection when StreamOpts does not set PipelineDepth.
+// per connection (the decode-ahead window).
 const defaultPipelineDepth = 4
 
 // ackFixed is the fixed ack payload: seq(8) + status(1).
@@ -107,9 +107,6 @@ type StreamOpts struct {
 	// ack for every frame, which is one ack per frame only when nothing
 	// is in flight (a depth-1 client).
 	AckBatch int
-	// PipelineDepth bounds the decoded-but-unfolded frames buffered per
-	// connection (the decode-ahead window). 0 picks the default.
-	PipelineDepth int
 	// Config, when non-nil, is called to answer each Hello frame with
 	// the current negotiated round config (see handshake.go). It must be
 	// safe for concurrent use and should always reflect the *latest*
@@ -270,11 +267,7 @@ func (s *Server) startStream(conn net.Conn, wmu *sync.Mutex) *connStream {
 	if k < 1 {
 		k, adaptive = DefaultAckBatch, true
 	}
-	depth := s.opts.PipelineDepth
-	if depth < 1 {
-		depth = defaultPipelineDepth
-	}
-	st := newConnStream(k, adaptive, depth)
+	st := newConnStream(k, adaptive, defaultPipelineDepth)
 	s.runStream(conn, wmu, st)
 	return st
 }

@@ -176,7 +176,7 @@ func (s *recordingSink) ConsumeReport(f *ReportFrame) error {
 func TestServerStreamedReports(t *testing.T) {
 	sink := &recordingSink{}
 	echo := func(m *Msg) (string, interface{}, error) { return "echo", struct{}{}, nil }
-	srv, err := ServeWithSink("127.0.0.1:0", echo, sink)
+	srv, err := ServeWithSinkOpts("127.0.0.1:0", echo, sink, StreamOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +219,9 @@ func TestServerStreamedReports(t *testing.T) {
 // and the connection must survive it.
 func TestServerStreamedReportSinkError(t *testing.T) {
 	sink := &recordingSink{err: fmt.Errorf("round closed")}
-	srv, err := ServeWithSink("127.0.0.1:0", func(m *Msg) (string, interface{}, error) {
+	srv, err := ServeWithSinkOpts("127.0.0.1:0", func(m *Msg) (string, interface{}, error) {
 		return "echo", struct{}{}, nil
-	}, sink)
+	}, sink, StreamOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

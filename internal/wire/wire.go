@@ -111,7 +111,7 @@ type ErrorPayload struct {
 
 // Server accepts connections and serves request/response exchanges with a
 // Handler. One goroutine per connection; requests on a connection are
-// processed in order. Servers constructed with ServeWithSink additionally
+// processed in order. Servers constructed with ServeWithSinkOpts additionally
 // accept streamed report frames, routed to the ReportSink instead of the
 // Handler; a connection that negotiates batched acknowledgements
 // (TypeAckBatch, see batch.go) further gains a fold goroutine that
@@ -133,17 +133,11 @@ type Server struct {
 
 // Serve starts a server on addr ("127.0.0.1:0" picks a free port).
 func Serve(addr string, handler Handler) (*Server, error) {
-	return ServeWithSink(addr, handler, nil)
+	return ServeWithSinkOpts(addr, handler, nil, StreamOpts{})
 }
 
-// ServeWithSink starts a server that also accepts streamed report frames,
-// delivering them to sink, with default streaming options.
-func ServeWithSink(addr string, handler Handler, sink ReportSink) (*Server, error) {
-	return ServeWithSinkOpts(addr, handler, sink, StreamOpts{})
-}
-
-// ServeWithSinkOpts is ServeWithSink with explicit batched-ack and
-// pipelining options.
+// ServeWithSinkOpts starts a server that also accepts streamed report
+// frames, delivering them to sink, with the given batched-ack options.
 func ServeWithSinkOpts(addr string, handler Handler, sink ReportSink, opts StreamOpts) (*Server, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -7,17 +7,16 @@
 #     every (campaign, round) count against an unblinded oracle. Run
 #     it twice with one seed: both runs must match their oracles on
 #     every campaign-round AND produce the same fold digest.
-#  2. Concurrent load — `eyewnder-sim -load -load-campaigns` multiplexes
-#     campaign 0 plus N provisioned campaigns over one batched
-#     connection with -scrape live. The per-campaign
-#     eyewnder_campaign_reports_accepted_total series must be visible
-#     mid-run and their deltas must sum to the summary's report count.
-#  3. Durable directory + config bump + SIGKILL — `eyewnder-server
+#  2. Durable directory + config bump + SIGKILL — `eyewnder-server
 #     -campaigns` provisions a directory on a durable store, serves a
 #     full client round, dies by SIGKILL, and restarts with a bumped
 #     spec that changes retain/cadence ONLY (geometry is pinned by
 #     live rounds). The recovered /statusz must show the closed round,
 #     the intact directory, and the bumped knobs.
+#
+# The per-campaign accepted counters of campaigns multiplexed over one
+# connection are reconciled in Go, by internal/backend's
+# TestCampaignCountersOverOneStream.
 #
 # Usage: multicampaign_e2e.sh <bin-dir> <artifact-dir>
 #   bin-dir      : directory holding eyewnder-sim, eyewnder-server,
@@ -32,7 +31,6 @@ mkdir -p "$arts"
 BE=127.0.0.1:7941
 OPRF=127.0.0.1:7942
 ADMIN=127.0.0.1:7943
-SCRAPE=127.0.0.1:7944
 
 dir="$(mktemp -d)"
 pids=()
@@ -85,28 +83,7 @@ if [ -z "$d1" ] || [ "$d1" != "$d2" ]; then
 fi
 echo "   digest $d1 reproduced"
 
-echo "== 2. load: campaign 0 + 4 campaigns multiplexed, scraped live =="
-"$bin/eyewnder-sim" -load 24 -load-rounds 2 -load-campaigns 4 -load-ads 20 \
-    -scrape "$SCRAPE" >"$dir/load.out" 2>"$arts/load_run.log" &
-load_pid=$!
-pids+=($load_pid)
-# The per-campaign series must be live on /metrics while ingest runs.
-poll_until 60 sh -c "curl -sf http://$SCRAPE/metrics | grep -q 'eyewnder_campaign_reports_accepted_total{campaign=\"4\"}'"
-curl -sf "http://$SCRAPE/metrics" >"$arts/load_metrics_midrun.txt"
-grep -c '^eyewnder_campaign_reports_accepted_total{' "$arts/load_metrics_midrun.txt" \
-    | grep -qx 5 # campaign 0 plus campaigns 1..4
-wait "$load_pid"
-tail -1 "$dir/load.out" >"$arts/load_summary.json"
-jq_check "$arts/load_summary.json" '.campaigns == 4'
-# 24 users x 2 rounds x (campaign 0 + 4 campaigns) frames accepted.
-jq_check "$arts/load_summary.json" '.reports == .users * .rounds * 5'
-jq_check "$arts/load_summary.json" '.metrics["eyewnder_reports_accepted_total"] == .reports'
-jq_check "$arts/load_summary.json" '.metrics["eyewnder_rounds_closed_total"] == .rounds * 5'
-# The scraped per-campaign accepted series sum exactly to the summary.
-jq_check "$arts/load_summary.json" \
-    '.reports as $r | [.metrics | to_entries[] | select(.key | startswith("eyewnder_campaign_reports_accepted_total{")) | .value] | length == 5 and add == $r'
-
-echo "== 3. server: durable directory, SIGKILL, retain/cadence bump =="
+echo "== 2. server: durable directory, SIGKILL, retain/cadence bump =="
 spec1='id=1,name=autos,eps=0.02,delta=0.01,ids=4096,retain=2,cadence=300;id=2,name=travel,eps=0.01,delta=0.01,ids=8192,ks=aes-ctr'
 "$bin/eyewnder-server" -backend "$BE" -oprf "$OPRF" -users 3 \
     -campaigns "$spec1" -data-dir "$dir/server" -admin "$ADMIN" \
@@ -129,7 +106,10 @@ c1=$!
 "$bin/eyewnder-client" -backend "$BE" -oprf "$OPRF" -user 2 -visits 10 -close >"$dir/c2.log" 2>&1
 wait "$c0" "$c1"
 grep -q "closed: Users_th" "$dir/c2.log"
-curl -sf "http://$ADMIN/metrics" | grep -q '^eyewnder_campaign_reports_accepted_total{campaign="0"} 3$'
+# Scrape to a file first: under pipefail, `curl | grep -q` fails when
+# grep exits at its match before curl has written the whole body.
+curl -sf "http://$ADMIN/metrics" >"$arts/metrics_round1.txt"
+grep -q '^eyewnder_campaign_reports_accepted_total{campaign="0"} 3$' "$arts/metrics_round1.txt"
 
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
@@ -161,4 +141,4 @@ r1=$!
 wait "$r0" "$r1"
 grep -q "closed: Users_th" "$dir/r2.log"
 
-echo "OK: campaigns multiplexed, scraped, crashed, bumped, recovered"
+echo "OK: campaigns oracle-matched, crashed, bumped, recovered"
