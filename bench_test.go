@@ -1,6 +1,6 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (see DESIGN.md §3 for the experiment index), plus
-// the ablation benches for the design choices DESIGN.md §4 calls out.
+// paper's evaluation (ARCHITECTURE.md §4 maps each paper section to its
+// package), plus ablation benches for the design choices behind them.
 //
 // Each benchmark runs the corresponding experiment end to end and
 // reports the headline quantity of the table/figure as a custom metric,
@@ -203,7 +203,7 @@ func BenchmarkFig5_PredictedProbabilities(b *testing.B) {
 	b.ReportMetric(p, "P(targeted|60-70)")
 }
 
-// --- Ablation benches (DESIGN.md §4) ---
+// --- Ablation benches (design choices; ARCHITECTURE.md §4) ---
 
 // BenchmarkAblation_ThresholdEstimators compares the four estimators and
 // reports the FN% spread between the best and worst.

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -844,6 +845,7 @@ func (f *Follower) setStatus(connected, caughtUp bool) {
 // transient error.
 type conn struct {
 	nc  net.Conn
+	br  *bufio.Reader // every read of nc goes through it
 	buf []byte
 }
 
@@ -858,12 +860,13 @@ func dialPrimary(addr string) (*conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	if _, err := wire.ReadReplHello(nc); err != nil {
+	br := bufio.NewReader(nc)
+	if _, err := wire.ReadReplHello(br); err != nil {
 		nc.Close()
 		return nil, err
 	}
 	nc.SetDeadline(time.Time{})
-	return &conn{nc: nc}, nil
+	return &conn{nc: nc, br: br}, nil
 }
 
 func (c *conn) close() { c.nc.Close() }
@@ -875,7 +878,7 @@ func (c *conn) manifest() ([]wire.ReplFileInfo, error) {
 	if err := wire.WriteReplFrame(c.nc, wire.ReplManifestReq, nil); err != nil {
 		return nil, err
 	}
-	kind, body, buf, err := wire.ReadReplFrame(c.nc, c.buf)
+	kind, body, buf, err := wire.ReadReplFrame(c.br, c.buf)
 	c.buf = buf
 	if err != nil {
 		return nil, err
@@ -908,7 +911,7 @@ func (c *conn) sendFetch(fileKind byte, gen uint64, off int64, maxLen uint32) er
 func (c *conn) readChunk() (data []byte, flags byte, err error) {
 	c.nc.SetReadDeadline(time.Now().Add(opTimeout))
 	defer c.nc.SetReadDeadline(time.Time{})
-	kind, body, buf, err := wire.ReadReplFrame(c.nc, c.buf)
+	kind, body, buf, err := wire.ReadReplFrame(c.br, c.buf)
 	c.buf = buf
 	if err != nil {
 		return nil, 0, err

@@ -25,6 +25,7 @@
 package repl
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -132,13 +133,16 @@ func (p *Primary) serveConn(nc net.Conn) {
 	if err := wire.WriteReplHello(nc); err != nil {
 		return
 	}
-	if _, err := wire.ReadReplHello(nc); err != nil {
+	// Every read goes through one buffered reader, so a request frame
+	// costs one read syscall, not three.
+	br := bufio.NewReader(nc)
+	if _, err := wire.ReadReplHello(br); err != nil {
 		return
 	}
 	var buf []byte // request frame scratch
 	var chunk []byte
 	for {
-		kind, body, newBuf, err := wire.ReadReplFrame(nc, buf)
+		kind, body, newBuf, err := wire.ReadReplFrame(br, buf)
 		buf = newBuf
 		if err != nil {
 			return

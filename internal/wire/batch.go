@@ -562,7 +562,7 @@ func (c *Client) negotiateAckBatch() error {
 // holds the submission discipline (c.mu for one-shot submits, the open
 // ReportStream otherwise).
 func (c *Client) readAckInto(remote *error) error {
-	seq, errMsg, err := readAckFrame(c.conn)
+	seq, errMsg, err := readAckFrame(c.br)
 	if err != nil {
 		return err
 	}
@@ -579,7 +579,7 @@ func (c *Client) readAckInto(remote *error) error {
 // submitFrameBatched is the one-shot submit on a batched connection:
 // frame + flush marker out, acks drained back in. Caller holds c.mu.
 func (c *Client) submitFrameBatched(f *ReportFrame) error {
-	if err := WriteReportFrame(c.conn, f); err != nil {
+	if err := c.rw.write(c.conn, f); err != nil {
 		return err
 	}
 	c.rsSent++
@@ -609,7 +609,7 @@ func (s *ReportStream) Submit(f *ReportFrame) error {
 	if s.remote != nil {
 		return s.remote
 	}
-	if err := WriteReportFrame(s.conn, f); err != nil {
+	if err := s.c.rw.write(s.conn, f); err != nil {
 		s.dead = err
 		return err
 	}

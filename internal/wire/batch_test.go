@@ -300,7 +300,8 @@ func TestReadAckFrameShortAndCorrupt(t *testing.T) {
 func TestAckSequenceOutsideWindow(t *testing.T) {
 	srvConn, cliConn := net.Pipe()
 	defer srvConn.Close()
-	c := &Client{conn: cliConn, ackBatch: 1}
+	c := newClient(cliConn)
+	c.ackBatch = 1
 	done := make(chan error, 1)
 	go func() {
 		// Fake server: swallow the frame+marker, ack far beyond sent.

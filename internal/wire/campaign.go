@@ -161,13 +161,13 @@ func ReadCampaignDirFrame(r io.Reader) ([]campaign.Campaign, error) {
 	return list, nil
 }
 
-// answerCampaignDir consumes a directory request payload (header word
-// already read by serveConn) and responds with the provisioned
+// answerCampaignDir consumes a directory request payload from r (header
+// word already read by serveConn) and responds with the provisioned
 // directory — empty when the server has none. A malformed request is a
 // framing error: the stream position is unknown, so the connection
 // drops.
-func (s *Server) answerCampaignDir(conn net.Conn, wmu *sync.Mutex) error {
-	if _, _, err := ReadCampaignDirRequest(conn); err != nil {
+func (s *Server) answerCampaignDir(r io.Reader, conn net.Conn, wmu *sync.Mutex) error {
+	if _, _, err := ReadCampaignDirRequest(r); err != nil {
 		return err
 	}
 	var list []campaign.Campaign
@@ -203,7 +203,7 @@ func (c *Client) CampaignDirectory() ([]campaign.Campaign, error) {
 	if err := WriteCampaignDirRequest(c.conn); err != nil {
 		return nil, err
 	}
-	list, err := ReadCampaignDirFrame(c.conn)
+	list, err := ReadCampaignDirFrame(c.br)
 	if err != nil && !errors.Is(err, ErrBadCampaignFrame) && isConnDropped(err) {
 		return nil, ErrNoDirectory
 	}

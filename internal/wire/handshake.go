@@ -229,13 +229,13 @@ func ReadWelcomeFrame(r io.Reader) (status byte, cfg ConfigFrame, err error) {
 	return status, cfg, nil
 }
 
-// answerHello consumes a Hello payload (header word already read by
-// serveConn) and responds with the advertised config — or
+// answerHello consumes a Hello payload from r (header word already read
+// by serveConn) and responds with the advertised config — or
 // WelcomeNoConfig when the server has none, or WelcomeIncompatible when
 // the revision ranges do not overlap. A malformed Hello is a framing
 // error: the stream position is unknown, so the connection drops.
-func (s *Server) answerHello(conn net.Conn, wmu *sync.Mutex) error {
-	minRev, maxRev, err := ReadHelloFrame(conn)
+func (s *Server) answerHello(r io.Reader, conn net.Conn, wmu *sync.Mutex) error {
+	minRev, maxRev, err := ReadHelloFrame(r)
 	if err != nil {
 		return err
 	}
@@ -296,7 +296,7 @@ func (c *Client) Handshake() (ConfigFrame, error) {
 // perfectly handshake-capable server) pass through unchanged, so the
 // operator is not sent down a wrong-version debugging path by a blip.
 func (c *Client) readWelcome() (byte, ConfigFrame, error) {
-	status, cfg, err := ReadWelcomeFrame(c.conn)
+	status, cfg, err := ReadWelcomeFrame(c.br)
 	if err != nil && !errors.Is(err, ErrBadWelcomeFrame) && isConnDropped(err) {
 		return 0, cfg, fmt.Errorf("%w: %v", ErrNoHandshake, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 )
 
 // Replication protocol frames. The segment-shipping conversation
@@ -115,7 +116,8 @@ func ReadReplHello(r io.Reader) (uint32, error) {
 	return rev, nil
 }
 
-// WriteReplFrame frames and writes one replication frame.
+// WriteReplFrame frames and writes one replication frame in a single
+// (vectored) Write.
 func WriteReplFrame(w io.Writer, kind byte, body []byte) error {
 	if len(body) > MaxFrame {
 		return ErrFrameTooLarge
@@ -123,19 +125,12 @@ func WriteReplFrame(w io.Writer, kind byte, body []byte) error {
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
 	hdr[4] = kind
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
 	crc := crc32.Update(0, replCastagnoli, hdr[4:5])
 	crc = crc32.Update(crc, replCastagnoli, body)
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc)
-	_, err := w.Write(tail[:])
+	bufs := net.Buffers{hdr[:], body, tail[:]}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 

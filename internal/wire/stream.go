@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 
 	"eyewnder/internal/privacy"
@@ -14,13 +15,14 @@ import (
 // Streamed report frames: the one way a report enters the back-end. A
 // JSON envelope would cost three full copies of the ~150 KB sketch per
 // report (base64 text, the decoded []byte, the unmarshalled cell slice)
-// plus the JSON parse itself. A report frame instead carries the sketch header and
-// the raw little-endian cell block; the server reads the cells straight
-// off the socket into a pooled []uint64 — on little-endian hosts the
-// io.ReadFull target IS the cell slice's backing memory — and hands the
-// borrowed slice to a ReportSink, which folds it into the round aggregate
-// and returns. No intermediate []byte of the message ever exists, and
-// steady-state ingestion allocates nothing per report.
+// plus the JSON parse itself. A report frame instead carries the sketch
+// header and the raw little-endian cell block; the server reads the cells
+// off the socket into a pooled []uint64 — on little-endian hosts the bulk
+// of the block goes straight into the cell slice's backing memory (see
+// readBufSize) — and hands the borrowed slice to a ReportSink, which
+// folds it into the round aggregate and returns. No intermediate []byte
+// of the message ever exists, and steady-state ingestion allocates
+// nothing per report.
 //
 // Framing: the 4-byte big-endian header word sets its top bit to mark a
 // report frame (JSON payload lengths are capped at MaxFrame = 16 MiB, so
@@ -201,10 +203,26 @@ func (b *reportBuf) cellSlice(n int) []uint64 {
 	return b.cells[:cap(b.cells)][:n]
 }
 
-// WriteReportFrame writes one streamed report. The cell block goes out
-// as the slice's raw byte view on little-endian hosts (no encode copy);
-// elsewhere it is encoded through a scratch buffer.
+// WriteReportFrame writes one streamed report in a single (vectored)
+// Write. The cell block goes out as the slice's raw byte view on
+// little-endian hosts (no encode copy); elsewhere it is encoded through a
+// scratch buffer.
 func WriteReportFrame(w io.Writer, f *ReportFrame) error {
+	var rw reportWriter
+	return rw.write(w, f)
+}
+
+// reportWriter is the scratch a report frame is written from: the header
+// word and preamble, and the vector that carries them and the cell block
+// out in one writev. A Client keeps one, so submitting a frame allocates
+// nothing.
+type reportWriter struct {
+	hdr  [4 + reportPreamble]byte
+	iov  [2][]byte
+	bufs net.Buffers
+}
+
+func (rw *reportWriter) write(w io.Writer, f *ReportFrame) error {
 	cells := uint64(f.D) * uint64(f.W)
 	if f.D < 1 || f.W < 1 || uint64(len(f.Cells)) != cells || f.Campaign > maxWireCampaign {
 		return ErrBadReportFrame
@@ -213,7 +231,7 @@ func WriteReportFrame(w io.Writer, f *ReportFrame) error {
 	if payload > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4 + reportPreamble]byte
+	hdr := rw.hdr[:]
 	binary.BigEndian.PutUint32(hdr[0:], uint32(payload)|reportFlag)
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(f.User))
 	binary.LittleEndian.PutUint64(hdr[12:], f.Round)
@@ -225,16 +243,17 @@ func WriteReportFrame(w io.Writer, f *ReportFrame) error {
 	hdr[53] = f.Kind
 	binary.LittleEndian.PutUint16(hdr[54:], uint16(f.Campaign))
 	binary.LittleEndian.PutUint32(hdr[56:], f.ConfigVersion)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	view, ok := vec.AsBytes(f.Cells)
+	if !ok {
+		view = make([]byte, 8*len(f.Cells))
+		vec.PutLE(view, f.Cells)
 	}
-	if view, ok := vec.AsBytes(f.Cells); ok {
-		_, err := w.Write(view)
-		return err
-	}
-	buf := make([]byte, 8*len(f.Cells))
-	vec.PutLE(buf, f.Cells)
-	_, err := w.Write(buf)
+	// WriteTo consumes the vector as it writes, so it is rebuilt per
+	// frame, and cleared after so the scratch keeps no caller cells alive.
+	rw.iov = [2][]byte{hdr, view}
+	rw.bufs = rw.iov[:]
+	_, err := rw.bufs.WriteTo(w)
+	rw.iov = [2][]byte{}
 	return err
 }
 
@@ -311,10 +330,10 @@ func (c *Client) SubmitReportFrame(f *ReportFrame) error {
 	if c.ackBatch > 0 {
 		return c.submitFrameBatched(f)
 	}
-	if err := WriteReportFrame(c.conn, f); err != nil {
+	if err := c.rw.write(c.conn, f); err != nil {
 		return err
 	}
-	resp, err := ReadMsg(c.conn)
+	resp, err := ReadMsg(c.br)
 	if err != nil {
 		return err
 	}

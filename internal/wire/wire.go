@@ -21,6 +21,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -33,6 +34,13 @@ import (
 
 // MaxFrame bounds a single frame's payload (16 MiB).
 const MaxFrame = 16 << 20
+
+// readBufSize is the per-connection read buffer. It is small on purpose:
+// bufio reads a destination at least this large straight from the
+// socket, so of a report's cell block only the bytes already buffered
+// when it begins and a tail shorter than the buffer are copied through
+// it.
+const readBufSize = 4 << 10
 
 // Errors returned by the package.
 var (
@@ -54,28 +62,39 @@ func (m *Msg) Decode(v interface{}) error {
 	return json.Unmarshal(m.Payload, v)
 }
 
-// WriteMsg frames and writes one message.
+// WriteMsg frames and writes one message in a single Write.
 func WriteMsg(w io.Writer, typ string, payload interface{}) error {
-	env := Msg{Type: typ}
+	var buf []byte
+	return writeMsg(w, &buf, typ, payload)
+}
+
+// writeMsg is WriteMsg framing into *buf, which it keeps for reuse. The
+// bytes are those of json.Marshal(Msg{typ, json.Marshal(payload)}) behind
+// the length word, with the payload marshalled once: the envelope is
+// spliced around it rather than re-encoded, which would re-scan and
+// re-compact the whole payload.
+func writeMsg(w io.Writer, buf *[]byte, typ string, payload interface{}) error {
+	quoted, err := json.Marshal(typ)
+	if err != nil {
+		return err
+	}
+	frame := append((*buf)[:0], 0, 0, 0, 0)
+	frame = append(frame, `{"type":`...)
+	frame = append(frame, quoted...)
 	if payload != nil {
 		raw, err := json.Marshal(payload)
 		if err != nil {
 			return fmt.Errorf("wire: marshal %s: %w", typ, err)
 		}
-		env.Payload = raw
+		frame = append(frame, `,"payload":`...)
+		frame = append(frame, raw...)
 	}
-	frame, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
-	if len(frame) > MaxFrame {
+	frame = append(frame, '}')
+	*buf = frame
+	if len(frame)-4 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	_, err = w.Write(frame)
 	return err
 }
@@ -143,6 +162,11 @@ func ServeWithSinkOpts(addr string, handler Handler, sink ReportSink, opts Strea
 	if err != nil {
 		return nil, err
 	}
+	return serve(lis, handler, sink, opts), nil
+}
+
+// serve starts a server on an open listener, which it then owns.
+func serve(lis net.Listener, handler Handler, sink ReportSink, opts StreamOpts) *Server {
 	s := &Server{
 		lis:     lis,
 		handler: handler,
@@ -154,7 +178,7 @@ func ServeWithSinkOpts(addr string, handler Handler, sink ReportSink, opts Strea
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the listening address.
@@ -175,9 +199,19 @@ func (s *Server) acceptLoop() {
 			}
 		}
 		s.mu.Lock()
+		select {
+		case <-s.done:
+			// Close has begun and may already have swept s.conns: a conn
+			// registered now would never be closed, and Close would wait
+			// on its serveConn forever.
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go s.serveConn(conn)
 	}
 }
@@ -204,11 +238,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	// wbuf is the connection's JSON response buffer, reused under wmu:
+	// each response leaves in one Write.
+	var wbuf []byte
 	writeResp := func(respType string, resp interface{}) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		return WriteMsg(conn, respType, resp)
+		return writeMsg(conn, &wbuf, respType, resp)
 	}
+	// br is the connection's one reader: every header word and payload is
+	// read through it, so a small frame costs no read syscall of its own,
+	// while the bulk of a cell block is still read straight into the
+	// pooled slice (see readBufSize).
+	br := bufio.NewReaderSize(conn, readBufSize)
 	// buf is the connection's JSON frame buffer, grown to the largest
 	// frame seen and reused across requests. This removes the per-request
 	// frame allocation; json.Unmarshal still copies the payload bytes into
@@ -222,7 +264,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	shard := m.framesDecoded.NextShard()
 	for {
 		var hdr [4]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return // EOF or broken peer: drop the connection
 		}
 		word := binary.BigEndian.Uint32(hdr[:])
@@ -236,7 +278,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				// and it may arrive at any point in the conversation —
 				// a long-lived client re-checks the config between
 				// rounds on the same connection.
-				if err := s.answerHello(conn, &wmu); err != nil {
+				if err := s.answerHello(br, conn, &wmu); err != nil {
 					return
 				}
 				continue
@@ -244,7 +286,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if n == campaignDirReqPayload {
 				// Campaign directory request (campaign.go), routed by
 				// payload length exactly like the Hello.
-				if err := s.answerCampaignDir(conn, &wmu); err != nil {
+				if err := s.answerCampaignDir(br, conn, &wmu); err != nil {
 					return
 				}
 				continue
@@ -260,7 +302,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					continue
 				}
 				rb := reportBufPool.Get().(*reportBuf)
-				frame, err := readReportFrame(conn, n, rb)
+				frame, err := readReportFrame(br, n, rb)
 				if err != nil {
 					reportBufPool.Put(rb)
 					return
@@ -280,7 +322,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// this one-ack-per-frame path every report pays its own
 			// barrier (the batched path amortizes it).
 			rb := reportBufPool.Get().(*reportBuf)
-			frame, err := readReportFrame(conn, n, rb)
+			frame, err := readReportFrame(br, n, rb)
 			if err != nil {
 				reportBufPool.Put(rb)
 				return
@@ -313,7 +355,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			buf = make([]byte, word)
 		}
 		buf = buf[:word]
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return
 		}
 		var req Msg
@@ -373,6 +415,9 @@ func (s *Server) Close() error {
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
+	br   *bufio.Reader // every read of conn goes through it
+	wbuf []byte        // JSON request buffer, reused under mu
+	rw   reportWriter  // report-frame header scratch
 
 	// Batched-ack state (batch.go). ackBatch > 0 once the connection has
 	// negotiated batched acknowledgements; report submissions are then
@@ -392,7 +437,12 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return newClient(conn), nil
+}
+
+// newClient wraps an open connection to a wire server.
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, br: bufio.NewReaderSize(conn, readBufSize)}
 }
 
 // Do sends a request and decodes the response into respOut (which may be
@@ -408,10 +458,10 @@ func (c *Client) Do(reqType string, payload interface{}, respOut interface{}) er
 	if c.streaming {
 		return ErrStreaming
 	}
-	if err := WriteMsg(c.conn, reqType, payload); err != nil {
+	if err := writeMsg(c.conn, &c.wbuf, reqType, payload); err != nil {
 		return err
 	}
-	resp, err := ReadMsg(c.conn)
+	resp, err := ReadMsg(c.br)
 	if err != nil {
 		return err
 	}
