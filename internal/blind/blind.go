@@ -15,10 +15,11 @@
 //
 // The PRF is expanded in counter mode under one of two suites (see the
 // Keystream type): HMAC-SHA256 (suite 0x00, four factors per invocation)
-// or AES-256-CTR (suite 0x01, eight factors per AES-NI-pipelined 64-byte
+// or AES-256-CTR (suite 0x01, 64 factors per AES-NI-pipelined 512-byte
 // refill). The independent pairwise streams are fanned out across CPU
-// cores. The suite is protocol state — reports carry the byte and the
-// aggregator rejects mixed-suite rounds.
+// cores, and so are the n−1 key agreements that derive their keys. The
+// suite is protocol state — reports carry the byte and the aggregator
+// rejects mixed-suite rounds.
 //
 // Fault tolerance (Section 6, "Fault-tolerance"): if a subset of users
 // fails to report, the residual noise in the aggregate is exactly the sum
@@ -64,7 +65,7 @@ const (
 	// four 64-bit factors per PRF invocation. The original expansion.
 	KeystreamHMACSHA256 Keystream = 0x00
 	// KeystreamAESCTR (suite byte 0x01) is AES-256-CTR over a
-	// domain-separated key: eight factors per 64-byte refill, and the
+	// domain-separated key: 64 factors per 512-byte refill, and the
 	// bulk keystream generation rides AES-NI.
 	KeystreamAESCTR Keystream = 0x01
 )
@@ -136,19 +137,33 @@ func NewPartyKeystream(priv group.PrivateKey, roster [][]byte, index int, ks Key
 		return nil, ErrNotInRoster
 	}
 	p := &Party{index: index, n: n, pairKeys: make([][]byte, n), peers: make([]int, 0, n-1), ks: ks}
-	for j, pub := range roster {
+	// The key agreements are independent: each worker fills only its own
+	// pairKeys[j] and errs[j] slots, and the ascending walk after the join
+	// reports the lowest-index bad key, as a serial loop would.
+	errs := make([]error, n)
+	vec.Parallel(n, minPeersPerWorker, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			if j != index {
+				p.pairKeys[j], errs[j] = priv.SharedSecret(roster[j])
+			}
+		}
+	})
+	for j := range roster {
 		if j == index {
 			continue
 		}
-		k, err := priv.SharedSecret(pub)
-		if err != nil {
-			return nil, fmt.Errorf("blind: deriving pair key with user %d: %w", j, err)
+		if errs[j] != nil {
+			return nil, fmt.Errorf("blind: deriving pair key with user %d: %w", j, errs[j])
 		}
-		p.pairKeys[j] = k
 		p.peers = append(p.peers, j)
 	}
 	return p, nil
 }
+
+// minPeersPerWorker bounds how finely NewPartyKeystream splits its key
+// agreements across workers. One P-256 ECDH costs about 70 µs, so eight
+// of them dwarf the cost of starting a goroutine.
+const minPeersPerWorker = 8
 
 // Index returns the party's roster position.
 func (p *Party) Index() int { return p.index }

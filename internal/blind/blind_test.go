@@ -1,7 +1,11 @@
 package blind
 
 import (
+	"bytes"
 	"crypto/rand"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +259,78 @@ func TestNewPartyValidation(t *testing.T) {
 	}
 }
 
+// rosterKeys generates n key pairs under the suite and returns the
+// private keys with the bulletin board of their public keys.
+func rosterKeys(t testing.TB, s group.Suite, n int) ([]group.PrivateKey, [][]byte) {
+	t.Helper()
+	privs := make([]group.PrivateKey, n)
+	pubs := make([][]byte, n)
+	for i := range privs {
+		k, err := s.GenerateKey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		privs[i], pubs[i] = k, k.PublicKey()
+	}
+	return privs, pubs
+}
+
+// The key agreements fan out over cores; a party built on one core and
+// one built on four must hold the same keys in the same peer order and
+// so blind identically.
+func TestNewPartyParallelMatchesSerial(t *testing.T) {
+	const n, index = 40, 17
+	for _, s := range []group.Suite{group.P256(), group.MODP2048()} {
+		privs, pubs := rosterKeys(t, s, n)
+		for _, ks := range []Keystream{KeystreamHMACSHA256, KeystreamAESCTR} {
+			build := func(procs int) *Party {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				p, err := NewPartyKeystream(privs[index], pubs, index, ks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			serial, parallel := build(1), build(4)
+			for j := range serial.pairKeys {
+				if !bytes.Equal(serial.pairKeys[j], parallel.pairKeys[j]) {
+					t.Fatalf("%s/%v: pair key %d differs", s.Name(), ks, j)
+				}
+			}
+			if len(serial.peers) != n-1 || len(parallel.peers) != n-1 {
+				t.Fatalf("%s/%v: %d and %d peers, want %d", s.Name(), ks, len(serial.peers), len(parallel.peers), n-1)
+			}
+			for i := range serial.peers {
+				if serial.peers[i] != parallel.peers[i] {
+					t.Fatalf("%s/%v: peer order differs at %d", s.Name(), ks, i)
+				}
+			}
+			a, b := serial.Blinding(7, 5000), parallel.Blinding(7, 5000)
+			for m := range a {
+				if a[m] != b[m] {
+					t.Fatalf("%s/%v: blinding differs at cell %d", s.Name(), ks, m)
+				}
+			}
+		}
+	}
+}
+
+// With several malformed roster keys the error names the lowest index,
+// whichever worker reached its key first.
+func TestNewPartyReportsFirstBadKey(t *testing.T) {
+	privs, pubs := rosterKeys(t, group.P256(), 48)
+	pubs[40] = []byte{1, 2, 3}
+	pubs[9] = []byte{4, 5, 6}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, err := NewParty(privs[0], pubs, 0)
+	if !errors.Is(err, group.ErrBadPublicKey) {
+		t.Fatalf("err = %v, want ErrBadPublicKey", err)
+	}
+	if !strings.HasPrefix(err.Error(), "blind: deriving pair key with user 9: ") {
+		t.Fatalf("err = %q, want it to name user 9", err)
+	}
+}
+
 func TestNewRosterValidation(t *testing.T) {
 	if _, err := NewRoster(group.P256(), 1, rand.Reader); err != ErrRosterTooSmall {
 		t.Fatalf("err = %v", err)
@@ -333,5 +409,17 @@ func BenchmarkBlindingVector5kCells(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Blinding(uint64(i), 5000)
+	}
+}
+
+// BenchmarkNewParty96 is one party's key agreement against a 96-user
+// P-256 roster: 95 ECDHs, fanned out over cores.
+func BenchmarkNewParty96(b *testing.B) {
+	privs, pubs := rosterKeys(b, group.P256(), 96)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewParty(privs[0], pubs, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -21,7 +21,7 @@ const factorsPerBlock = sha256.Size / 8
 // is randomly accessible by seeking the block counter (the `cell`
 // parameter of init). Production currently shards work per peer and
 // always starts at cell 0; the seek is what would let a future layout
-// stripe a single pair's cells across workers (ROADMAP open item).
+// stripe a single pair's cells across workers.
 //
 // The HMAC state and output buffer are allocated once at construction and
 // reused for every block, so factor generation is allocation-free after

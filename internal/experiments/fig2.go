@@ -203,10 +203,11 @@ func Overhead(rsaBits int, suite group.Suite) (*OverheadReport, error) {
 		rep.BlindingTrafficMB[n] = float64(blind.TrafficBytes(suite, n)) / 1e6
 	}
 
-	// Blinding compute: derive one user's factors for 5k cells against a
-	// 1k roster. Deriving the 999 pairwise keys dominates; reuse a small
-	// roster's party and scale the PRF loop honestly by calling it with a
-	// 1000-user roster constructed once.
+	// Blinding compute: one user's factors for 5k cells against a 1k
+	// roster. Building a 1000-user roster would cost a million key
+	// agreements, so this times one Blinding call of a 64-user roster's
+	// party (63 peer keystreams, spread over every core) and extrapolates
+	// the wall time linearly to 999 peers.
 	roster, err := blind.NewRoster(suite, 64, rand.Reader)
 	if err != nil {
 		return nil, err

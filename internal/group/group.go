@@ -50,6 +50,8 @@ type PrivateKey interface {
 	// SharedSecret derives the 32-byte pairwise secret with the peer
 	// holding the given encoded public key. SharedSecret is symmetric:
 	// a.SharedSecret(b.PublicKey()) == b.SharedSecret(a.PublicKey()).
+	// It only reads the key, so it is safe for concurrent use: callers
+	// may derive secrets with many peers in parallel.
 	SharedSecret(peerPublic []byte) ([]byte, error)
 }
 

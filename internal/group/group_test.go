@@ -3,6 +3,7 @@ package group
 import (
 	"bytes"
 	"crypto/rand"
+	"sync"
 	"testing"
 )
 
@@ -78,6 +79,54 @@ func TestRejectsBadPublicKey(t *testing.T) {
 	one[len(one)-1] = 1
 	if _, err := k.SharedSecret(one); err == nil {
 		t.Fatal("identity element accepted")
+	}
+}
+
+// SharedSecret is documented as safe for concurrent use; the blinding
+// derives a party's pair keys from many goroutines at once. Under -race
+// this also catches a suite that writes to its key while deriving.
+func TestSharedSecretConcurrent(t *testing.T) {
+	const peers, workers = 32, 8
+	for _, s := range suites() {
+		t.Run(s.Name(), func(t *testing.T) {
+			own, err := s.GenerateKey(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pubs := make([][]byte, peers)
+			want := make([][]byte, peers)
+			for j := range pubs {
+				k, err := s.GenerateKey(rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pubs[j] = k.PublicKey()
+				if want[j], err = own.SharedSecret(pubs[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := make([][]byte, peers)
+			errs := make([]error, peers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for j := w; j < peers; j += workers {
+						got[j], errs[j] = own.SharedSecret(pubs[j])
+					}
+				}(w)
+			}
+			wg.Wait()
+			for j := range got {
+				if errs[j] != nil {
+					t.Fatalf("peer %d: %v", j, errs[j])
+				}
+				if !bytes.Equal(got[j], want[j]) {
+					t.Fatalf("peer %d: concurrent secret differs from the serial one", j)
+				}
+			}
+		})
 	}
 }
 
