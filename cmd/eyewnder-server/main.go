@@ -53,7 +53,6 @@ func main() {
 		epsilon     = flag.Float64("epsilon", 0.01, "CMS epsilon")
 		delta       = flag.Float64("delta", 0.01, "CMS delta")
 		idSpace     = flag.Uint64("id-space", 100000, "ad-ID space size |A| (overestimate; 1 to 2^24 — closing a round sweeps and tabulates the whole space)")
-		stripes     = flag.Int("merge-stripes", 0, "intra-round merge stripes (0 = 2×GOMAXPROCS, 1 = single merge lock)")
 		ackBatch    = flag.Int("ack-batch", 0, "streamed-report ack batch k for batched-ack connections: at most one ack request per k frames, coalesced while an ack is in flight (0 = adaptive per connection, 1 = request an ack for every frame)")
 		keystream   = flag.String("keystream", "hmac-sha256", "blinding keystream suite, advertised to clients in the config handshake: hmac-sha256 or aes-ctr")
 		retain      = flag.Int("retain-rounds", 0, "age a closed round out of memory and snapshots once its Users_th has been served for N newer closed rounds (0 = keep forever)")
@@ -105,7 +104,6 @@ func main() {
 		Params:         params,
 		Users:          *users,
 		UsersEstimator: detector.EstimatorMean,
-		MergeStripes:   *stripes,
 		AckBatch:       *ackBatch,
 		RetainRounds:   *retain,
 		Metrics:        reg,
@@ -208,9 +206,9 @@ func main() {
 	}
 
 	cfg := be.CurrentConfig()
-	log.Printf("back-end on %s (config v%d, roster v%d with %d users, ε=%g δ=%g |A|=%d, streamed reports on, merge stripes=%d, ack batch=%d, keystream=%s, durable=%v, retain=%d)",
+	log.Printf("back-end on %s (config v%d, roster v%d with %d users, ε=%g δ=%g |A|=%d, streamed reports on, ack batch=%d, keystream=%s, durable=%v, retain=%d)",
 		beSrv.Addr(), cfg.Version, cfg.RosterVersion, *users, *epsilon, *delta, *idSpace,
-		be.MergeStripes(), *ackBatch, ks, *dataDir != "", *retain)
+		*ackBatch, ks, *dataDir != "", *retain)
 	log.Printf("oprf-server on %s (RSA-%d)", opSrv.Addr(), *rsaBits)
 
 	sig := make(chan os.Signal, 1)

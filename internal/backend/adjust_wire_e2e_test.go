@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"eyewnder/internal/privacy"
 	"eyewnder/internal/wire"
 )
 
@@ -139,5 +140,59 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 	}
 	if kClose.DistinctAds != nClose.DistinctAds {
 		t.Fatalf("distinct ads diverge: %d != %d", kClose.DistinctAds, nClose.DistinctAds)
+	}
+}
+
+// TestPreviousReleaseJSONAdjustment pins the JSON submit_adjustment op
+// as the previous release's client sends it: no suite byte and no
+// config version, which any round accepts; a stale config_version is
+// still refused on this path. This release's client streams its share
+// as a frame instead; the test is deleted together with the op in the
+// next release.
+func TestPreviousReleaseJSONAdjustment(t *testing.T) {
+	b, clients := newBackend(t)
+	srv, err := b.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctl, err := wire.Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	const round = 31
+	for u := 0; u < 3; u++ {
+		rep, err := clients[u].Report(round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.SubmitReportFrame(wire.ReportFrameOf(rep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cms, _ := testParams().NewSketch()
+	share := func(u int) []uint64 {
+		t.Helper()
+		adj, err := clients[u].Adjust(round, cms.Cells(), []int{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return adj
+	}
+	if err := ctl.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{User: 0, Round: round, Cells: share(0)}, nil); err != nil {
+		t.Fatalf("unversioned JSON share: %v", err)
+	}
+	stale := b.CurrentConfig().Version + 1
+	err = ctl.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{User: 1, Round: round, Cells: share(1), ConfigVersion: stale}, nil)
+	if err == nil || !strings.Contains(err.Error(), privacy.ErrIncompatibleConfig.Error()) {
+		t.Fatalf("JSON share under v%d err = %v, want %v", stale, err, privacy.ErrIncompatibleConfig)
+	}
+	var st wire.RoundStatusResp
+	if err := ctl.Do(wire.TypeRoundStatus, wire.CloseRoundReq{Round: round}, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Adjusted != 1 {
+		t.Fatalf("after one accepted and one stale JSON share status = %+v", st)
 	}
 }

@@ -80,7 +80,7 @@ func (b *Backend) loadBase(base *store.Base) error {
 		if rs.Closed && rs.Round < b.retiredBelow[rs.Campaign] {
 			continue // aged out: its Users_th has been served long enough
 		}
-		agg, err := privacy.RestoreAggregatorStripes(rcfg, rs.Round, b.cfg.MergeStripes,
+		agg, err := privacy.RestoreAggregatorStripes(rcfg, rs.Round, 0,
 			rs.Cells, rs.N, rs.Seed, rs.Reported)
 		if err != nil {
 			return err
@@ -146,7 +146,7 @@ func (b *Backend) applyEvent(ev store.Event) error {
 			return nil // already open (snapshot overlap): idempotent
 		}
 		// An all-false bitmap sizes the reported set for the whole roster.
-		agg, err := privacy.RestoreAggregatorStripes(rcfg, e.Round, b.cfg.MergeStripes,
+		agg, err := privacy.RestoreAggregatorStripes(rcfg, e.Round, 0,
 			make([]uint64, e.D*e.W), 0, e.Seed, make([]bool, e.RosterSize))
 		if err != nil {
 			return err

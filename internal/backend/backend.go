@@ -25,7 +25,6 @@ import (
 	"eyewnder/internal/privacy"
 	"eyewnder/internal/sketch"
 	"eyewnder/internal/store"
-	"eyewnder/internal/vec"
 	"eyewnder/internal/wire"
 )
 
@@ -80,9 +79,6 @@ type Config struct {
 	Users int
 	// UsersEstimator derives Users_th from the per-ad user counts.
 	UsersEstimator detector.Estimator
-	// MergeStripes sets the intra-round merge striping: 0 picks the
-	// default (2×GOMAXPROCS), 1 degenerates to a single merge lock.
-	MergeStripes int
 	// AckBatch sets the streamed-report ack batch k for connections that
 	// negotiate batched acknowledgements (wire.StreamOpts.AckBatch): at
 	// most one ack request per k frames, coalesced while an ack is in
@@ -499,13 +495,6 @@ func (b *Backend) Close() error {
 	return b.snapErr
 }
 
-// MergeStripes returns the per-round merge stripe count actually in
-// effect for this back-end's sketch geometry (the configured value is a
-// request; tiny sketches clamp it).
-func (b *Backend) MergeStripes() int {
-	return vec.EffectiveStripes(b.cells, b.cfg.MergeStripes)
-}
-
 // CurrentConfig returns the negotiated round config the back-end
 // currently advertises: the flag-derived protocol geometry stamped with
 // the live config/roster versions. This — not any client-side flag set
@@ -723,7 +712,7 @@ func (b *Backend) getRound(c uint32, id uint64) (*round, error) {
 		// exactly the cohort that negotiated it.
 		rcfg := b.currentConfigLocked()
 		rcfg.Params = params
-		agg, err := privacy.NewAggregatorStripes(rcfg, id, b.cfg.MergeStripes)
+		agg, err := privacy.NewAggregator(rcfg, id)
 		if err != nil {
 			return nil, err
 		}
@@ -1406,6 +1395,9 @@ func (b *Backend) Handler() wire.Handler {
 			}, nil
 
 		case wire.TypeSubmitAdjust:
+			// The previous release's client uploads its share here; this
+			// release's client streams it (ConsumeReport). Goes in the
+			// next release.
 			var req wire.SubmitAdjustReq
 			if err := m.Decode(&req); err != nil {
 				return "", nil, err

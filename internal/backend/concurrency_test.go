@@ -11,6 +11,7 @@ import (
 	"eyewnder/internal/detector"
 	"eyewnder/internal/privacy"
 	"eyewnder/internal/sketch"
+	"eyewnder/internal/vec"
 	"eyewnder/internal/wire"
 )
 
@@ -168,22 +169,20 @@ func TestSameRoundConcurrentStripedMerge(t *testing.T) {
 		users      = 32
 		round      = 3
 		adsPerUser = 40
-		stripes    = 8
 	)
-	// Paper-density geometry (19k cells), with an explicit stripe count:
-	// the default test params' 1360-cell sketch would clamp to few
-	// stripes and leave the multi-stripe rotation logic untested.
+	// Paper-density geometry (19k cells): the default test params'
+	// 1360-cell sketch would clamp to few stripes and leave the
+	// multi-stripe rotation logic untested.
 	params := privacy.Params{Epsilon: 0.001, Delta: 0.001, IDSpace: 2000, Suite: testParams().Suite}
 	b, err := New(Config{
 		Params: params, Users: users,
 		UsersEstimator: detector.EstimatorMean,
-		MergeStripes:   stripes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := b.MergeStripes(); got != stripes {
-		t.Fatalf("MergeStripes = %d, want %d (multi-stripe path not exercised)", got, stripes)
+	if got := vec.EffectiveStripes(b.cells, 0); got < 2 {
+		t.Fatalf("default merge stripes = %d for %d cells (multi-stripe path not exercised)", got, b.cells)
 	}
 
 	// Every user reports a deterministic, partially overlapping ad set.

@@ -35,13 +35,14 @@ var ErrNotRegistered = errors.New("client: extension not registered")
 // *wire.Client-backed and in-process implementations both satisfy it.
 // Roster returns the bulletin board together with the config/roster
 // versions it is current at, in one atomic response — the extension
-// pins its reports to exactly that negotiated state.
+// pins its reports to exactly that negotiated state. Submit is the one
+// upload: a report or an adjustment share as its streamed frame, stamped
+// with the blinding suite and config version the party joined under.
 type BackendAPI interface {
 	Register(user int, publicKey []byte) (rosterSize int, err error)
 	Roster() (keys [][]byte, configVersion, rosterVersion uint32, err error)
-	SubmitReport(rep *privacy.Report) error
+	Submit(f *wire.ReportFrame) error
 	RoundStatus(round uint64) (reported int, missing []int, closed bool, err error)
-	SubmitAdjustment(user int, round uint64, cells []uint64) error
 	Threshold(round uint64) (float64, error)
 	AuditAd(round uint64, adID uint64) (users uint64, err error)
 }
@@ -232,7 +233,7 @@ func (e *Extension) SubmitReport(round uint64) error {
 		if err != nil {
 			return err
 		}
-		err = e.backend.SubmitReport(rep)
+		err = e.backend.Submit(wire.ReportFrameOf(rep))
 		if err == nil {
 			e.pclient.EndRound()
 			return nil
@@ -248,7 +249,9 @@ func (e *Extension) SubmitReport(round uint64) error {
 
 // SubmitAdjustmentIfNeeded asks the back-end which users are missing and,
 // if any, uploads this extension's second-round share. It returns the
-// missing list.
+// missing list. A share refused with privacy.ErrIncompatibleConfig is
+// not retried after a re-Join, as a stale report is: a re-joined party
+// cannot produce a share for a round opened under the old roster.
 func (e *Extension) SubmitAdjustmentIfNeeded(round uint64) ([]int, error) {
 	if e.pclient == nil {
 		return nil, ErrNotRegistered
@@ -268,7 +271,9 @@ func (e *Extension) SubmitAdjustmentIfNeeded(round uint64) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return missing, e.backend.SubmitAdjustment(e.user, round, adj)
+	share := wire.AdjustFrame(e.user, round, cms.Depth(), cms.Width(),
+		byte(e.rcfg.Params.Keystream), e.rcfg.Version, adj)
+	return missing, e.backend.Submit(share)
 }
 
 // AuditAd performs the real-time audit of Section 5: given an ad key the
@@ -361,12 +366,12 @@ func (w *WireBackend) Roster() ([][]byte, uint32, uint32, error) {
 	return resp.PublicKeys, resp.ConfigVersion, resp.RosterVersion, nil
 }
 
-// SubmitReport implements BackendAPI: the sketch goes out as a binary
-// report frame — its cell block one raw little-endian run the server
-// reads directly into its pooled cell slices — with the blinding suite
-// and config version in the preamble.
-func (w *WireBackend) SubmitReport(rep *privacy.Report) error {
-	err := w.C.SubmitReportFrame(wire.ReportFrameOf(rep))
+// Submit implements BackendAPI: the frame goes out binary — its cell
+// block one raw little-endian run the server reads directly into its
+// pooled cell slices — over batched acks, and a remote stale-config
+// refusal comes back as ErrIncompatibleConfig.
+func (w *WireBackend) Submit(f *wire.ReportFrame) error {
+	err := w.C.SubmitReportFrame(f)
 	if err != nil && strings.Contains(err.Error(), privacy.ErrIncompatibleConfig.Error()) {
 		return staleConfigError{err}
 	}
@@ -387,12 +392,6 @@ func (w *WireBackend) RoundStatus(round uint64) (int, []int, bool, error) {
 	var resp wire.RoundStatusResp
 	err := w.C.Do(wire.TypeRoundStatus, wire.CloseRoundReq{Round: round}, &resp)
 	return resp.Reported, resp.Missing, resp.Closed, err
-}
-
-// SubmitAdjustment implements BackendAPI.
-func (w *WireBackend) SubmitAdjustment(user int, round uint64, cells []uint64) error {
-	return w.C.Do(wire.TypeSubmitAdjust,
-		wire.SubmitAdjustReq{User: user, Round: round, Cells: cells}, nil)
 }
 
 // Threshold implements BackendAPI.

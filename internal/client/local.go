@@ -27,12 +27,12 @@ func (l *LocalBackend) Roster() ([][]byte, uint32, uint32, error) {
 	return keys, cv, rv, nil
 }
 
-// SubmitReport implements BackendAPI: in-process, the report enters the
+// Submit implements BackendAPI: in-process, a report or share enters the
 // back-end exactly as a streamed one does — the same frame, the same
 // admission body, then the durability barrier the wire layer runs
 // before an ack.
-func (l *LocalBackend) SubmitReport(rep *privacy.Report) error {
-	if err := l.B.ConsumeReport(wire.ReportFrameOf(rep)); err != nil {
+func (l *LocalBackend) Submit(f *wire.ReportFrame) error {
+	if err := l.B.ConsumeReport(f); err != nil {
 		return err
 	}
 	return l.B.SyncReports()
@@ -42,11 +42,6 @@ func (l *LocalBackend) SubmitReport(rep *privacy.Report) error {
 func (l *LocalBackend) RoundStatus(round uint64) (int, []int, bool, error) {
 	p, err := l.B.RoundProgressOf(0, round)
 	return p.Reported, p.Missing, p.Closed, err
-}
-
-// SubmitAdjustment implements BackendAPI.
-func (l *LocalBackend) SubmitAdjustment(user int, round uint64, cells []uint64) error {
-	return l.B.SubmitAdjustment(0, user, round, 0, cells)
 }
 
 // Threshold implements BackendAPI.

@@ -162,7 +162,7 @@ func TestNegotiatedSessionsWithRosterBump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = (&client.WireBackend{C: rawConn}).SubmitReport(&privacy.Report{User: 1, Round: 2, Sketch: stale, ConfigVersion: pinned})
+	err = (&client.WireBackend{C: rawConn}).Submit(wire.ReportFrameOf(&privacy.Report{User: 1, Round: 2, Sketch: stale, ConfigVersion: pinned}))
 	if !errors.Is(err, privacy.ErrIncompatibleConfig) || !strings.Contains(err.Error(), privacy.ErrIncompatibleConfig.Error()) {
 		t.Fatalf("stale report over the wire = %v, want ErrIncompatibleConfig", err)
 	}
@@ -216,8 +216,94 @@ type bareBackend struct{}
 
 func (bareBackend) Register(int, []byte) (int, error)            { return 0, nil }
 func (bareBackend) Roster() ([][]byte, uint32, uint32, error)    { return nil, 0, 0, nil }
-func (bareBackend) SubmitReport(*privacy.Report) error           { return nil }
+func (bareBackend) Submit(*wire.ReportFrame) error               { return nil }
 func (bareBackend) RoundStatus(uint64) (int, []int, bool, error) { return 0, nil, false, nil }
-func (bareBackend) SubmitAdjustment(int, uint64, []uint64) error { return nil }
 func (bareBackend) Threshold(uint64) (float64, error)            { return 0, nil }
 func (bareBackend) AuditAd(uint64, uint64) (uint64, error)       { return 0, nil }
+
+// A second-round share derived after a roster change is refused on both
+// adapters. The round opens under the roster its two reporters joined;
+// user 2, who never reported, then re-enrolls with a fresh key, and the
+// reporters re-Join before they adjust. Their shares now cancel terms
+// toward a key the round's reports were never blinded against, so the
+// back-end must refuse them as stale — and the close must refuse to
+// publish rather than unblind garbage.
+func TestStaleAdjustmentShareRefused(t *testing.T) {
+	const nUsers, round = 3, 4
+	osrv, err := oprf.NewServerFromKey(testRSAKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, overWire := range []bool{false, true} {
+		name := "local"
+		if overWire {
+			name = "wire"
+		}
+		t.Run(name, func(t *testing.T) {
+			be, err := backend.New(backend.Config{
+				Params: testParams(), Users: nUsers, UsersEstimator: detector.EstimatorMean,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer be.Close()
+			var api client.BackendAPI = &client.LocalBackend{B: be}
+			if overWire {
+				srv, err := be.Serve("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				conn, err := wire.Dial(srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				api = &client.WireBackend{C: conn}
+			}
+			enroll := func(user int) *client.Extension {
+				t.Helper()
+				ext, err := client.New(client.Options{User: user, Detector: detector.DefaultConfig()}, api, osrv, osrv.PublicKey())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ext.Register(); err != nil {
+					t.Fatal(err)
+				}
+				return ext
+			}
+			exts := []*client.Extension{enroll(0), enroll(1), enroll(2)}
+			for _, ext := range exts[:2] {
+				if err := ext.Join(); err != nil {
+					t.Fatal(err)
+				}
+				if err := ext.ObserveAdDirect("https://ads.example/shared", "www.a.example", adsim.SimStart); err != nil {
+					t.Fatal(err)
+				}
+				if err := ext.SubmitReport(round); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opened := exts[0].Config().Version
+			enroll(2) // user 2 re-enrolls: the roster, and the config version, move on
+			for _, ext := range exts[:2] {
+				if err := ext.Join(); err != nil {
+					t.Fatal(err)
+				}
+				if v := ext.Config().Version; v == opened {
+					t.Fatalf("re-Join stayed at v%d after a re-enrollment", v)
+				}
+				if _, err := ext.SubmitAdjustmentIfNeeded(round); !errors.Is(err, privacy.ErrIncompatibleConfig) {
+					t.Fatalf("user %d: share under v%d for a round opened at v%d: err = %v, want ErrIncompatibleConfig",
+						ext.User(), ext.Config().Version, opened, err)
+				}
+			}
+			if th, ads, err := be.CloseRound(0, round, 0); !errors.Is(err, backend.ErrAdjustIncomplete) {
+				t.Fatalf("close with only stale shares = (Users_th %v, %d ads, %v), want ErrAdjustIncomplete", th, ads, err)
+			}
+			if th, err := be.Threshold(0, round); err == nil {
+				t.Fatalf("a refused close published Users_th = %v", th)
+			}
+		})
+	}
+}

@@ -115,7 +115,10 @@ func Open(dir string, opts Options) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	view := newLogView(dir, walGens, snapGens)
+	view, err := newLogView(dir, walGens, snapGens)
+	if err != nil {
+		return nil, err
+	}
 
 	// New appends go to a fresh segment: the previous segment may end in
 	// a torn record, and appending after one would hide every record

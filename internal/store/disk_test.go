@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -323,11 +324,13 @@ func TestRecoveryRefusesUnparseableValidRecord(t *testing.T) {
 // lengths are inconsistent must return an error (falling back to an
 // older generation), never panic.
 func TestLoadSnapshotInconsistentInterior(t *testing.T) {
-	// magic ‖ version ‖ rosterCount=0 ‖ roundCount=1 ‖ a round header
-	// claiming 8 roster users — then nothing (no bitmap, no cells).
+	// magic ‖ version ‖ config/roster versions ‖ campaignCount=0 ‖
+	// rosterCount=0 ‖ roundCount=1 ‖ a round header claiming 8 roster
+	// users — then nothing (no bitmap, no cells).
 	body := []byte(snapMagic)
-	body = append(body, 1, 0, 0, 0) // version
-	body = append(body, make([]byte, 8)...)
+	body = append(body, snapVersion, 0, 0, 0)
+	body = append(body, make([]byte, 4+4)...) // configVersion, rosterVersion
+	body = append(body, make([]byte, 8+8)...) // campaignCount, rosterCount
 	count := make([]byte, 8)
 	count[0] = 1
 	body = append(body, count...) // roundCount = 1
@@ -336,7 +339,8 @@ func TestLoadSnapshotInconsistentInterior(t *testing.T) {
 	hdr[16] = 2                   // d = 2
 	hdr[24] = 4                   // w = 4
 	body = append(body, hdr...)
-	body = append(body, 0, 0) // keystream, closed — and then: truncated
+	body = append(body, make([]byte, 4+4+4)...) // round config/roster versions, campaign
+	body = append(body, 0, 0)                   // keystream, closed — and then: truncated
 	crc := crc32.Checksum(body, castagnoli)
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc)
@@ -432,6 +436,105 @@ func TestRecoverySkipsCorruptSnapshot(t *testing.T) {
 	rounds := rec.sortedRounds()
 	if len(rounds) != 1 || !reflect.DeepEqual(rounds[0].Cells, wantRoundCells(0, 1)) {
 		t.Fatal("corrupt snapshot shadowed the WAL recovery")
+	}
+}
+
+// A snapshot whose CRC validates but whose version this build does not
+// read is intact state, not a torn write: Open and Recover must refuse
+// the directory, naming the file and the upgrade rule, instead of
+// skipping it and recovering an empty roster.
+func TestOpenRefusesUnreadableSnapshotVersion(t *testing.T) {
+	dir := t.TempDir()
+	d := openTestStore(t, dir, Options{})
+	logRound(t, d, 1, 4, 0, 1)
+	for u := 0; u < 3; u++ {
+		if err := d.AppendRegister(u, []byte{byte(u)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Snapshot(func() ([]*RoundState, error) { return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots = %v, %v", snaps, err)
+	}
+	path := snaps[0]
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// restamp rewrites the version word and re-seals the CRC, so only
+	// the version is wrong.
+	restamp := func(v uint32) {
+		t.Helper()
+		body := append([]byte(nil), raw[:len(raw)-4]...)
+		binary.LittleEndian.PutUint32(body[len(snapMagic):], v)
+		body = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range []uint32{2, 4} {
+		restamp(v)
+		if d, err := Open(dir, Options{}); err == nil {
+			rec := replayRef(t, d)
+			d.Close()
+			t.Fatalf("version-%d snapshot: Open succeeded with %d registrations", v, len(rec.roster))
+		} else if !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), path) ||
+			!strings.Contains(err.Error(), "previous release") {
+			t.Fatalf("version-%d snapshot: Open err = %v, want ErrSnapshotVersion naming %s and the upgrade rule", v, err, path)
+		}
+		if _, err := Recover(dir); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("version-%d snapshot: Recover err = %v, want ErrSnapshotVersion", v, err)
+		}
+	}
+	restamp(snapVersion)
+	d2, rec := openReplayed(t, dir, Options{})
+	defer d2.Close()
+	if len(rec.roster) != 3 {
+		t.Fatalf("version-3 snapshot recovered %d registrations, want 3", len(rec.roster))
+	}
+}
+
+// A checksummed round-open record in the retired 41-byte pre-handshake
+// layout is version skew, not a torn tail: the replay must refuse it
+// rather than stop there and drop the records behind it.
+func TestReplayRefusesPreHandshakeOpen(t *testing.T) {
+	dir := t.TempDir()
+	d := openTestStore(t, dir, Options{})
+	logRound(t, d, 1, 4, 0)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walName(1)), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// round(8) roster(8) d(8) w(8) seed(8) keystream(1): no versions.
+	body := make([]byte, 41)
+	body[0], body[8], body[16], body[24] = 2, 4, testD, testW
+	var enc RecordEncoder
+	if err := enc.record(f, recOpen, body, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.close(f, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	rec := newRefState()
+	if err := d2.Replay(rec.load, rec.apply); err == nil {
+		t.Fatal("replay accepted a 41-byte pre-handshake open record")
 	}
 }
 

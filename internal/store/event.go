@@ -70,7 +70,7 @@ type OpenEvent struct {
 	// deployment's implicit legacy campaign).
 	Campaign uint32
 	// ConfigVersion and RosterVersion pin the negotiated config current
-	// at the open (0/0 = the unversioned pre-handshake style).
+	// at the open.
 	ConfigVersion uint32
 	RosterVersion uint32
 }

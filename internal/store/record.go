@@ -29,7 +29,7 @@ import (
 //
 //	recRegister  user(8) publicKey(rest)
 //	recOpen      round(8) roster(8) d(8) w(8) seed(8) keystream(1)
-//	             [configVersion(4) rosterVersion(4) [campaign(4)]]
+//	             configVersion(4) rosterVersion(4) [campaign(4)]
 //	recReport    user(8) round(8) d(8) w(8) n(8) seed(8) keystream(1)
 //	             reserved(1) campaign(2) configVersion(4) cells(8·d·w)
 //	             — the wire frame payload
@@ -38,17 +38,14 @@ import (
 //	recConfig    configVersion(4) rosterVersion(4)
 //	recCampaign  one canonical campaign encoding (campaign.AppendBinary)
 //
-// The report body deliberately mirrors the streamed wire frame's
-// payload byte-for-byte (wire/stream.go): the back-end logs the report
-// while its pooled cell slice is still borrowed from the connection,
-// and reusing the frame layout keeps that append a straight copy with
-// no re-marshalling. recOpen's trailing version pair rode in with the
-// negotiated-config redesign; a 41-byte body (written by an older
-// release) decodes with both versions zero, the unversioned deployment
-// style. recConfig logs a bump of the deployment-wide config/roster
-// version counters (a registration changed the bulletin board), so
-// recovery restores the exact negotiated state, not just the round
-// contents.
+// The report body deliberately mirrors the streamed wire frame's payload
+// byte-for-byte (wire/stream.go): the back-end logs the report while its
+// pooled cell slice is still borrowed from the connection, and reusing the
+// frame layout keeps that append a straight copy with no re-marshalling.
+// recOpen carries the config/roster version pair the round is pinned to.
+// recConfig logs a bump of the deployment-wide config/roster version
+// counters (a registration changed the bulletin board), so recovery
+// restores the exact negotiated state, not just the round contents.
 //
 // Campaign tagging rode in with the multi-campaign service: a report's
 // campaign occupies two formerly reserved preamble bytes (still the
@@ -82,12 +79,11 @@ const reportPreamble = 56
 // byte-for-byte copy of its frame payload.
 const maxRecordCampaign = 0xFFFF
 
-// Round-open body sizes: openBodyV1 predates the config handshake,
-// openBody appends configVersion(4) rosterVersion(4), and
+// Round-open body sizes: openBody is round(8) roster(8) d(8) w(8)
+// seed(8) keystream(1) configVersion(4) rosterVersion(4), and
 // openBodyCampaign appends campaign(4) — written only for campaign ≠ 0
-// so legacy deployments stay byte-identical.
+// so single-campaign deployments stay byte-identical.
 const (
-	openBodyV1       = 41
 	openBody         = 49
 	openBodyCampaign = 53
 )
@@ -402,25 +398,21 @@ type openRecord struct {
 	RosterVersion uint32
 }
 
-// decodeOpenBody parses a recOpen body. The 41-byte pre-handshake
-// layout decodes with zero config/roster versions — the unversioned
-// deployment style, accepted so old data dirs keep recovering — and
-// the 49-byte pre-campaign layout decodes as campaign 0.
+// decodeOpenBody parses a recOpen body; the 49-byte layout decodes as
+// campaign 0.
 func decodeOpenBody(body []byte) (openRecord, error) {
-	if len(body) != openBody && len(body) != openBodyV1 && len(body) != openBodyCampaign {
+	if len(body) != openBody && len(body) != openBodyCampaign {
 		return openRecord{}, fmt.Errorf("%w: open body %d bytes", ErrBadRecord, len(body))
 	}
 	rec := openRecord{
-		Round:     binary.LittleEndian.Uint64(body[0:]),
-		Roster:    binary.LittleEndian.Uint64(body[8:]),
-		D:         binary.LittleEndian.Uint64(body[16:]),
-		W:         binary.LittleEndian.Uint64(body[24:]),
-		Seed:      binary.LittleEndian.Uint64(body[32:]),
-		Keystream: body[40],
-	}
-	if len(body) >= openBody {
-		rec.ConfigVersion = binary.LittleEndian.Uint32(body[41:])
-		rec.RosterVersion = binary.LittleEndian.Uint32(body[45:])
+		Round:         binary.LittleEndian.Uint64(body[0:]),
+		Roster:        binary.LittleEndian.Uint64(body[8:]),
+		D:             binary.LittleEndian.Uint64(body[16:]),
+		W:             binary.LittleEndian.Uint64(body[24:]),
+		Seed:          binary.LittleEndian.Uint64(body[32:]),
+		Keystream:     body[40],
+		ConfigVersion: binary.LittleEndian.Uint32(body[41:]),
+		RosterVersion: binary.LittleEndian.Uint32(body[45:]),
 	}
 	if len(body) == openBodyCampaign {
 		rec.Campaign = binary.LittleEndian.Uint32(body[49:])

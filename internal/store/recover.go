@@ -42,7 +42,11 @@ func Recover(dir string) (*Recovered, error) {
 		}
 		return nil, err
 	}
-	r := &Recovered{view: newLogView(dir, walGens, snapGens)}
+	view, err := newLogView(dir, walGens, snapGens)
+	if err != nil {
+		return nil, err
+	}
+	r := &Recovered{view: view}
 	tail := r.view.tailGen()
 	for _, g := range snapGens {
 		if st, err := os.Stat(filepath.Join(dir, snapName(g))); err == nil {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -35,12 +36,18 @@ type logView struct {
 
 // newLogView picks the newest snapshot that validates — a torn one
 // (crash mid-cycle) is skipped and the previous generation carries the
-// replay — and the segments at or above it. snapGens must be sorted
-// newest-first and walGens ascending (scanStoreDir's order).
-func newLogView(dir string, walGens, snapGens []uint64) *logView {
+// replay — and the segments at or above it. A valid snapshot of a
+// version this build cannot read is an error (ErrSnapshotVersion), not
+// a skip. snapGens must be sorted newest-first and walGens ascending
+// (scanStoreDir's order).
+func newLogView(dir string, walGens, snapGens []uint64) (*logView, error) {
 	v := &logView{dir: dir}
 	for _, g := range snapGens {
-		if s, err := loadSnapshot(filepath.Join(dir, snapName(g))); err == nil {
+		s, err := loadSnapshot(filepath.Join(dir, snapName(g)))
+		if errors.Is(err, ErrSnapshotVersion) {
+			return nil, err
+		}
+		if err == nil {
 			v.base, v.baseGen = s, g
 			break
 		}
@@ -50,7 +57,7 @@ func newLogView(dir string, walGens, snapGens []uint64) *logView {
 			v.walGens = append(v.walGens, g)
 		}
 	}
-	return v
+	return v, nil
 }
 
 // tailGen is the generation of the last segment a replay streams — the

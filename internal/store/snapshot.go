@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -15,17 +16,16 @@ import (
 // atomically (temp file, fsync, rename, directory fsync) so a crash
 // mid-snapshot leaves either the previous snapshot or the new one,
 // never a half-written file that recovery would trust. Layout (all
-// integers little-endian; bracketed fields are version ≥ 2 only,
-// double-bracketed version ≥ 3 only):
+// integers little-endian):
 //
-//	magic "EYWSNAP1" (8)  version(4)
-//	[configVersion(4) rosterVersion(4)]
-//	[[campaignCount(8) { defLen(8) def }*]]   sorted by campaign ID
+//	magic "EYWSNAP1" (8)  version(4) = 3
+//	configVersion(4) rosterVersion(4)
+//	campaignCount(8) { defLen(8) def }*   sorted by campaign ID
 //	rosterCount(8) { user(8) keyLen(8) key }*
 //	roundCount(8) {
 //	    round(8) roster(8) d(8) w(8) seed(8) n(8)
-//	    [roundConfigVersion(4) roundRosterVersion(4)]
-//	    [[campaign(4)]]
+//	    roundConfigVersion(4) roundRosterVersion(4)
+//	    campaign(4)
 //	    keystream(1) closed(1)
 //	    reportedBitmap(⌈roster/8⌉)
 //	    adjustCount(8) { user(8) cells(8·d·w) }*
@@ -33,28 +33,28 @@ import (
 //	}*
 //	crc32c(4) over everything before it
 //
-// Version 2 added the negotiated-config versions: the deployment-wide
-// config/roster counters at the top, and per round the config the round
-// was opened under. Version-1 snapshots (pre-handshake releases) load
-// with all versions zero — the unversioned deployment style. Version 3
-// added the multi-campaign service: the opaque campaign directory
-// (canonical campaign encodings, stored exactly as their recCampaign
-// WAL records) and each round's campaign ID. Version-1/2 snapshots load
-// with an empty directory and every round on campaign 0.
+// The config/roster counters at the top are the deployment's; each
+// round carries the config it was opened under and its campaign ID. The
+// campaign directory holds the canonical campaign encodings, stored
+// exactly as their recCampaign WAL records.
 //
 // The trailing whole-file CRC is the validity marker: a snapshot that
 // fails it (torn write, partial disk) is ignored and recovery falls
-// back to the previous generation's snapshot plus its WAL segments.
+// back to the previous generation's snapshot plus its WAL segments. A
+// snapshot that passes it but carries another version is refused
+// (ErrSnapshotVersion): it is intact state this build cannot read, and
+// skipping it would recover an empty roster.
 
 const snapMagic = "EYWSNAP1"
 
-// snapVersion is the written format; snapVersionV1 and snapVersionV2
-// are still readable.
-const (
-	snapVersionV1 = 1
-	snapVersionV2 = 2
-	snapVersion   = 3
-)
+// snapVersion is the one snapshot format written and read.
+const snapVersion = 3
+
+// ErrSnapshotVersion refuses a checksum-valid snapshot whose format
+// version this build does not read. It is never skipped like a torn
+// snapshot: the data directory must be upgraded through the previous
+// release, which rewrites its snapshot as version 3 (OPERATIONS.md §3).
+var ErrSnapshotVersion = errors.New("store: unreadable snapshot version")
 
 // maxSnapshotCells caps a single round's cell count on load (2²⁸ cells
 // = 2 GiB), mirroring the sketch deserializer's bound so a corrupt
@@ -171,9 +171,11 @@ func appendCells(buf []byte, cells []uint64) []byte {
 	return buf
 }
 
-// loadSnapshot reads and validates a snapshot file. Any structural
+// loadSnapshot reads and validates a snapshot file. A structural
 // problem — bad magic, failed CRC, truncated section — returns an
-// error; the caller falls back to an older generation.
+// error the caller answers by falling back to an older generation; a
+// valid snapshot of another version returns ErrSnapshotVersion, which
+// the caller must not skip.
 func loadSnapshot(path string) (*Base, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -187,33 +189,29 @@ func loadSnapshot(path string) (*Base, error) {
 		return nil, fmt.Errorf("store: %s: snapshot checksum mismatch", path)
 	}
 	r := snapReader{buf: body[len(snapMagic):]}
-	v := r.uint32()
-	if v != snapVersion && v != snapVersionV2 && v != snapVersionV1 {
-		return nil, fmt.Errorf("store: %s: snapshot version %d", path, v)
+	if v := r.uint32(); v != snapVersion {
+		return nil, fmt.Errorf("%w: %s is version %d, this build reads version %d only; upgrade the data directory through the previous release until it has written a version-%d snapshot",
+			ErrSnapshotVersion, path, v, snapVersion, snapVersion)
 	}
 	snap := &Base{Roster: make(map[int][]byte), Campaigns: make(map[uint32][]byte)}
-	if v >= snapVersionV2 {
-		snap.ConfigVersion = r.uint32()
-		snap.RosterVersion = r.uint32()
-	}
-	if v >= snapVersion {
-		camps := r.uint64()
-		var prev uint32
-		for i := uint64(0); i < camps && r.err == nil; i++ {
-			def := r.bytes(r.uint64())
-			if r.err != nil {
-				break
-			}
-			if len(def) < campaignBodyMin {
-				return nil, fmt.Errorf("store: %s: snapshot campaign entry", path)
-			}
-			id := binary.LittleEndian.Uint32(def[0:])
-			if id == 0 || id > maxRecordCampaign || (i > 0 && id <= prev) {
-				return nil, fmt.Errorf("store: %s: snapshot campaign order", path)
-			}
-			prev = id
-			snap.Campaigns[id] = append([]byte(nil), def...)
+	snap.ConfigVersion = r.uint32()
+	snap.RosterVersion = r.uint32()
+	camps := r.uint64()
+	var prev uint32
+	for i := uint64(0); i < camps && r.err == nil; i++ {
+		def := r.bytes(r.uint64())
+		if r.err != nil {
+			break
 		}
+		if len(def) < campaignBodyMin {
+			return nil, fmt.Errorf("store: %s: snapshot campaign entry", path)
+		}
+		id := binary.LittleEndian.Uint32(def[0:])
+		if id == 0 || id > maxRecordCampaign || (i > 0 && id <= prev) {
+			return nil, fmt.Errorf("store: %s: snapshot campaign order", path)
+		}
+		prev = id
+		snap.Campaigns[id] = append([]byte(nil), def...)
 	}
 	users := r.uint64()
 	for i := uint64(0); i < users && r.err == nil; i++ {
@@ -232,15 +230,11 @@ func loadSnapshot(path string) (*Base, error) {
 		d, w := r.uint64(), r.uint64()
 		rs.Seed = r.uint64()
 		rs.N = r.uint64()
-		if v >= snapVersionV2 {
-			rs.ConfigVersion = r.uint32()
-			rs.RosterVersion = r.uint32()
-		}
-		if v >= snapVersion {
-			rs.Campaign = r.uint32()
-			if rs.Campaign > maxRecordCampaign {
-				return nil, fmt.Errorf("store: %s: snapshot round campaign", path)
-			}
+		rs.ConfigVersion = r.uint32()
+		rs.RosterVersion = r.uint32()
+		rs.Campaign = r.uint32()
+		if rs.Campaign > maxRecordCampaign {
+			return nil, fmt.Errorf("store: %s: snapshot round campaign", path)
 		}
 		flags := r.bytes(2)
 		if r.err != nil {

@@ -52,7 +52,7 @@ import "eyewnder/internal/obs"
 type RoundState struct {
 	// Campaign is the counting campaign the round belongs to. Campaign 0
 	// is the deployment's implicit legacy campaign; rounds recovered from
-	// pre-campaign WALs and snapshots land there.
+	// pre-campaign WAL records land there.
 	Campaign uint32
 	// Round is the round identifier within its campaign.
 	Round uint64
@@ -60,10 +60,9 @@ type RoundState struct {
 	// from; it bounds user indices and sizes the Reported bitmap.
 	RosterSize int
 	// ConfigVersion and RosterVersion pin the negotiated round config
-	// the round was opened under (0/0 = unversioned, the pre-handshake
-	// deployment style). Recovery restores them so a recovered round
-	// keeps rejecting stale-config reports exactly as it did before the
-	// crash.
+	// the round was opened under. Recovery restores them so a recovered
+	// round keeps rejecting stale-config reports exactly as it did
+	// before the crash.
 	ConfigVersion uint32
 	RosterVersion uint32
 	// D, W and Seed fix the CMS cell layout of the round aggregate.

@@ -45,7 +45,7 @@ const minStripeElems = 1 << 9
 // EffectiveStripes returns the stripe count NewStriped would use for a
 // vector of length n: an explicit request (stripes >= 1) clamped to n,
 // or the default of 2×GOMAXPROCS capped so each stripe holds at least
-// minStripeElems elements. Exposed so servers can report the striping
+// minStripeElems elements. Exposed so callers can check the striping
 // actually in effect.
 func EffectiveStripes(n, stripes int) int {
 	if stripes <= 0 {

@@ -16,11 +16,14 @@ import (
 
 // Batched acknowledgements and per-connection report pipelining.
 //
-// The legacy streamed path (stream.go) still pays one synchronous JSON
-// ack round trip per report: the connection cannot carry frame k+1 until
-// the client has parsed the ack for frame k, and the JSON marshal/parse
-// of that ack is the path's remaining per-report allocation source. This
-// file removes both costs behind an explicit, per-connection opt-in:
+// Every report and adjustment share this release's client sends travels
+// this way: SubmitReportFrame negotiates on first use, and a
+// ReportStream keeps a window in flight. The server still answers frames
+// on a connection that never negotiates with one synchronous JSON ack
+// each (wire.go), for the previous release's client only; that branch
+// goes in the next release. Batching removes both of its costs — the
+// connection cannot carry frame k+1 until the client has parsed the ack
+// for frame k, and the JSON ack is a per-report allocation:
 //
 //  1. The client sends a TypeAckBatch request. The server answers with
 //     its batch size k (the -ack-batch flag) and switches the connection
@@ -574,26 +577,6 @@ func (c *Client) readAckInto(remote *error) error {
 		*remote = fmt.Errorf("wire: remote error: %s", errMsg)
 	}
 	return nil
-}
-
-// submitFrameBatched is the one-shot submit on a batched connection:
-// frame + flush marker out, acks drained back in. Caller holds c.mu.
-func (c *Client) submitFrameBatched(f *ReportFrame) error {
-	if err := c.rw.write(c.conn, f); err != nil {
-		return err
-	}
-	c.rsSent++
-	if err := writeFlushMarker(c.conn); err != nil {
-		return err
-	}
-	c.rsSent++
-	var remote error
-	for c.rsAcked < c.rsSent {
-		if err := c.readAckInto(&remote); err != nil {
-			return err
-		}
-	}
-	return remote
 }
 
 // Submit streams one report, blocking only while the in-flight window is

@@ -9,8 +9,10 @@ const (
 	TypeOPRFEvaluateOK  = "oprf.evaluate_ok"
 
 	// Extension ↔ back-end. There is no submit_report request: reports
-	// enter only as binary frames (stream.go), and TypeSubmitReportOK is
-	// the per-frame JSON ack on a connection without batched acks.
+	// enter only as binary frames (stream.go). TypeSubmitReportOK (the
+	// per-frame JSON ack on a connection without batched acks) and
+	// TypeSubmitAdjust are served to the previous release's client only:
+	// this release's client streams reports and shares over batched acks.
 	TypeRegister       = "backend.register"
 	TypeRegisterOK     = "backend.register_ok"
 	TypeRoster         = "backend.roster"
@@ -117,11 +119,13 @@ type RoundStatusResp struct {
 	Adjusted int    `json:"adjusted,omitempty"`
 }
 
-// SubmitAdjustReq uploads a second-round adjustment share.
-// ConfigVersion is the negotiated round-config version the share's
-// pairwise terms were derived under; absent means 0, "unversioned",
-// accepted by any round. A stale nonzero version is rejected: the
-// share's terms come from a superseded roster and could not cancel.
+// SubmitAdjustReq uploads a second-round adjustment share, as the previous
+// release's client does (this release's client streams it as an
+// AdjustFrame). ConfigVersion is the negotiated round-config version the
+// share's pairwise terms were derived under; absent means 0,
+// "unversioned", accepted by any round. A stale nonzero version is
+// rejected: the share's terms come from a superseded roster and could not
+// cancel.
 type SubmitAdjustReq struct {
 	User          int      `json:"user"`
 	Campaign      uint32   `json:"campaign,omitempty"`

@@ -171,8 +171,8 @@ type ReportSink interface {
 // consumed reports must reach stable storage before they are
 // acknowledged (the back-end's write-ahead log). The server calls
 // SyncReports before every report acknowledgement, and only after the
-// reports it covers were consumed — the per-frame JSON ack on the
-// legacy path, the binary ack on the batched path — so the
+// reports it covers were consumed — the binary ack on the batched path,
+// the per-frame JSON ack for the previous release's client — so the
 // acknowledgement is a durability barrier. On the batched path the
 // call runs on the connection's ack goroutine while folding continues,
 // and one call covers every frame consumed before it began. A
@@ -312,13 +312,16 @@ func readReportFrame(r io.Reader, n uint32, buf *reportBuf) (*ReportFrame, error
 	}, nil
 }
 
-// SubmitReportFrame streams one report over the client connection and
-// waits for the acknowledgement. It shares the connection's request
-// serialization with Do. On a connection that has negotiated batched
-// acknowledgements (OpenReportStream) the round trip is one binary ack
-// instead of a JSON message; for sustained submission open a
+// SubmitReportFrame streams one report (or adjustment share) over the
+// client connection and waits for its acknowledgement. It shares the
+// connection's request serialization with Do. The first call negotiates
+// batched acknowledgements, so the round trip is the frame and a flush
+// marker out, binary acks back; for sustained submission open a
 // ReportStream instead, which keeps a window of frames in flight.
 func (c *Client) SubmitReportFrame(f *ReportFrame) error {
+	if err := c.negotiateAckBatch(); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
@@ -327,15 +330,19 @@ func (c *Client) SubmitReportFrame(f *ReportFrame) error {
 	if c.streaming {
 		return ErrStreaming
 	}
-	if c.ackBatch > 0 {
-		return c.submitFrameBatched(f)
-	}
 	if err := c.rw.write(c.conn, f); err != nil {
 		return err
 	}
-	resp, err := ReadMsg(c.br)
-	if err != nil {
+	c.rsSent++
+	if err := writeFlushMarker(c.conn); err != nil {
 		return err
 	}
-	return respError(resp)
+	c.rsSent++
+	var remote error
+	for c.rsAcked < c.rsSent {
+		if err := c.readAckInto(&remote); err != nil {
+			return err
+		}
+	}
+	return remote
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -236,6 +237,76 @@ func TestServerStreamedReportSinkError(t *testing.T) {
 	}
 	if err := cli.Do("ping", nil, nil); err != nil {
 		t.Fatalf("connection did not survive sink error: %v", err)
+	}
+}
+
+// dedupSink refuses a second frame from the same user and counts the
+// durability barriers the server runs.
+type dedupSink struct {
+	mu    sync.Mutex
+	seen  map[int]bool
+	syncs int
+}
+
+func (s *dedupSink) ConsumeReport(f *ReportFrame) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seen[f.User] {
+		return fmt.Errorf("duplicate report from user %d", f.User)
+	}
+	s.seen[f.User] = true
+	return nil
+}
+
+func (s *dedupSink) SyncReports() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.syncs++
+	return nil
+}
+
+// The previous release's client streams report frames on a connection
+// that never negotiates batched acks, and the server answers each with
+// a JSON ack after the durability barrier. This release's client no
+// longer sends that way, so this test is what pins the branch; it is
+// deleted together with that branch in the next release.
+func TestPreviousReleasePerFrameAck(t *testing.T) {
+	sink := &dedupSink{seen: make(map[int]bool)}
+	srv, err := ServeWithSinkOpts("127.0.0.1:0", func(m *Msg) (string, interface{}, error) {
+		return "echo", struct{}{}, nil
+	}, sink, StreamOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	submit := func() *Msg {
+		t.Helper()
+		if err := WriteReportFrame(conn, testFrame(64)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ReadMsg(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := submit(); resp.Type != TypeSubmitReportOK {
+		t.Fatalf("first frame answered %q, want %q", resp.Type, TypeSubmitReportOK)
+	}
+	sink.mu.Lock()
+	syncs := sink.syncs
+	sink.mu.Unlock()
+	if syncs != 1 {
+		t.Fatalf("per-frame ack ran %d durability barriers, want 1", syncs)
+	}
+	resp := submit()
+	if err := respError(resp); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate frame answered %q (%v), want a duplicate error", resp.Type, err)
 	}
 }
 

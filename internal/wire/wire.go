@@ -314,13 +314,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			if n == 0 {
 				return // flush marker outside batched mode: malformed
 			}
-			// Legacy streamed report: decode into pooled cells, hand to
-			// the sink, recycle, answer with a JSON ack. A framing error
-			// is unrecoverable (the stream position is unknown), so it
-			// drops the connection; a sink error is an ordinary request
-			// failure. A durable sink syncs before the ack goes out: on
-			// this one-ack-per-frame path every report pays its own
-			// barrier (the batched path amortizes it).
+			// Per-frame streamed report, as the previous release's client
+			// sends it (this release's client always negotiates batched
+			// acks; the branch goes in the next release): decode into
+			// pooled cells, hand to the sink, recycle, answer with a JSON
+			// ack. A framing error is unrecoverable (the stream position
+			// is unknown), so it drops the connection; a sink error is an
+			// ordinary request failure. A durable sink syncs before the
+			// ack goes out: on this one-ack-per-frame path every report
+			// pays its own barrier (the batched path amortizes it).
 			rb := reportBufPool.Get().(*reportBuf)
 			frame, err := readReportFrame(br, n, rb)
 			if err != nil {
