@@ -42,7 +42,7 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 		}
 	}
 	for u := 0; u < reporters; u++ {
-		if err := control.SubmitAdjustment(0, u, round, 0, shares[u]); err != nil {
+		if err := submitShare(control, 0, u, round, 0, shares[u]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,10 +59,19 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 	cmd1, addr1 := startRecoveryServer(t, dataDir)
 
 	// Phase 1: all six reports (stream close = acked = fsynced), then
-	// half the shares over the synced JSON path.
+	// half the shares, each streamed and acked (= fsynced) in turn.
 	cli1, err := wire.Dial(addr1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	cfg, err := cli1.Handshake()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// share builds user u's adjustment frame under the negotiated suite
+	// and config version, as the extension uploads it.
+	share := func(u int, cells []uint64) *wire.ReportFrame {
+		return wire.AdjustFrame(u, round, cms.Depth(), cms.Width(), cfg.Keystream, cfg.ConfigVersion, cells)
 	}
 	rs, err := cli1.OpenReportStream(0)
 	if err != nil {
@@ -77,9 +86,7 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < reporters/2; u++ {
-		if err := cli1.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{
-			User: u, Round: round, Cells: shares[u],
-		}, nil); err != nil {
+		if err := cli1.SubmitReportFrame(share(u, shares[u])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,18 +122,14 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 	}
 	// The recovered shares still carry their semantics: an identical
 	// re-upload is an idempotent retry…
-	if err := cli2.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{
-		User: 0, Round: round, Cells: shares[0],
-	}, nil); err != nil {
+	if err := cli2.SubmitReportFrame(share(0, shares[0])); err != nil {
 		t.Fatalf("idempotent re-upload after recovery err = %v", err)
 	}
 	// …and a differing one is still a conflict (the conflict check runs
 	// against the replayed copy, not an empty map).
 	mutated := append([]uint64(nil), shares[0]...)
 	mutated[0]++
-	err = cli2.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{
-		User: 0, Round: round, Cells: mutated,
-	}, nil)
+	err = cli2.SubmitReportFrame(share(0, mutated))
 	if err == nil || !strings.Contains(err.Error(), ErrAdjustConflict.Error()) {
 		t.Fatalf("conflicting re-upload after recovery err = %v", err)
 	}
@@ -138,9 +141,7 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 
 	// The stragglers' shares land and the deadline close finalizes.
 	for u := reporters / 2; u < reporters; u++ {
-		if err := cli2.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{
-			User: u, Round: round, Cells: shares[u],
-		}, nil); err != nil {
+		if err := cli2.SubmitReportFrame(share(u, shares[u])); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,16 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"eyewnder/internal/blind"
 	"eyewnder/internal/detector"
 	"eyewnder/internal/privacy"
 )
 
 // TestSubmitAdjustmentEdgeCases walks every rejection path of the
 // adjustment upload — unknown round, wrong cell count, non-reporter,
-// conflicting duplicate, closed round, bad user — and then proves none
-// of the rejected (or retried) uploads perturbed the live aggregate:
-// the round's finalized counts must be byte-identical to a control
-// backend that saw only the clean traffic.
+// other keystream suite, conflicting duplicate, closed round, bad user —
+// and then proves none of the rejected (or retried) uploads perturbed
+// the live aggregate: the round's finalized counts must be
+// byte-identical to a control backend that saw only the clean traffic.
 func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 	b, clients := newBackend(t)
 	_, ros := fixtures(t)
@@ -53,7 +54,7 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 
 	// A share can never open a round: before any report, the round is
 	// unknown.
-	if err := b.SubmitAdjustment(0, 0, round, 0, shares[0]); !errors.Is(err, ErrUnknownRound) {
+	if err := submitShare(b, 0, 0, round, 0, shares[0]); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("pre-report share err = %v, want ErrUnknownRound", err)
 	}
 
@@ -67,24 +68,35 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 	}
 
 	// Out-of-range user, checked before anything else.
-	if err := b.SubmitAdjustment(0, -1, round, 0, shares[0]); !errors.Is(err, ErrBadUser) {
+	if err := submitShare(b, 0, -1, round, 0, shares[0]); !errors.Is(err, ErrBadUser) {
 		t.Fatalf("negative user err = %v, want ErrBadUser", err)
 	}
-	if err := b.SubmitAdjustment(0, len(ros.Parties), round, 0, shares[0]); !errors.Is(err, ErrBadUser) {
+	if err := submitShare(b, 0, len(ros.Parties), round, 0, shares[0]); !errors.Is(err, ErrBadUser) {
 		t.Fatalf("out-of-roster user err = %v, want ErrBadUser", err)
 	}
 	// Wrong cell count, rejected at upload time rather than poisoning
 	// every later close.
-	if err := b.SubmitAdjustment(0, 0, round, 0, make([]uint64, cells-1)); err == nil {
+	if err := submitShare(b, 0, 0, round, 0, make([]uint64, cells-1)); err == nil {
 		t.Fatal("short share accepted")
 	}
 	// A share for a round nobody has touched is still unknown.
-	if err := b.SubmitAdjustment(0, 0, round+1, 0, shares[0]); !errors.Is(err, ErrUnknownRound) {
+	if err := submitShare(b, 0, 0, round+1, 0, shares[0]); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("unknown round err = %v, want ErrUnknownRound", err)
 	}
 	// User 3 never reported: its share has nothing to cancel.
-	if err := b.SubmitAdjustment(0, 3, round, 0, shares[0]); !errors.Is(err, ErrAdjustNotReporter) {
+	if err := submitShare(b, 0, 3, round, 0, shares[0]); !errors.Is(err, ErrAdjustNotReporter) {
 		t.Fatalf("non-reporter err = %v, want ErrAdjustNotReporter", err)
+	}
+	// A share blinded under the other keystream suite could not cancel
+	// the round's pairwise terms: refused, and nothing is stored.
+	// testParams leaves the suite at its HMAC-SHA256 default.
+	foreign := shareFrame(b, 0, 0, round, 0, shares[0])
+	foreign.Keystream = byte(blind.KeystreamAESCTR)
+	if err := b.ConsumeReport(foreign); !errors.Is(err, privacy.ErrKeystreamMismatch) {
+		t.Fatalf("other-suite share err = %v, want ErrKeystreamMismatch", err)
+	}
+	if p, err := b.RoundProgressOf(0, round); err != nil || p.Adjusted != 0 {
+		t.Fatalf("after the other-suite share: Adjusted = %d, %v; want 0", p.Adjusted, err)
 	}
 	// A close with a report missing and no shares fails and must leave
 	// the round retryable (the clone invariant: shares only ever apply
@@ -96,19 +108,19 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 	// Clean shares land; an identical re-upload is an idempotent retry,
 	// a differing one is a conflict.
 	for i, adj := range shares {
-		if err := b.SubmitAdjustment(0, i, round, 0, adj); err != nil {
+		if err := submitShare(b, 0, i, round, 0, adj); err != nil {
 			t.Fatal(err)
 		}
-		if err := control.SubmitAdjustment(0, i, round, 0, adj); err != nil {
+		if err := submitShare(control, 0, i, round, 0, adj); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.SubmitAdjustment(0, 0, round, 0, shares[0]); err != nil {
+	if err := submitShare(b, 0, 0, round, 0, shares[0]); err != nil {
 		t.Fatalf("idempotent re-upload err = %v", err)
 	}
 	mutated := append([]uint64(nil), shares[0]...)
 	mutated[0]++
-	if err := b.SubmitAdjustment(0, 0, round, 0, mutated); !errors.Is(err, ErrAdjustConflict) {
+	if err := submitShare(b, 0, 0, round, 0, mutated); !errors.Is(err, ErrAdjustConflict) {
 		t.Fatalf("conflicting re-upload err = %v, want ErrAdjustConflict", err)
 	}
 
@@ -117,7 +129,7 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Closed rounds refuse further shares.
-	if err := b.SubmitAdjustment(0, 1, round, 0, shares[1]); !errors.Is(err, ErrRoundClosed) {
+	if err := submitShare(b, 0, 1, round, 0, shares[1]); !errors.Is(err, ErrRoundClosed) {
 		t.Fatalf("post-close share err = %v, want ErrRoundClosed", err)
 	}
 
@@ -196,7 +208,7 @@ func TestCloseRoundDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SubmitAdjustment(0, 0, round, 0, adj0); err != nil {
+	if err := submitShare(b, 0, 0, round, 0, adj0); err != nil {
 		t.Fatal(err)
 	}
 	adj1, err := clients[1].Adjust(round, cms.Cells(), missing)
@@ -205,7 +217,7 @@ func TestCloseRoundDeadline(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		b.SubmitAdjustment(0, 1, round, 0, adj1)
+		submitShare(b, 0, 1, round, 0, adj1)
 	}()
 	start := time.Now()
 	th, ads, err := b.CloseRound(0, round, 30*time.Second)
@@ -299,7 +311,7 @@ func TestRoundProgressConsistentUnderLoad(t *testing.T) {
 			}
 			// Immediately follow with this reporter's (placeholder)
 			// share, racing the pollers' Adjusted reads.
-			if err := b.SubmitAdjustment(0, u, round, 0, make([]uint64, cells)); err != nil {
+			if err := submitShare(b, 0, u, round, 0, make([]uint64, cells)); err != nil {
 				t.Error(err)
 			}
 		}(u)

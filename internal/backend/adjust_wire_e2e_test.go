@@ -5,14 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"eyewnder/internal/privacy"
 	"eyewnder/internal/wire"
 )
 
 // TestAdjustmentRoundOverWireOps drives a complete k-of-n adjustment
 // round over one connection the way a remote operator would — reports
-// as streamed frames, then the JSON control ops round_status,
-// submit_adjustment, close_round (with the adjustment-wait shutter),
+// and adjustment shares as streamed frames, with the JSON control ops
+// round_status, close_round (with the adjustment-wait shutter) and
 // round_counts — and checks the finalized per-ad counts byte-match an
 // all-n control round in which the silent user reports an empty
 // sketch: the adjustment path must reconstruct exactly the aggregate
@@ -29,6 +28,10 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
+	cfg, err := ctl.Handshake()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cms, _ := testParams().NewSketch()
 	report := func(user int, round uint64) {
@@ -57,12 +60,15 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 
 	const kRound uint64 = 21
 
-	// A client old enough to send its report as JSON gets an ordinary
-	// error naming the message it no longer finds — not a dropped socket
-	// or a hang — and everything below runs on this same connection.
-	err = ctl.Do("backend.submit_report", map[string]interface{}{"user": 0, "round": kRound, "sketch": []byte{1}}, nil)
-	if err == nil || !strings.Contains(err.Error(), `unknown message "backend.submit_report"`) {
-		t.Fatalf("JSON report err = %v, want a remote unknown-message error", err)
+	// A client old enough to send its report or its share as JSON gets
+	// an ordinary error naming the message it no longer finds — not a
+	// dropped socket or a hang — and everything below runs on this same
+	// connection.
+	for _, op := range []string{"backend.submit_report", "backend.submit_adjustment"} {
+		err = ctl.Do(op, map[string]interface{}{"user": 0, "round": kRound, "cells": []uint64{1}}, nil)
+		if err == nil || !strings.Contains(err.Error(), `unknown message "`+op+`"`) {
+			t.Fatalf("JSON %s err = %v, want a remote unknown-message error", op, err)
+		}
 	}
 
 	// k-of-n round: users 0..2 report, user 3 stays dark.
@@ -83,15 +89,15 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 	}
 
 	// Each reporter computes its share against the polled missing set
-	// and uploads it over the wire; the status op tracks the count.
+	// and streams it under the negotiated suite and config version; the
+	// status op tracks the count.
 	for u := 0; u < 3; u++ {
 		adj, err := clients[u].Adjust(kRound, cms.Cells(), st.Missing)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ctl.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{
-			User: u, Round: kRound, Cells: adj,
-		}, nil); err != nil {
+		f := wire.AdjustFrame(u, kRound, cms.Depth(), cms.Width(), cfg.Keystream, cfg.ConfigVersion, adj)
+		if err := ctl.SubmitReportFrame(f); err != nil {
 			t.Fatal(err)
 		}
 		if got := status(kRound).Adjusted; got != u+1 {
@@ -140,59 +146,5 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 	}
 	if kClose.DistinctAds != nClose.DistinctAds {
 		t.Fatalf("distinct ads diverge: %d != %d", kClose.DistinctAds, nClose.DistinctAds)
-	}
-}
-
-// TestPreviousReleaseJSONAdjustment pins the JSON submit_adjustment op
-// as the previous release's client sends it: no suite byte and no
-// config version, which any round accepts; a stale config_version is
-// still refused on this path. This release's client streams its share
-// as a frame instead; the test is deleted together with the op in the
-// next release.
-func TestPreviousReleaseJSONAdjustment(t *testing.T) {
-	b, clients := newBackend(t)
-	srv, err := b.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ctl, err := wire.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl.Close()
-	const round = 31
-	for u := 0; u < 3; u++ {
-		rep, err := clients[u].Report(round)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ctl.SubmitReportFrame(wire.ReportFrameOf(rep)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cms, _ := testParams().NewSketch()
-	share := func(u int) []uint64 {
-		t.Helper()
-		adj, err := clients[u].Adjust(round, cms.Cells(), []int{3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return adj
-	}
-	if err := ctl.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{User: 0, Round: round, Cells: share(0)}, nil); err != nil {
-		t.Fatalf("unversioned JSON share: %v", err)
-	}
-	stale := b.CurrentConfig().Version + 1
-	err = ctl.Do(wire.TypeSubmitAdjust, wire.SubmitAdjustReq{User: 1, Round: round, Cells: share(1), ConfigVersion: stale}, nil)
-	if err == nil || !strings.Contains(err.Error(), privacy.ErrIncompatibleConfig.Error()) {
-		t.Fatalf("JSON share under v%d err = %v, want %v", stale, err, privacy.ErrIncompatibleConfig)
-	}
-	var st wire.RoundStatusResp
-	if err := ctl.Do(wire.TypeRoundStatus, wire.CloseRoundReq{Round: round}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Adjusted != 1 {
-		t.Fatalf("after one accepted and one stale JSON share status = %+v", st)
 	}
 }

@@ -169,11 +169,11 @@ func TestReplicaRecoveredEquivalence(t *testing.T) {
 	consume(&f4)
 	cells := f4.D * f4.W
 	for u := 0; u < 5; u++ {
-		must(primary.SubmitAdjustment(0, u, 1, 0, share(u, cells)))
+		must(submitShare(primary, 0, u, 1, 0, share(u, cells)))
 	}
-	must(primary.SubmitAdjustment(0, 2, 1, 0, share(2, cells))) // identical re-upload: logged again, last write wins
-	must(st.AppendAdjust(0, 1, 1, share(99, 5)))                // wrong cell count
-	must(st.AppendAdjust(0, 1, 20, share(99, cells)))           // out of roster
+	must(submitShare(primary, 0, 2, 1, 0, share(2, cells))) // identical re-upload: logged again, last write wins
+	must(st.AppendAdjust(0, 1, 1, share(99, 5)))            // wrong cell count
+	must(st.AppendAdjust(0, 1, 20, share(99, cells)))       // out of roster
 	if _, _, err := primary.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}

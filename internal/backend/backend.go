@@ -752,7 +752,8 @@ func (b *Backend) campaignAcceptedCounter(c uint32) *obs.Counter {
 }
 
 // ConsumeReport implements wire.ReportSink and is the only way a report
-// enters the back-end — over TCP and in process alike: the frame's cell
+// or an adjustment share (FrameKindAdjust, see submitAdjustment) enters
+// the back-end — over TCP and in process alike: a report frame's cell
 // vector folds straight into the round aggregate, with no intermediate
 // []byte or CMS ever materialized. The frame's keystream suite byte is
 // enforced against the round's: a report blinded under a different
@@ -779,7 +780,7 @@ func (b *Backend) ConsumeReport(f *wire.ReportFrame) error {
 		// submitAdjustment owns the share/failure accounting (and the
 		// replica refusal).
 		return b.submitAdjustment(f.Campaign, f.User, f.Round, f.ConfigVersion,
-			blind.Keystream(f.Keystream), true, f.Cells, false)
+			blind.Keystream(f.Keystream), f.Cells)
 	}
 	err := b.consumeReport(f)
 	if err != nil {
@@ -908,33 +909,30 @@ func (b *Backend) RoundsProgress() []RoundSnapshot {
 	return out
 }
 
-// SubmitAdjustment records a reporter's second-round share. Invalid
-// shares are rejected here, at upload time, rather than poisoning every
-// later CloseRound attempt: the cell count must match the geometry, the
-// round must exist and be open, and the submitter must be one of the
-// round's reporters — a share is the sum of the submitter's pairwise
-// blinding terms toward the missing users, meaningless without the
-// submitter's own report in the aggregate. Re-uploading an identical
-// share is an idempotent retry; a *different* share for the same round
-// is refused (ErrAdjustConflict) — the client computed against two
-// different missing sets and the server cannot tell which one is right.
+// submitAdjustment records a reporter's second-round share, streamed
+// as a wire.AdjustFrame into ConsumeReport. Invalid shares are rejected
+// here, at upload time, rather than poisoning every later CloseRound
+// attempt: the cell count must match the geometry, the round must exist
+// and be open, the share must be blinded under the round's keystream
+// suite, and the submitter must be one of the round's reporters — a
+// share is the sum of the submitter's pairwise blinding terms toward the
+// missing users, meaningless without the submitter's own report in the
+// aggregate. Re-uploading an identical share is an idempotent retry; a
+// *different* share for the same round is refused (ErrAdjustConflict) —
+// the client computed against two different missing sets and the server
+// cannot tell which one is right.
 //
 // cv is the negotiated config version the share was derived under: 0 is
 // "unversioned" and accepted by any round, a stale nonzero version is
 // rejected (the share's pairwise terms come from a superseded roster
 // and could not cancel), exactly as stale reports are.
-func (b *Backend) SubmitAdjustment(c uint32, user int, id uint64, cv uint32, cells []uint64) error {
-	return b.submitAdjustment(c, user, id, cv, 0, false, cells, true)
-}
-
-// submitAdjustment is the shared adjustment-upload path. checkKS
-// enforces ks against the round's blinding suite (the streamed-frame
-// path carries the byte; the JSON op never did). syncNow runs the
-// fsync barrier before returning — the streamed path passes false and
-// lets the wire layer's ack barrier (SyncReports) cover the append, so
-// batched adjustment uploads amortize fsyncs exactly like reports.
-func (b *Backend) submitAdjustment(c uint32, user int, id uint64, cv uint32, ks blind.Keystream, checkKS bool, cells []uint64, syncNow bool) error {
-	err := b.applyAdjustment(c, user, id, cv, ks, checkKS, cells, syncNow)
+//
+// Like a report, the share is logged but not synced here: the ack's
+// SyncReports covers its WAL append, so batched adjustment uploads
+// amortize fsyncs exactly like reports. The wrapper owns the
+// share/failure accounting so every return path is counted exactly once.
+func (b *Backend) submitAdjustment(c uint32, user int, id uint64, cv uint32, ks blind.Keystream, cells []uint64) error {
+	err := b.applyAdjustment(c, user, id, cv, ks, cells)
 	if err != nil {
 		b.m.adjustReason(err).Inc()
 	} else {
@@ -943,10 +941,8 @@ func (b *Backend) submitAdjustment(c uint32, user int, id uint64, cv uint32, ks 
 	return err
 }
 
-// applyAdjustment is submitAdjustment's body; the wrapper owns the
-// share/failure accounting so every return path is counted exactly
-// once.
-func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks blind.Keystream, checkKS bool, cells []uint64, syncNow bool) error {
+// applyAdjustment is submitAdjustment's body.
+func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks blind.Keystream, cells []uint64) error {
 	if b.cfg.Replica {
 		return ErrReadOnlyReplica
 	}
@@ -964,12 +960,12 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 		return ErrUnknownRound
 	}
 	// The write lock covers only the validation, the append (which must
-	// order against a concurrent close), and the map update; the fsync
-	// barrier runs after it is released, so the round's reporters
+	// order against a concurrent close), and the map update; the ack's
+	// fsync barrier runs after it is released, so the round's reporters
 	// (read-lock holders) never stall behind an adjustment's disk flush
 	// and concurrent adjustment uploads group-commit onto one fsync. A
-	// Sync failure surfaces as this upload's error; a retry overwrites
-	// the share idempotently.
+	// Sync failure surfaces in place of the ack; a retry overwrites the
+	// share idempotently.
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -979,7 +975,7 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 		r.mu.Unlock()
 		return privacy.ErrIncompatibleConfig
 	}
-	if checkKS && ks != r.agg.Config().Params.Keystream {
+	if ks != r.agg.Config().Params.Keystream {
 		r.mu.Unlock()
 		return privacy.ErrKeystreamMismatch
 	}
@@ -991,8 +987,9 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 		r.mu.Unlock()
 		return ErrAdjustConflict
 	}
-	// An identical duplicate still appends and (re-)syncs: the retry may
-	// be recovering from a Sync failure, and replay is last-wins.
+	// An identical duplicate still appends (and its ack re-syncs): the
+	// retry may be recovering from a Sync failure, and replay is
+	// last-wins.
 	if err := b.store.AppendAdjust(c, id, user, cells); err != nil {
 		r.mu.Unlock()
 		return err
@@ -1007,11 +1004,6 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 		r.adjCond.Broadcast() // wake deadline closes waiting on shares
 	}
 	r.mu.Unlock()
-	if syncNow {
-		if err := b.store.Sync(); err != nil {
-			return err
-		}
-	}
 	b.maybeSnapshot()
 	return nil
 }
@@ -1393,19 +1385,6 @@ func (b *Backend) Handler() wire.Handler {
 				Reported: p.Reported, Missing: p.Missing,
 				Closed: p.Closed, Sealed: p.Sealed, Adjusted: p.Adjusted,
 			}, nil
-
-		case wire.TypeSubmitAdjust:
-			// The previous release's client uploads its share here; this
-			// release's client streams it (ConsumeReport). Goes in the
-			// next release.
-			var req wire.SubmitAdjustReq
-			if err := m.Decode(&req); err != nil {
-				return "", nil, err
-			}
-			if err := b.SubmitAdjustment(req.Campaign, req.User, req.Round, req.ConfigVersion, req.Cells); err != nil {
-				return "", nil, err
-			}
-			return wire.TypeSubmitAdjustOK, struct{}{}, nil
 
 		case wire.TypeCloseRound:
 			var req wire.CloseRoundReq

@@ -12,6 +12,7 @@ import (
 	"eyewnder/internal/group"
 	"eyewnder/internal/oprf"
 	"eyewnder/internal/privacy"
+	"eyewnder/internal/sketch"
 	"eyewnder/internal/wire"
 )
 
@@ -47,6 +48,31 @@ func testParams() privacy.Params {
 // frame through ConsumeReport, then the durability barrier an ack runs.
 func submit(b *Backend, rep *privacy.Report) error {
 	if err := b.ConsumeReport(wire.ReportFrameOf(rep)); err != nil {
+		return err
+	}
+	return b.SyncReports()
+}
+
+// shareFrame builds a second-round adjustment share the way every client
+// does: a streamed AdjustFrame in the campaign's geometry, stamped with
+// the campaign's keystream suite.
+func shareFrame(b *Backend, c uint32, user int, round uint64, cv uint32, cells []uint64) *wire.ReportFrame {
+	params := b.cfg.Params
+	b.mu.Lock()
+	if cs, ok := b.campaigns[c]; ok {
+		params = cs.params
+	}
+	b.mu.Unlock()
+	d, w, _ := sketch.Dimensions(params.Epsilon, params.Delta)
+	f := wire.AdjustFrame(user, round, d, w, byte(params.Keystream), cv, cells)
+	f.Campaign = c
+	return f
+}
+
+// submitShare uploads an adjustment share as submit does a report:
+// through ConsumeReport, then the durability barrier an ack runs.
+func submitShare(b *Backend, c uint32, user int, round uint64, cv uint32, cells []uint64) error {
+	if err := b.ConsumeReport(shareFrame(b, c, user, round, cv, cells)); err != nil {
 		return err
 	}
 	return b.SyncReports()
@@ -201,7 +227,7 @@ func TestRoundWithMissingUsersNeedsAdjustments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SubmitAdjustment(0, i, round, 0, adj); err != nil {
+		if err := submitShare(b, 0, i, round, 0, adj); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,7 +271,7 @@ func TestThresholdBeforeClose(t *testing.T) {
 
 func TestSubmitAdjustmentValidation(t *testing.T) {
 	b, _ := newBackend(t)
-	if err := b.SubmitAdjustment(0, 99, 1, 0, nil); err != ErrBadUser {
+	if err := submitShare(b, 0, 99, 1, 0, nil); err != ErrBadUser {
 		t.Fatalf("err = %v", err)
 	}
 }

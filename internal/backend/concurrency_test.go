@@ -85,7 +85,7 @@ func TestConcurrentSubmitAndClose(t *testing.T) {
 // never close.
 func TestSubmitAdjustmentRejectsBadLength(t *testing.T) {
 	b, _ := newBackend(t)
-	if err := b.SubmitAdjustment(0, 0, 1, 0, make([]uint64, 7)); err == nil {
+	if err := submitShare(b, 0, 0, 1, 0, make([]uint64, 7)); err == nil {
 		t.Fatal("wrong-length adjustment share accepted")
 	}
 }
@@ -105,7 +105,7 @@ func TestCloseRoundRetrySafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SubmitAdjustment(0, 0, round, 0, adj); !errors.Is(err, ErrUnknownRound) {
+	if err := submitShare(b, 0, 0, round, 0, adj); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("pre-report adjustment share: err = %v, want ErrUnknownRound", err)
 	}
 
@@ -133,7 +133,7 @@ func TestCloseRoundRetrySafe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SubmitAdjustment(0, u, round, 0, adj); err != nil {
+		if err := submitShare(b, 0, u, round, 0, adj); err != nil {
 			t.Fatal(err)
 		}
 	}

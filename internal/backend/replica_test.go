@@ -136,7 +136,7 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 		for i := range share {
 			share[i] = uint64(u*1000 + i)
 		}
-		if err := primary.SubmitAdjustment(0, u, 2, 0, share); err != nil {
+		if err := submitShare(primary, 0, u, 2, 0, share); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,8 +276,8 @@ func TestReplicaRejectsWrites(t *testing.T) {
 		t.Errorf("ConsumeReport err = %v", err)
 	}
 	cells := len(reports[0].Sketch.FlatCells())
-	if err := replica.SubmitAdjustment(0, 0, 1, 0, make([]uint64, cells)); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Errorf("SubmitAdjustment err = %v", err)
+	if err := submitShare(replica, 0, 0, 1, 0, make([]uint64, cells)); !errors.Is(err, ErrReadOnlyReplica) {
+		t.Errorf("replica share err = %v", err)
 	}
 	if _, _, err := replica.CloseRound(0, 1, 0); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Errorf("CloseRound err = %v", err)

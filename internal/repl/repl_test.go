@@ -183,13 +183,13 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cells := len(reports2[0].Sketch.FlatCells())
+	geo := wire.ReportFrameOf(reports2[0])
 	for u := 0; u < users-1; u++ {
-		share := make([]uint64, cells)
+		share := make([]uint64, len(geo.Cells))
 		for i := range share {
 			share[i] = uint64(u*1000 + i)
 		}
-		if err := b.SubmitAdjustment(0, u, 2, 0, share); err != nil {
+		if err := b.ConsumeReport(wire.AdjustFrame(u, 2, geo.D, geo.W, geo.Keystream, 0, share)); err != nil {
 			t.Fatal(err)
 		}
 	}

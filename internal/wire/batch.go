@@ -16,14 +16,12 @@ import (
 
 // Batched acknowledgements and per-connection report pipelining.
 //
-// Every report and adjustment share this release's client sends travels
-// this way: SubmitReportFrame negotiates on first use, and a
-// ReportStream keeps a window in flight. The server still answers frames
-// on a connection that never negotiates with one synchronous JSON ack
-// each (wire.go), for the previous release's client only; that branch
-// goes in the next release. Batching removes both of its costs — the
-// connection cannot carry frame k+1 until the client has parsed the ack
-// for frame k, and the JSON ack is a per-report allocation:
+// Every report and adjustment share travels this way: SubmitReportFrame
+// negotiates on first use, and a ReportStream keeps a window in flight;
+// a report frame on a connection that never negotiated drops it
+// (wire.go). Acknowledging each frame would cost twice — the connection
+// could not carry frame k+1 until the client had parsed the ack for
+// frame k, and every ack would be a per-report allocation — so:
 //
 //  1. The client sends a TypeAckBatch request. The server answers with
 //     its batch size k (the -ack-batch flag) and switches the connection

@@ -54,13 +54,10 @@ func TestWriteMsgByteIdentity(t *testing.T) {
 		{TypeRegisterOK, RegisterResp{RosterSize: 96}},
 		{TypeRoster, struct{}{}},
 		{TypeRosterOK, RosterResp{PublicKeys: [][]byte{{1}, {2, 3}}, ConfigVersion: 4, RosterVersion: 3}},
-		{TypeSubmitReportOK, struct{}{}},
 		{TypeAckBatch, AckBatchReq{}},
 		{TypeAckBatchOK, AckBatchResp{K: 16}},
 		{TypeRoundStatus, CloseRoundReq{Campaign: 2, Round: 9}},
 		{TypeRoundStatusOK, RoundStatusResp{Round: 9, Reported: 3, Missing: []int{1, 4}, Sealed: true, Adjusted: 2}},
-		{TypeSubmitAdjust, SubmitAdjustReq{User: 1, Round: 2, Cells: []uint64{1 << 63, 0, 5}, ConfigVersion: 3}},
-		{TypeSubmitAdjustOK, struct{}{}},
 		{TypeCloseRound, CloseRoundReq{Round: 3, AdjustWaitMS: 1}},
 		{TypeCloseRoundOK, CloseRoundResp{Round: 3, UsersTh: 2.718281828459045, DistinctAds: 301}},
 		{TypeRoundCounts, RoundCountsReq{Campaign: 1, Round: 3}},

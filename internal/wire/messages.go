@@ -8,34 +8,29 @@ const (
 	TypeOPRFPublicKeyOK = "oprf.public_key_ok"
 	TypeOPRFEvaluateOK  = "oprf.evaluate_ok"
 
-	// Extension ↔ back-end. There is no submit_report request: reports
-	// enter only as binary frames (stream.go). TypeSubmitReportOK (the
-	// per-frame JSON ack on a connection without batched acks) and
-	// TypeSubmitAdjust are served to the previous release's client only:
-	// this release's client streams reports and shares over batched acks.
-	TypeRegister       = "backend.register"
-	TypeRegisterOK     = "backend.register_ok"
-	TypeRoster         = "backend.roster"
-	TypeRosterOK       = "backend.roster_ok"
-	TypeSubmitReportOK = "backend.submit_report_ok"
-	TypeAckBatch       = "backend.ack_batch"
-	TypeAckBatchOK     = "backend.ack_batch_ok"
-	TypeRoundStatus    = "backend.round_status"
-	TypeRoundStatusOK  = "backend.round_status_ok"
-	TypeSubmitAdjust   = "backend.submit_adjustment"
-	TypeSubmitAdjustOK = "backend.submit_adjustment_ok"
-	TypeCloseRound     = "backend.close_round"
-	TypeCloseRoundOK   = "backend.close_round_ok"
-	TypeRoundCounts    = "backend.round_counts"
-	TypeRoundCountsOK  = "backend.round_counts_ok"
-	TypeThreshold      = "backend.threshold"
-	TypeThresholdOK    = "backend.threshold_ok"
-	TypeAuditAd        = "backend.audit_ad"
-	TypeAuditAdOK      = "backend.audit_ad_ok"
-	TypeCampaignAdd    = "backend.campaign_add"
-	TypeCampaignAddOK  = "backend.campaign_add_ok"
-	TypeCampaigns      = "backend.campaigns"
-	TypeCampaignsOK    = "backend.campaigns_ok"
+	// Extension ↔ back-end. There is no submit_report or
+	// submit_adjustment request: reports and adjustment shares enter only
+	// as binary frames (stream.go), acknowledged in batches (batch.go).
+	TypeRegister      = "backend.register"
+	TypeRegisterOK    = "backend.register_ok"
+	TypeRoster        = "backend.roster"
+	TypeRosterOK      = "backend.roster_ok"
+	TypeAckBatch      = "backend.ack_batch"
+	TypeAckBatchOK    = "backend.ack_batch_ok"
+	TypeRoundStatus   = "backend.round_status"
+	TypeRoundStatusOK = "backend.round_status_ok"
+	TypeCloseRound    = "backend.close_round"
+	TypeCloseRoundOK  = "backend.close_round_ok"
+	TypeRoundCounts   = "backend.round_counts"
+	TypeRoundCountsOK = "backend.round_counts_ok"
+	TypeThreshold     = "backend.threshold"
+	TypeThresholdOK   = "backend.threshold_ok"
+	TypeAuditAd       = "backend.audit_ad"
+	TypeAuditAdOK     = "backend.audit_ad_ok"
+	TypeCampaignAdd   = "backend.campaign_add"
+	TypeCampaignAddOK = "backend.campaign_add_ok"
+	TypeCampaigns     = "backend.campaigns"
+	TypeCampaignsOK   = "backend.campaigns_ok"
 
 	// Back-end ↔ crawler.
 	TypeCrawlVisit   = "crawler.visit"
@@ -117,21 +112,6 @@ type RoundStatusResp struct {
 	Closed   bool   `json:"closed"`
 	Sealed   bool   `json:"sealed,omitempty"`
 	Adjusted int    `json:"adjusted,omitempty"`
-}
-
-// SubmitAdjustReq uploads a second-round adjustment share, as the previous
-// release's client does (this release's client streams it as an
-// AdjustFrame). ConfigVersion is the negotiated round-config version the
-// share's pairwise terms were derived under; absent means 0,
-// "unversioned", accepted by any round. A stale nonzero version is
-// rejected: the share's terms come from a superseded roster and could not
-// cancel.
-type SubmitAdjustReq struct {
-	User          int      `json:"user"`
-	Campaign      uint32   `json:"campaign,omitempty"`
-	Round         uint64   `json:"round"`
-	Cells         []uint64 `json:"cells"`
-	ConfigVersion uint32   `json:"config_version,omitempty"`
 }
 
 // CloseRoundReq finalizes a round: the back-end unblinds the aggregate

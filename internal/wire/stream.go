@@ -170,12 +170,10 @@ type ReportSink interface {
 // ReportDurability is optionally implemented by a ReportSink whose
 // consumed reports must reach stable storage before they are
 // acknowledged (the back-end's write-ahead log). The server calls
-// SyncReports before every report acknowledgement, and only after the
-// reports it covers were consumed — the binary ack on the batched path,
-// the per-frame JSON ack for the previous release's client — so the
-// acknowledgement is a durability barrier. On the batched path the
-// call runs on the connection's ack goroutine while folding continues,
-// and one call covers every frame consumed before it began. A
+// SyncReports before every binary ack, and only after the reports it
+// covers were consumed, so the acknowledgement is a durability barrier.
+// The call runs on the connection's ack goroutine while folding
+// continues, and one call covers every frame consumed before it began. A
 // SyncReports failure is reported to the client in place of the ack:
 // the reports were consumed but cannot be promised durable.
 type ReportDurability interface {

@@ -9,7 +9,9 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 )
 
 func testFrame(cells int) *ReportFrame {
@@ -240,38 +242,32 @@ func TestServerStreamedReportSinkError(t *testing.T) {
 	}
 }
 
-// dedupSink refuses a second frame from the same user and counts the
-// durability barriers the server runs.
-type dedupSink struct {
-	mu    sync.Mutex
-	seen  map[int]bool
-	syncs int
+// tallySink counts the frames it consumes and the durability barriers
+// the server runs.
+type tallySink struct {
+	mu              sync.Mutex
+	consumed, syncs int
 }
 
-func (s *dedupSink) ConsumeReport(f *ReportFrame) error {
+func (s *tallySink) ConsumeReport(*ReportFrame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seen[f.User] {
-		return fmt.Errorf("duplicate report from user %d", f.User)
-	}
-	s.seen[f.User] = true
+	s.consumed++
 	return nil
 }
 
-func (s *dedupSink) SyncReports() error {
+func (s *tallySink) SyncReports() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.syncs++
 	return nil
 }
 
-// The previous release's client streams report frames on a connection
-// that never negotiates batched acks, and the server answers each with
-// a JSON ack after the durability barrier. This release's client no
-// longer sends that way, so this test is what pins the branch; it is
-// deleted together with that branch in the next release.
-func TestPreviousReleasePerFrameAck(t *testing.T) {
-	sink := &dedupSink{seen: make(map[int]bool)}
+// A report frame on a connection that never negotiated batched acks has
+// no ack to be answered with: the server drops the connection without
+// consuming the frame or running a durability barrier.
+func TestReportFrameRequiresBatchedAcks(t *testing.T) {
+	sink := &tallySink{}
 	srv, err := ServeWithSinkOpts("127.0.0.1:0", func(m *Msg) (string, interface{}, error) {
 		return "echo", struct{}{}, nil
 	}, sink, StreamOpts{})
@@ -284,29 +280,19 @@ func TestPreviousReleasePerFrameAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	submit := func() *Msg {
-		t.Helper()
-		if err := WriteReportFrame(conn, testFrame(64)); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ReadMsg(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+	if err := WriteReportFrame(conn, testFrame(64)); err != nil {
+		t.Fatal(err)
 	}
-	if resp := submit(); resp.Type != TypeSubmitReportOK {
-		t.Fatalf("first frame answered %q, want %q", resp.Type, TypeSubmitReportOK)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var b [1]byte
+	n, err := conn.Read(b[:])
+	if n != 0 || !(errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET)) {
+		t.Fatalf("read after an unnegotiated report frame = %d, %v; want EOF or a reset", n, err)
 	}
 	sink.mu.Lock()
-	syncs := sink.syncs
-	sink.mu.Unlock()
-	if syncs != 1 {
-		t.Fatalf("per-frame ack ran %d durability barriers, want 1", syncs)
-	}
-	resp := submit()
-	if err := respError(resp); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("duplicate frame answered %q (%v), want a duplicate error", resp.Type, err)
+	defer sink.mu.Unlock()
+	if sink.consumed != 0 || sink.syncs != 0 {
+		t.Fatalf("sink saw %d ConsumeReport and %d SyncReports calls, want 0 and 0", sink.consumed, sink.syncs)
 	}
 }
 

@@ -9,12 +9,12 @@
 // misbehaving peer from ballooning memory; a ~200 KB blinded CMS (the
 // paper's Section 7.1 number) fits comfortably.
 //
-// JSON carries control operations only. Reports and streamed adjustment
-// shares travel as binary frames (see stream.go): the header word's top
-// bit marks a frame whose cell block is read directly into pooled cell
-// slices, with no JSON envelope and no per-report copies. A
-// connection may further negotiate batched acknowledgements (see
-// batch.go): the server then answers streamed reports with cumulative
+// JSON carries control operations only. Reports and adjustment shares
+// travel as binary frames (see stream.go): the header word's top bit
+// marks a frame whose cell block is read directly into pooled cell
+// slices, with no JSON envelope and no per-report copies. A connection
+// must negotiate batched acknowledgements (see batch.go) before its
+// first such frame: the server answers streamed reports with cumulative
 // binary acks — at most one per k frames, coalesced while a durability
 // barrier is in flight — while per-connection fold and ack goroutines
 // pipeline frame decode, aggregate folds and ack barriers.
@@ -132,10 +132,10 @@ type ErrorPayload struct {
 // Handler. One goroutine per connection; requests on a connection are
 // processed in order. Servers constructed with ServeWithSinkOpts additionally
 // accept streamed report frames, routed to the ReportSink instead of the
-// Handler; a connection that negotiates batched acknowledgements
-// (TypeAckBatch, see batch.go) further gains a fold goroutine that
-// pipelines frame decode against sink folds, and an ack goroutine that
-// runs the durability barrier and writes acks off the fold path.
+// Handler, on connections that negotiated batched acknowledgements
+// (TypeAckBatch, see batch.go): such a connection gains a fold goroutine
+// that pipelines frame decode against sink folds, and an ack goroutine
+// that runs the durability barrier and writes acks off the fold path.
 type Server struct {
 	lis     net.Listener
 	handler Handler
@@ -223,8 +223,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	// acks from the ack goroutine.
 	var wmu sync.Mutex
 	// st is non-nil once the connection has negotiated batched
-	// acknowledgements: report frames then flow through its bounded
-	// channel to the fold goroutine instead of being folded inline.
+	// acknowledgements: report frames flow through its bounded channel
+	// to the fold goroutine. Before that, a report frame drops the
+	// connection.
 	var st *connStream
 	defer func() {
 		// Close the socket first so an ack goroutine blocked on an ack
@@ -291,38 +292,20 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				continue
 			}
-			if st != nil {
-				// Batched mode: pipeline the frame to the fold goroutine
-				// and immediately decode the next one. The channel bound
-				// is the backpressure: a saturated sink blocks this send,
-				// which stops the socket read, which closes the TCP
-				// window.
-				if n == 0 {
-					st.ch <- streamItem{flush: true}
-					continue
-				}
-				rb := reportBufPool.Get().(*reportBuf)
-				frame, err := readReportFrame(br, n, rb)
-				if err != nil {
-					reportBufPool.Put(rb)
-					return
-				}
-				m.framesDecoded.Inc(shard)
-				st.ch <- streamItem{rb: rb, f: frame}
+			if st == nil {
+				// A report frame or flush marker on a connection that
+				// never negotiated batched acks (TypeAckBatch) is
+				// malformed: there is no per-frame ack to answer it with.
+				return
+			}
+			// Pipeline the frame to the fold goroutine and immediately
+			// decode the next one. The channel bound is the
+			// backpressure: a saturated sink blocks this send, which
+			// stops the socket read, which closes the TCP window.
+			if n == 0 {
+				st.ch <- streamItem{flush: true}
 				continue
 			}
-			if n == 0 {
-				return // flush marker outside batched mode: malformed
-			}
-			// Per-frame streamed report, as the previous release's client
-			// sends it (this release's client always negotiates batched
-			// acks; the branch goes in the next release): decode into
-			// pooled cells, hand to the sink, recycle, answer with a JSON
-			// ack. A framing error is unrecoverable (the stream position
-			// is unknown), so it drops the connection; a sink error is an
-			// ordinary request failure. A durable sink syncs before the
-			// ack goes out: on this one-ack-per-frame path every report
-			// pays its own barrier (the batched path amortizes it).
 			rb := reportBufPool.Get().(*reportBuf)
 			frame, err := readReportFrame(br, n, rb)
 			if err != nil {
@@ -330,23 +313,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			m.framesDecoded.Inc(shard)
-			sinkErr := ErrNoSink
-			if s.sink != nil {
-				sinkErr = s.sink.ConsumeReport(frame)
-			}
-			reportBufPool.Put(rb)
-			if sinkErr == nil {
-				if dur, ok := s.sink.(ReportDurability); ok {
-					sinkErr = dur.SyncReports()
-				}
-			}
-			respType, resp := TypeSubmitReportOK, interface{}(struct{}{})
-			if sinkErr != nil {
-				respType, resp = "error", ErrorPayload{Error: sinkErr.Error()}
-			}
-			if err := writeResp(respType, resp); err != nil {
-				return
-			}
+			st.ch <- streamItem{rb: rb, f: frame}
 			continue
 		}
 

@@ -67,6 +67,15 @@ metric_is() { # <admin-addr> <name> <want>
     [ "$(metric "$1" "$2")" = "$3" ]
 }
 
+# body_has <url> <pattern>: fetch the whole body first, then grep it.
+# Under pipefail, `curl | grep -q` fails when grep exits at its match
+# before curl has written the whole body (curl exits 23).
+body_has() {
+    local body
+    body="$(curl -sf "$1")"
+    grep -q "$2" <<<"$body"
+}
+
 "$bin/eyewnder-server" -backend "$BE1" -oprf "$OPRF1" -users 3 \
     -data-dir "$dir/primary" -repl "$REPL" -admin "$ADMIN1" \
     >"$dir/primary.log" 2>&1 &
@@ -88,9 +97,9 @@ poll_until 20 curl -sf "http://$ADMIN1/healthz"
 poll_until 20 curl -sf "http://$ADMIN2/healthz"
 
 # Both roles answer the full admin surface before any traffic.
-curl -sf "http://$ADMIN1/healthz" | grep -q '"role":"primary"'
-curl -sf "http://$ADMIN2/healthz" | grep -q '"role":"follower"'
-curl -sf "http://$ADMIN2/metrics" | grep -q '^eyewnder_replica 1$'
+body_has "http://$ADMIN1/healthz" '"role":"primary"'
+body_has "http://$ADMIN2/healthz" '"role":"follower"'
+body_has "http://$ADMIN2/metrics" '^eyewnder_replica 1$'
 curl -sf "http://$ADMIN1/debug/pprof/cmdline" >/dev/null
 curl -sf "http://$ADMIN2/debug/pprof/cmdline" >/dev/null
 
@@ -118,7 +127,7 @@ poll_until 30 metric_is "$ADMIN2" eyewnder_repl_caught_up 1
 curl -sf "http://$ADMIN2/metrics" >"$arts/follower_metrics_midrun.txt"
 curl -sf "http://$ADMIN2/statusz" >"$arts/follower_statusz_midrun.json"
 grep -q '^eyewnder_repl_events_total [1-9]' "$arts/follower_metrics_midrun.txt"
-curl -sf "http://$ADMIN2/healthz" | grep -q '"detail":"caught-up"'
+body_has "http://$ADMIN2/healthz" '"detail":"caught-up"'
 events_before="$(metric "$ADMIN2" eyewnder_repl_events_total)"
 
 # Kill the primary dead, promote the follower.
@@ -126,7 +135,7 @@ kill -9 "$primary_pid"
 wait "$primary_pid" 2>/dev/null || true
 kill -USR1 "$follower_pid"
 poll_until 20 metric_is "$ADMIN2" eyewnder_replica 0
-curl -sf "http://$ADMIN2/healthz" | grep -q '"detail":"promoted"'
+body_has "http://$ADMIN2/healthz" '"detail":"promoted"'
 
 # The registry survived: the replication counters did not reset.
 events_after="$(metric "$ADMIN2" eyewnder_repl_events_total)"
