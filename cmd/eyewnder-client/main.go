@@ -56,8 +56,8 @@ func main() {
 		log.Fatalf("fetch oprf key: %v", err)
 	}
 
-	// No Params in the options: client.New negotiates the round config
-	// from the back-end (Hello/Welcome) before doing anything else.
+	// client.New negotiates the round config from the back-end
+	// (Hello/Welcome) before doing anything else.
 	ext, err := client.New(client.Options{
 		User: *user, Detector: detector.DefaultConfig(),
 	}, &client.WireBackend{C: beConn}, &client.WireEvaluator{C: opConn}, pub)

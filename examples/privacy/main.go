@@ -19,9 +19,10 @@ import (
 
 func main() {
 	params := privacy.Params{Epsilon: 0.05, Delta: 0.05, IDSpace: 1000, Suite: group.P256()}
-	// A versioned round config normally arrives from the server's Welcome
-	// handshake; this single-process walkthrough pins an unversioned one.
-	rcfg := privacy.UnversionedConfig(params, 5)
+	// A round config normally arrives from the server's Welcome
+	// handshake; this single-process walkthrough pins the first one a
+	// server would advertise for a 5-user roster.
+	rcfg := privacy.RoundConfig{Version: 1, RosterVersion: 1, RosterSize: 5, Params: params}
 
 	// (1) Oblivious PRF: the client learns F(k, url); the server never
 	// sees the URL, the client never sees k.

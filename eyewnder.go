@@ -120,9 +120,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	sys := &System{Backend: be, OPRF: osrv, params: params}
 	api := &client.LocalBackend{B: be}
 	for i := 0; i < cfg.Users; i++ {
-		// No Params passed down: each extension negotiates the round
-		// config from the back-end, exactly as a wire-connected client
-		// would — the back-end is the single source of truth.
+		// Each extension negotiates the round config from the back-end,
+		// exactly as a wire-connected client would — the back-end is the
+		// single source of truth.
 		ext, err := client.New(client.Options{
 			User: i, Detector: det,
 		}, api, osrv, osrv.PublicKey())

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"eyewnder/internal/privacy"
 )
 
 func TestNewSystemValidation(t *testing.T) {
@@ -23,11 +25,30 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 	t0 := time.Date(2019, 3, 4, 10, 0, 0, 0, time.UTC)
 	// A chasing ad follows user 0 across 6 domains; a broad ad reaches
-	// everyone everywhere.
-	page := func(chasing bool, site int) string {
-		html := `<html><body><div class="ad-slot"><a href="https://shopX.example/broad/1"><img src="https://ads.adx0.example/creative/1"></a></div>`
-		if chasing {
-			html += `<div class="ad-slot"><a href="https://shopY.example/follow/2"><img src="https://ads.adx1.example/creative/2"></a></div>`
+	// everyone everywhere. The OPRF key is fresh per system, so two fixed
+	// landing URLs would share one ad ID with probability 1/|A|; the
+	// chasing ad's URL is picked so its ID differs from the broad one's.
+	const broad = "https://shopX.example/broad/1"
+	ids := privacy.NewClient(sys.Backend.CurrentConfig(), nil, sys.OPRF.PublicKey(), sys.OPRF) // ad URL → ad ID only
+	broadID, err := ids.ObserveAd(broad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chasing string
+	for i := 2; chasing == ""; i++ {
+		url := fmt.Sprintf("https://shopY.example/follow/%d", i)
+		id, err := ids.ObserveAd(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != broadID {
+			chasing = url
+		}
+	}
+	page := func(chases bool, site int) string {
+		html := `<html><body><div class="ad-slot"><a href="` + broad + `"><img src="https://ads.adx0.example/creative/1"></a></div>`
+		if chases {
+			html += `<div class="ad-slot"><a href="` + chasing + `"><img src="https://ads.adx1.example/creative/2"></a></div>`
 		}
 		return html + "</body></html>"
 	}
@@ -54,14 +75,14 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Fatalf("Users_th = %v", th)
 	}
 	now := t0.Add(7 * time.Hour)
-	v, err := sys.Extensions[0].AuditAd("https://shopY.example/follow/2", round, now)
+	v, err := sys.Extensions[0].AuditAd(chasing, round, now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Class != Targeted {
 		t.Fatalf("chasing ad = %v (%+v), want targeted", v.Class, v)
 	}
-	v, err = sys.Extensions[0].AuditAd("https://shopX.example/broad/1", round, now)
+	v, err = sys.Extensions[0].AuditAd(broad, round, now)
 	if err != nil {
 		t.Fatal(err)
 	}

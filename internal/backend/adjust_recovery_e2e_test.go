@@ -42,7 +42,7 @@ func TestKillAndRecoverAdjustments(t *testing.T) {
 		}
 	}
 	for u := 0; u < reporters; u++ {
-		if err := submitShare(control, 0, u, round, 0, shares[u]); err != nil {
+		if err := submitShare(control, 0, u, round, shares[u]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -54,7 +54,7 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 
 	// A share can never open a round: before any report, the round is
 	// unknown.
-	if err := submitShare(b, 0, 0, round, 0, shares[0]); !errors.Is(err, ErrUnknownRound) {
+	if err := submitShare(b, 0, 0, round, shares[0]); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("pre-report share err = %v, want ErrUnknownRound", err)
 	}
 
@@ -68,35 +68,43 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 	}
 
 	// Out-of-range user, checked before anything else.
-	if err := submitShare(b, 0, -1, round, 0, shares[0]); !errors.Is(err, ErrBadUser) {
+	if err := submitShare(b, 0, -1, round, shares[0]); !errors.Is(err, ErrBadUser) {
 		t.Fatalf("negative user err = %v, want ErrBadUser", err)
 	}
-	if err := submitShare(b, 0, len(ros.Parties), round, 0, shares[0]); !errors.Is(err, ErrBadUser) {
+	if err := submitShare(b, 0, len(ros.Parties), round, shares[0]); !errors.Is(err, ErrBadUser) {
 		t.Fatalf("out-of-roster user err = %v, want ErrBadUser", err)
 	}
 	// Wrong cell count, rejected at upload time rather than poisoning
 	// every later close.
-	if err := submitShare(b, 0, 0, round, 0, make([]uint64, cells-1)); err == nil {
+	if err := submitShare(b, 0, 0, round, make([]uint64, cells-1)); err == nil {
 		t.Fatal("short share accepted")
 	}
 	// A share for a round nobody has touched is still unknown.
-	if err := submitShare(b, 0, 0, round+1, 0, shares[0]); !errors.Is(err, ErrUnknownRound) {
+	if err := submitShare(b, 0, 0, round+1, shares[0]); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("unknown round err = %v, want ErrUnknownRound", err)
 	}
 	// User 3 never reported: its share has nothing to cancel.
-	if err := submitShare(b, 0, 3, round, 0, shares[0]); !errors.Is(err, ErrAdjustNotReporter) {
+	if err := submitShare(b, 0, 3, round, shares[0]); !errors.Is(err, ErrAdjustNotReporter) {
 		t.Fatalf("non-reporter err = %v, want ErrAdjustNotReporter", err)
 	}
 	// A share blinded under the other keystream suite could not cancel
 	// the round's pairwise terms: refused, and nothing is stored.
 	// testParams leaves the suite at its HMAC-SHA256 default.
-	foreign := shareFrame(b, 0, 0, round, 0, shares[0])
+	foreign := shareFrame(b, 0, 0, round, firstConfigVersion, shares[0])
 	foreign.Keystream = byte(blind.KeystreamAESCTR)
 	if err := b.ConsumeReport(foreign); !errors.Is(err, privacy.ErrKeystreamMismatch) {
 		t.Fatalf("other-suite share err = %v, want ErrKeystreamMismatch", err)
 	}
 	if p, err := b.RoundProgressOf(0, round); err != nil || p.Adjusted != 0 {
 		t.Fatalf("after the other-suite share: Adjusted = %d, %v; want 0", p.Adjusted, err)
+	}
+	// Nor is a zero config version a wildcard: a share stamped 0 into a
+	// round pinned to a real version is refused like any stale one.
+	if err := b.ConsumeReport(shareFrame(b, 0, 0, round, 0, shares[0])); !errors.Is(err, privacy.ErrIncompatibleConfig) {
+		t.Fatalf("version-0 share err = %v, want ErrIncompatibleConfig", err)
+	}
+	if p, err := b.RoundProgressOf(0, round); err != nil || p.Adjusted != 0 {
+		t.Fatalf("after the version-0 share: Adjusted = %d, %v; want 0", p.Adjusted, err)
 	}
 	// A close with a report missing and no shares fails and must leave
 	// the round retryable (the clone invariant: shares only ever apply
@@ -108,19 +116,19 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 	// Clean shares land; an identical re-upload is an idempotent retry,
 	// a differing one is a conflict.
 	for i, adj := range shares {
-		if err := submitShare(b, 0, i, round, 0, adj); err != nil {
+		if err := submitShare(b, 0, i, round, adj); err != nil {
 			t.Fatal(err)
 		}
-		if err := submitShare(control, 0, i, round, 0, adj); err != nil {
+		if err := submitShare(control, 0, i, round, adj); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := submitShare(b, 0, 0, round, 0, shares[0]); err != nil {
+	if err := submitShare(b, 0, 0, round, shares[0]); err != nil {
 		t.Fatalf("idempotent re-upload err = %v", err)
 	}
 	mutated := append([]uint64(nil), shares[0]...)
 	mutated[0]++
-	if err := submitShare(b, 0, 0, round, 0, mutated); !errors.Is(err, ErrAdjustConflict) {
+	if err := submitShare(b, 0, 0, round, mutated); !errors.Is(err, ErrAdjustConflict) {
 		t.Fatalf("conflicting re-upload err = %v, want ErrAdjustConflict", err)
 	}
 
@@ -129,7 +137,7 @@ func TestSubmitAdjustmentEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Closed rounds refuse further shares.
-	if err := submitShare(b, 0, 1, round, 0, shares[1]); !errors.Is(err, ErrRoundClosed) {
+	if err := submitShare(b, 0, 1, round, shares[1]); !errors.Is(err, ErrRoundClosed) {
 		t.Fatalf("post-close share err = %v, want ErrRoundClosed", err)
 	}
 
@@ -208,7 +216,7 @@ func TestCloseRoundDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := submitShare(b, 0, 0, round, 0, adj0); err != nil {
+	if err := submitShare(b, 0, 0, round, adj0); err != nil {
 		t.Fatal(err)
 	}
 	adj1, err := clients[1].Adjust(round, cms.Cells(), missing)
@@ -217,7 +225,7 @@ func TestCloseRoundDeadline(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(30 * time.Millisecond)
-		submitShare(b, 0, 1, round, 0, adj1)
+		submitShare(b, 0, 1, round, adj1)
 	}()
 	start := time.Now()
 	th, ads, err := b.CloseRound(0, round, 30*time.Second)
@@ -261,7 +269,7 @@ func TestRoundProgressConsistentUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		cms.Update([]byte{byte(u)})
-		return &privacy.Report{User: u, Round: round, Sketch: cms}
+		return &privacy.Report{User: u, Round: round, Sketch: cms, ConfigVersion: firstConfigVersion}
 	}
 	if err := submit(b, makeReport(0)); err != nil {
 		t.Fatal(err) // the round must exist before the pollers start
@@ -311,7 +319,7 @@ func TestRoundProgressConsistentUnderLoad(t *testing.T) {
 			}
 			// Immediately follow with this reporter's (placeholder)
 			// share, racing the pollers' Adjusted reads.
-			if err := submitShare(b, 0, u, round, 0, make([]uint64, cells)); err != nil {
+			if err := submitShare(b, 0, u, round, make([]uint64, cells)); err != nil {
 				t.Error(err)
 			}
 		}(u)

@@ -60,11 +60,11 @@ func TestAdjustmentRoundOverWireOps(t *testing.T) {
 
 	const kRound uint64 = 21
 
-	// A client old enough to send its report or its share as JSON gets
-	// an ordinary error naming the message it no longer finds — not a
-	// dropped socket or a hang — and everything below runs on this same
-	// connection.
-	for _, op := range []string{"backend.submit_report", "backend.submit_adjustment"} {
+	// A client old enough to send its report or its share as JSON, or
+	// to list the campaigns over the retired JSON op, gets an ordinary
+	// error naming the message it no longer finds — not a dropped socket
+	// or a hang — and everything below runs on this same connection.
+	for _, op := range []string{"backend.submit_report", "backend.submit_adjustment", "backend.campaigns"} {
 		err = ctl.Do(op, map[string]interface{}{"user": 0, "round": kRound, "cells": []uint64{1}}, nil)
 		if err == nil || !strings.Contains(err.Error(), `unknown message "`+op+`"`) {
 			t.Fatalf("JSON %s err = %v, want a remote unknown-message error", op, err)

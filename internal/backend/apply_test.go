@@ -100,8 +100,9 @@ const replayBufBytes = 1 << 19
 // directory and a replica fed the raw WAL bytes must hold == state. The
 // log carries every record kind and, appended straight to the store
 // beside the primary's own records, every record the acceptance rules
-// skip: a duplicate, suite/seed/layout mismatches, a stale config
-// version, an out-of-roster user, an unknown round, a report and a share
+// skip: a duplicate, suite/seed/layout mismatches, a stale and a zero
+// config version (the missing user's report: no version is a
+// wildcard), an out-of-roster user, an unknown round, a report and a share
 // after the close, a share of the wrong size, a re-logged open. The
 // primary never saw those, so any one the applier took would show as a
 // difference. Paper-geometry records straddle the replay buffer, and a
@@ -152,28 +153,31 @@ func TestReplicaRecoveredEquivalence(t *testing.T) {
 	// Campaign 0, round 1: users 0–4 report, user 5 stays missing, the
 	// reporters upload shares and the round closes through adjustments.
 	reports, roster := buildReportsWithRoster(t, params, users, 1)
+	cv := primary.CurrentConfig().Version
+	restamp(reports, cv)
 	for _, r := range reports[:4] {
 		consume(wire.ReportFrameOf(r))
 	}
 	f4 := *wire.ReportFrameOf(reports[4])
-	logged(*wire.ReportFrameOf(reports[5]), func(f *wire.ReportFrame) { f.User = 0 })  // duplicate
-	logged(f4, func(f *wire.ReportFrame) { f.Keystream ^= 1 })                         // suite mismatch
-	logged(f4, func(f *wire.ReportFrame) { f.Seed++ })                                 // seed mismatch
-	logged(f4, func(f *wire.ReportFrame) { f.D++; f.Cells = make([]uint64, f.D*f.W) }) // layout mismatch
-	logged(f4, func(f *wire.ReportFrame) { f.ConfigVersion = 999 })                    // stale config version
-	logged(f4, func(f *wire.ReportFrame) { f.User = 20 })                              // out of roster
-	logged(f4, func(f *wire.ReportFrame) { f.Round = 9 })                              // unknown round
+	logged(*wire.ReportFrameOf(reports[5]), func(f *wire.ReportFrame) { f.User = 0 })          // duplicate
+	logged(f4, func(f *wire.ReportFrame) { f.Keystream ^= 1 })                                 // suite mismatch
+	logged(f4, func(f *wire.ReportFrame) { f.Seed++ })                                         // seed mismatch
+	logged(f4, func(f *wire.ReportFrame) { f.D++; f.Cells = make([]uint64, f.D*f.W) })         // layout mismatch
+	logged(f4, func(f *wire.ReportFrame) { f.ConfigVersion = 999 })                            // stale config version
+	logged(*wire.ReportFrameOf(reports[5]), func(f *wire.ReportFrame) { f.ConfigVersion = 0 }) // zero config version: no wildcard
+	logged(f4, func(f *wire.ReportFrame) { f.User = 20 })                                      // out of roster
+	logged(f4, func(f *wire.ReportFrame) { f.Round = 9 })                                      // unknown round
 	r1, _ := primary.lookupRound(0, 1)
 	rcfg := r1.agg.Config()
 	must(st.AppendOpen(0, 1, users, f4.D, f4.W, f4.Seed, f4.Keystream, rcfg.Version, rcfg.RosterVersion)) // re-logged open
 	consume(&f4)
 	cells := f4.D * f4.W
 	for u := 0; u < 5; u++ {
-		must(submitShare(primary, 0, u, 1, 0, share(u, cells)))
+		must(submitShare(primary, 0, u, 1, share(u, cells)))
 	}
-	must(submitShare(primary, 0, 2, 1, 0, share(2, cells))) // identical re-upload: logged again, last write wins
-	must(st.AppendAdjust(0, 1, 1, share(99, 5)))            // wrong cell count
-	must(st.AppendAdjust(0, 1, 20, share(99, cells)))       // out of roster
+	must(submitShare(primary, 0, 2, 1, share(2, cells))) // identical re-upload: logged again, last write wins
+	must(st.AppendAdjust(0, 1, 1, share(99, 5)))         // wrong cell count
+	must(st.AppendAdjust(0, 1, 20, share(99, cells)))    // out of roster
 	if _, _, err := primary.CloseRound(0, 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +188,7 @@ func TestReplicaRecoveredEquivalence(t *testing.T) {
 	// the replay buffer): every user reports and the round closes.
 	frames7, _ := buildCampaignFrames(t, roster, paper, params, users, 1)
 	for _, f := range frames7 {
+		f.ConfigVersion = cv
 		consume(f)
 	}
 	if _, _, err := primary.CloseRound(paper.ID, 1, 0); err != nil {
@@ -195,6 +200,7 @@ func TestReplicaRecoveredEquivalence(t *testing.T) {
 	if 8*len(frames9[0].Cells) <= replayBufBytes {
 		t.Fatalf("campaign 9 records are %d bytes, not larger than the replay buffer", 8*len(frames9[0].Cells))
 	}
+	frames9[0].ConfigVersion, frames9[1].ConfigVersion = cv, cv
 	consume(frames9[0])
 	consume(frames9[1])
 
@@ -203,7 +209,7 @@ func TestReplicaRecoveredEquivalence(t *testing.T) {
 	if _, err := primary.Register(3, []byte("a new key for user 3")); err != nil {
 		t.Fatal(err)
 	}
-	cv := primary.CurrentConfig().Version
+	cv = primary.CurrentConfig().Version
 	for _, r := range stampedFrames(t, params, users, 2, cv)[:3] {
 		consume(wire.ReportFrameOf(r))
 	}

@@ -277,8 +277,8 @@ func New(cfg Config) (*Backend, error) {
 		retiredBelow: make(map[uint32]uint64),
 	}
 	b.m = newBackendMetrics(cfg.Metrics)
-	// Version 0 is reserved for the unversioned legacy style; the replay
-	// raises the counters to what the log holds.
+	// Versions start at 1 (a zero config version is refused like any
+	// stale one); the replay raises the counters to what the log holds.
 	b.configVersion, b.rosterVersion = 1, 1
 	if err := b.restore(); err != nil {
 		return nil, err
@@ -922,10 +922,10 @@ func (b *Backend) RoundsProgress() []RoundSnapshot {
 // the client computed against two different missing sets and the server
 // cannot tell which one is right.
 //
-// cv is the negotiated config version the share was derived under: 0 is
-// "unversioned" and accepted by any round, a stale nonzero version is
-// rejected (the share's pairwise terms come from a superseded roster
-// and could not cancel), exactly as stale reports are.
+// cv is the negotiated config version the share was derived under; any
+// version but the round's own is rejected (the share's pairwise terms
+// come from another roster and could not cancel), exactly as stale
+// reports are.
 //
 // Like a report, the share is logged but not synced here: the ack's
 // SyncReports covers its WAL append, so batched adjustment uploads
@@ -971,7 +971,7 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 		r.mu.Unlock()
 		return ErrRoundClosed
 	}
-	if !r.agg.Config().CompatibleReportVersion(cv) {
+	if cv != r.agg.Config().Version {
 		r.mu.Unlock()
 		return privacy.ErrIncompatibleConfig
 	}
@@ -1452,20 +1452,6 @@ func (b *Backend) Handler() wire.Handler {
 			return wire.TypeCampaignAddOK, wire.CampaignAddResp{
 				ID: req.ID, Campaigns: len(b.Campaigns()),
 			}, nil
-
-		case wire.TypeCampaigns:
-			list := b.Campaigns()
-			out := make([]wire.CampaignInfo, len(list))
-			for i, c := range list {
-				out[i] = wire.CampaignInfo{
-					ID: c.ID, Name: c.Name,
-					Epsilon: c.Epsilon, Delta: c.Delta, IDSpace: c.IDSpace,
-					Keystream:    byte(c.Keystream),
-					KeystreamSet: c.KeystreamSet,
-					RetainRounds: c.RetainRounds, CadenceSec: c.CadenceSec,
-				}
-			}
-			return wire.TypeCampaignsOK, wire.CampaignsResp{Campaigns: out}, nil
 		}
 		return "", nil, fmt.Errorf("backend: unknown message %q", m.Type)
 	}

@@ -3,6 +3,7 @@ package backend
 import (
 	"crypto/rand"
 	"crypto/rsa"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -40,6 +41,11 @@ func fixtures(t testing.TB) (*oprf.Server, *blind.Roster) {
 	return fixSrv, fixRos
 }
 
+// firstConfigVersion is the config version a fresh back-end pins its
+// rounds to until a registration bumps it; fixtures built before the
+// back-end exists stamp it, as a client that negotiated then would.
+const firstConfigVersion = 1
+
 func testParams() privacy.Params {
 	return privacy.Params{Epsilon: 0.01, Delta: 0.01, IDSpace: 2000, Suite: group.P256()}
 }
@@ -69,10 +75,20 @@ func shareFrame(b *Backend, c uint32, user int, round uint64, cv uint32, cells [
 	return f
 }
 
+// restamp sets every report's config version to cv, as clients that
+// re-joined after a registration bumped the version would.
+func restamp(reports []*privacy.Report, cv uint32) {
+	for _, r := range reports {
+		r.ConfigVersion = cv
+	}
+}
+
 // submitShare uploads an adjustment share as submit does a report:
-// through ConsumeReport, then the durability barrier an ack runs.
-func submitShare(b *Backend, c uint32, user int, round uint64, cv uint32, cells []uint64) error {
-	if err := b.ConsumeReport(shareFrame(b, c, user, round, cv, cells)); err != nil {
+// through ConsumeReport, then the durability barrier an ack runs. The
+// share carries the back-end's current config version, as a client
+// that just negotiated stamps it.
+func submitShare(b *Backend, c uint32, user int, round uint64, cells []uint64) error {
+	if err := b.ConsumeReport(shareFrame(b, c, user, round, b.CurrentConfig().Version, cells)); err != nil {
 		return err
 	}
 	return b.SyncReports()
@@ -88,7 +104,7 @@ func newBackend(t *testing.T) (*Backend, []*privacy.Client) {
 	}
 	clients := make([]*privacy.Client, len(ros.Parties))
 	for i, p := range ros.Parties {
-		clients[i] = privacy.NewClient(privacy.UnversionedConfig(params, 0), p, srv.PublicKey(), srv)
+		clients[i] = privacy.NewClient(b.CurrentConfig(), p, srv.PublicKey(), srv)
 	}
 	return b, clients
 }
@@ -133,15 +149,41 @@ func TestRegisterAndRoster(t *testing.T) {
 	}
 }
 
+// distinctAdURLs returns two ad URLs whose ad IDs differ under the
+// fixture's OPRF key. That key is drawn once per process, so two fixed
+// URLs would share one ID with probability 1/|A| per process, and a
+// round expecting two counters would publish one.
+func distinctAdURLs(t *testing.T) (string, string) {
+	t.Helper()
+	srv, _ := fixtures(t)
+	ids := privacy.NewClient(privacy.RoundConfig{Params: testParams()}, nil, srv.PublicKey(), srv) // ad URL → ad ID only
+	const common = "https://ads.example/common"
+	commonID, err := ids.ObserveAd(common)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		rare := fmt.Sprintf("https://ads.example/rare-%d", i)
+		id, err := ids.ObserveAd(rare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != commonID {
+			return common, rare
+		}
+	}
+}
+
 func TestFullRoundLifecycle(t *testing.T) {
 	b, clients := newBackend(t)
 	const round = 1
+	common, rare := distinctAdURLs(t)
 	for i, c := range clients {
-		if _, err := c.ObserveAd("https://ads.example/common"); err != nil {
+		if _, err := c.ObserveAd(common); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			if _, err := c.ObserveAd("https://ads.example/rare"); err != nil {
+			if _, err := c.ObserveAd(rare); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -227,7 +269,7 @@ func TestRoundWithMissingUsersNeedsAdjustments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := submitShare(b, 0, i, round, 0, adj); err != nil {
+		if err := submitShare(b, 0, i, round, adj); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,7 +313,7 @@ func TestThresholdBeforeClose(t *testing.T) {
 
 func TestSubmitAdjustmentValidation(t *testing.T) {
 	b, _ := newBackend(t)
-	if err := submitShare(b, 0, 99, 1, 0, nil); err != ErrBadUser {
+	if err := submitShare(b, 0, 99, 1, nil); err != ErrBadUser {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -72,8 +72,9 @@ func buildCampaignFrames(t *testing.T, roster *blind.Roster, c campaign.Campaign
 		frames[u] = &wire.ReportFrame{
 			User: u, Campaign: c.ID, Round: round,
 			D: cms.Depth(), W: cms.Width(), N: cms.N(), Seed: cms.Seed(),
-			Keystream: byte(params.Keystream),
-			Cells:     cells,
+			Keystream:     byte(params.Keystream),
+			ConfigVersion: firstConfigVersion,
+			Cells:         cells,
 		}
 	}
 	return frames, oracle

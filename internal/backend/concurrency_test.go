@@ -85,7 +85,7 @@ func TestConcurrentSubmitAndClose(t *testing.T) {
 // never close.
 func TestSubmitAdjustmentRejectsBadLength(t *testing.T) {
 	b, _ := newBackend(t)
-	if err := submitShare(b, 0, 0, 1, 0, make([]uint64, 7)); err == nil {
+	if err := submitShare(b, 0, 0, 1, make([]uint64, 7)); err == nil {
 		t.Fatal("wrong-length adjustment share accepted")
 	}
 }
@@ -105,7 +105,7 @@ func TestCloseRoundRetrySafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := submitShare(b, 0, 0, round, 0, adj); !errors.Is(err, ErrUnknownRound) {
+	if err := submitShare(b, 0, 0, round, adj); !errors.Is(err, ErrUnknownRound) {
 		t.Fatalf("pre-report adjustment share: err = %v, want ErrUnknownRound", err)
 	}
 
@@ -133,7 +133,7 @@ func TestCloseRoundRetrySafe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := submitShare(b, 0, u, round, 0, adj); err != nil {
+		if err := submitShare(b, 0, u, round, adj); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestSameRoundConcurrentStripedMerge(t *testing.T) {
 			cms.Update(key[:])
 			want[id]++
 		}
-		reports[u] = &privacy.Report{User: u, Round: round, Sketch: cms}
+		reports[u] = &privacy.Report{User: u, Round: round, Sketch: cms, ConfigVersion: firstConfigVersion}
 	}
 
 	var wg sync.WaitGroup
@@ -284,7 +284,8 @@ func TestStreamedReportsEndToEnd(t *testing.T) {
 				User: u, Round: round,
 				D: cms.Depth(), W: cms.Width(),
 				N: cms.N(), Seed: cms.Seed(),
-				Cells: cms.FlatCells(),
+				ConfigVersion: firstConfigVersion,
+				Cells:         cms.FlatCells(),
 			})
 			if err != nil {
 				errs <- err
@@ -307,7 +308,8 @@ func TestStreamedReportsEndToEnd(t *testing.T) {
 	if err := cli.SubmitReportFrame(&wire.ReportFrame{
 		User: 0, Round: round,
 		D: dup.Depth(), W: dup.Width(), N: dup.N(), Seed: dup.Seed(),
-		Cells: dup.FlatCells(),
+		ConfigVersion: firstConfigVersion,
+		Cells:         dup.FlatCells(),
 	}); err == nil {
 		t.Fatal("duplicate streamed report accepted")
 	}
@@ -330,7 +332,8 @@ func TestStreamedReportsEndToEnd(t *testing.T) {
 	if err := cli.SubmitReportFrame(&wire.ReportFrame{
 		User: 7, Round: round,
 		D: late.Depth(), W: late.Width(), N: late.N(), Seed: late.Seed(),
-		Cells: late.FlatCells(),
+		ConfigVersion: firstConfigVersion,
+		Cells:         late.FlatCells(),
 	}); err == nil {
 		t.Fatal("streamed report into closed round accepted")
 	}
@@ -381,8 +384,9 @@ func TestBatchedStreamedIngestion(t *testing.T) {
 		return &wire.ReportFrame{
 			User: u, Round: round,
 			D: cms.Depth(), W: cms.Width(), N: cms.N(), Seed: cms.Seed(),
-			Keystream: byte(ks),
-			Cells:     cms.FlatCells(),
+			Keystream:     byte(ks),
+			ConfigVersion: firstConfigVersion,
+			Cells:         cms.FlatCells(),
 		}
 	}
 	for u := 0; u < users; u++ {

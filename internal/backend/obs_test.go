@@ -32,8 +32,9 @@ func rawFrames(t testing.TB, params privacy.Params, users int, round uint64) []*
 		frames[u] = &wire.ReportFrame{
 			User: u, Round: round,
 			D: cms.Depth(), W: cms.Width(), N: cms.N(), Seed: cms.Seed(),
-			Keystream: byte(params.Keystream),
-			Cells:     cms.FlatCells(),
+			Keystream:     byte(params.Keystream),
+			ConfigVersion: firstConfigVersion,
+			Cells:         cms.FlatCells(),
 		}
 	}
 	return frames

@@ -165,6 +165,11 @@ func TestKillAndRecoverMidRound(t *testing.T) {
 		wire.RegisterReq{User: 3, PublicKey: []byte("pk3")}, nil); err != nil {
 		t.Fatal(err)
 	}
+	var board wire.RosterResp
+	if err := cli1.Do(wire.TypeRoster, struct{}{}, &board); err != nil {
+		t.Fatal(err)
+	}
+	restamp(reports, board.ConfigVersion)
 	rs, err := cli1.OpenReportStream(0)
 	if err != nil {
 		t.Fatal(err)

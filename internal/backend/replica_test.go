@@ -111,7 +111,8 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 	}
 
 	// Round 1: full roster, straight close.
-	for _, r := range buildReports(t, params, users, 1) {
+	cv := primary.CurrentConfig().Version
+	for _, r := range stampedFrames(t, params, users, 1, cv) {
 		if err := primary.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 	// the round closes with adjustments applied. The share values are
 	// arbitrary — what matters is that primary and replica fold the
 	// same bytes into the same state.
-	reports2 := buildReports(t, params, users, 2)
+	reports2 := stampedFrames(t, params, users, 2, cv)
 	for _, r := range reports2[:users-1] {
 		if err := primary.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
@@ -136,7 +137,7 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 		for i := range share {
 			share[i] = uint64(u*1000 + i)
 		}
-		if err := submitShare(primary, 0, u, 2, 0, share); err != nil {
+		if err := submitShare(primary, 0, u, 2, share); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func TestReplicaMirrorsPrimaryWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round 3 stays open mid-round: the state a follower must hold warm.
-	for _, r := range buildReports(t, params, users, 3)[:3] {
+	for _, r := range stampedFrames(t, params, users, 3, cv)[:3] {
 		if err := primary.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +277,7 @@ func TestReplicaRejectsWrites(t *testing.T) {
 		t.Errorf("ConsumeReport err = %v", err)
 	}
 	cells := len(reports[0].Sketch.FlatCells())
-	if err := submitShare(replica, 0, 0, 1, 0, make([]uint64, cells)); !errors.Is(err, ErrReadOnlyReplica) {
+	if err := submitShare(replica, 0, 0, 1, make([]uint64, cells)); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Errorf("replica share err = %v", err)
 	}
 	if _, _, err := replica.CloseRound(0, 1, 0); !errors.Is(err, ErrReadOnlyReplica) {

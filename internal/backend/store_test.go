@@ -51,7 +51,7 @@ func buildReportsWithRoster(t *testing.T, params privacy.Params, users int, roun
 		if err := blind.ApplyBlinding(cells, roster.Parties[u].Blinding(round, len(cells))); err != nil {
 			t.Fatal(err)
 		}
-		reports[u] = &privacy.Report{User: u, Round: round, Sketch: cms, Keystream: params.Keystream}
+		reports[u] = &privacy.Report{User: u, Round: round, Sketch: cms, Keystream: params.Keystream, ConfigVersion: firstConfigVersion}
 	}
 	return reports, roster
 }
@@ -104,6 +104,7 @@ func TestBackendRecoversMidRound(t *testing.T) {
 	if _, err := b1.Register(3, []byte("pk3")); err != nil {
 		t.Fatal(err)
 	}
+	restamp(reports, b1.CurrentConfig().Version)
 	for _, r := range reports[:4] {
 		if err := b1.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)

@@ -38,23 +38,19 @@ var ErrNotRegistered = errors.New("client: extension not registered")
 // pins its reports to exactly that negotiated state. Submit is the one
 // upload: a report or an adjustment share as its streamed frame, stamped
 // with the blinding suite and config version the party joined under.
+// NegotiateConfig fetches the server's round config — the wire adapter
+// performs the Hello/Welcome handshake, the in-process adapter reads the
+// back-end's CurrentConfig — so the server, not a mirrored flag set,
+// decides the sketch geometry, ad-ID space, and blinding-keystream
+// suite.
 type BackendAPI interface {
+	NegotiateConfig() (privacy.RoundConfig, error)
 	Register(user int, publicKey []byte) (rosterSize int, err error)
 	Roster() (keys [][]byte, configVersion, rosterVersion uint32, err error)
 	Submit(f *wire.ReportFrame) error
 	RoundStatus(round uint64) (reported int, missing []int, closed bool, err error)
 	Threshold(round uint64) (float64, error)
 	AuditAd(round uint64, adID uint64) (users uint64, err error)
-}
-
-// ConfigNegotiator is the optional interface a BackendAPI implements
-// when it can fetch the server's negotiated round config — the wire
-// adapter performs the Hello/Welcome handshake, the in-process adapter
-// reads the back-end's CurrentConfig. When Options.Params is left zero,
-// New requires it: the server, not a mirrored flag set, then decides
-// the sketch geometry, ad-ID space, and blinding-keystream suite.
-type ConfigNegotiator interface {
-	NegotiateConfig() (privacy.RoundConfig, error)
 }
 
 // Extension is one user's eyeWnder instance.
@@ -78,33 +74,18 @@ type Extension struct {
 type Options struct {
 	User     int
 	Detector detector.Config
-	// Params explicitly fixes the protocol geometry — the legacy
-	// flag-agreement style, for tests and single-process deployments
-	// that own both sides. Leave it zero to adopt whatever the backend
-	// advertises (the backend must then implement ConfigNegotiator);
-	// that is the deployment mode: zero protocol knobs on the client.
-	Params privacy.Params
-	Rules  *addetect.Ruleset
+	Rules    *addetect.Ruleset
 }
 
 // New creates an extension for one user. backendAPI and eval connect it
-// to the two servers; oprfPub is the oprf-server's public key. With a
-// zero Options.Params the protocol config is negotiated from the
-// backend before anything else — a server speaking an unknown blinding
-// suite or group surfaces as ErrIncompatibleConfig here, not as a
-// corrupted round later.
+// to the two servers; oprfPub is the oprf-server's public key. The
+// protocol config is negotiated from the backend before anything else —
+// a server speaking an unknown blinding suite or group surfaces as
+// ErrIncompatibleConfig here, not as a corrupted round later.
 func New(opts Options, backendAPI BackendAPI, eval privacy.Evaluator, oprfPub oprf.PublicKey) (*Extension, error) {
-	rcfg := privacy.UnversionedConfig(opts.Params, 0)
-	if opts.Params.Suite == nil {
-		neg, ok := backendAPI.(ConfigNegotiator)
-		if !ok {
-			return nil, errors.New("client: no Params given and the backend cannot negotiate a config")
-		}
-		c, err := neg.NegotiateConfig()
-		if err != nil {
-			return nil, err
-		}
-		rcfg = c
+	rcfg, err := backendAPI.NegotiateConfig()
+	if err != nil {
+		return nil, err
 	}
 	priv, err := rcfg.Params.Suite.GenerateKey(crand.Reader)
 	if err != nil {
@@ -128,8 +109,8 @@ func New(opts Options, backendAPI BackendAPI, eval privacy.Evaluator, oprfPub op
 func (e *Extension) User() int { return e.user }
 
 // Config returns the round config the extension operates under: the
-// negotiated (or explicitly given) protocol geometry, with the
-// config/roster versions pinned at the last successful Join.
+// negotiated protocol geometry, with the config/roster versions pinned
+// at the last successful Join.
 func (e *Extension) Config() privacy.RoundConfig { return e.rcfg }
 
 // Register publishes the user's blinding key on the bulletin board.
@@ -312,7 +293,7 @@ func (e *Extension) State() *detector.UserState { return e.state }
 // WireBackend adapts a wire.Client to BackendAPI.
 type WireBackend struct{ C *wire.Client }
 
-// NegotiateConfig implements ConfigNegotiator: the Hello/Welcome
+// NegotiateConfig implements BackendAPI: the Hello/Welcome
 // handshake, with the advertised frame validated and converted into a
 // privacy.RoundConfig. A server that predates the handshake, or one
 // advertising a group or blinding suite this build does not implement,

@@ -93,9 +93,8 @@ func TestFullSystemOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := detector.DefaultConfig()
-		ext, err := client.New(client.Options{
-			User: i, Detector: cfg, Params: params,
-		}, &client.WireBackend{C: beConn}, &client.WireEvaluator{C: oConn}, pub)
+		ext, err := client.New(client.Options{User: i, Detector: cfg},
+			&client.WireBackend{C: beConn}, &client.WireEvaluator{C: oConn}, pub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,9 +110,27 @@ func TestFullSystemOverTCP(t *testing.T) {
 	}
 
 	// Browsing: a targeted campaign chases user 0 across 6 sites; a broad
-	// static campaign appears everywhere for everyone.
-	chasing := &adsim.Campaign{ID: 500, Kind: adsim.KindTargeted, Category: taxonomy.Fishing, ProductSite: -1}
+	// static campaign appears everywhere for everyone. The OPRF key is
+	// drawn per process, so two fixed landing URLs would share one ad ID
+	// with probability 1/|A|: the chasing campaign is re-picked until its
+	// ID differs from the broad one's.
 	broad := &adsim.Campaign{ID: 501, Kind: adsim.KindStatic, Category: taxonomy.News, ProductSite: -1}
+	chasing := &adsim.Campaign{ID: 500, Kind: adsim.KindTargeted, Category: taxonomy.Fishing, ProductSite: -1}
+	ids := privacy.NewClient(be.CurrentConfig(), nil, osrv.PublicKey(), osrv) // ad URL → ad ID only
+	broadID, err := ids.ObserveAd(broad.LandingURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		id, err := ids.ObserveAd(chasing.LandingURL())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != broadID {
+			break
+		}
+		chasing.ID += 2 // skips the broad campaign's ID
+	}
 	t0 := adsim.SimStart
 	var chasingKey, broadKey string
 	for site := 0; site < 6; site++ {
@@ -214,9 +231,8 @@ func TestAdjustmentFlowOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer beConn.Close()
-		ext, err := client.New(client.Options{
-			User: i, Detector: detector.DefaultConfig(), Params: params,
-		}, &client.WireBackend{C: beConn}, osrv, osrv.PublicKey())
+		ext, err := client.New(client.Options{User: i, Detector: detector.DefaultConfig()},
+			&client.WireBackend{C: beConn}, osrv, osrv.PublicKey())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 // simulations and tests can run the full protocol without TCP.
 type LocalBackend struct{ B *backend.Backend }
 
-// NegotiateConfig implements ConfigNegotiator: in-process, the
+// NegotiateConfig implements BackendAPI: in-process, the
 // "handshake" is a direct read of the back-end's current config.
 func (l *LocalBackend) NegotiateConfig() (privacy.RoundConfig, error) {
 	return l.B.CurrentConfig(), nil

@@ -197,30 +197,6 @@ func TestNegotiatedSessionsWithRosterBump(t *testing.T) {
 	}
 }
 
-// An extension with neither explicit Params nor a negotiating backend
-// must fail construction loudly.
-func TestNewRequiresParamsOrNegotiator(t *testing.T) {
-	osrv, err := oprf.NewServerFromKey(testRSAKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.New(client.Options{User: 0, Detector: detector.DefaultConfig()},
-		bareBackend{}, osrv, osrv.PublicKey())
-	if err == nil {
-		t.Fatal("New accepted a zero config with no negotiator")
-	}
-}
-
-// bareBackend satisfies BackendAPI but not ConfigNegotiator.
-type bareBackend struct{}
-
-func (bareBackend) Register(int, []byte) (int, error)            { return 0, nil }
-func (bareBackend) Roster() ([][]byte, uint32, uint32, error)    { return nil, 0, 0, nil }
-func (bareBackend) Submit(*wire.ReportFrame) error               { return nil }
-func (bareBackend) RoundStatus(uint64) (int, []int, bool, error) { return 0, nil, false, nil }
-func (bareBackend) Threshold(uint64) (float64, error)            { return 0, nil }
-func (bareBackend) AuditAd(uint64, uint64) (uint64, error)       { return 0, nil }
-
 // A second-round share derived after a roster change is refused on both
 // adapters. The round opens under the roster its two reporters joined;
 // user 2, who never reported, then re-enrolls with a fresh key, and the

@@ -87,7 +87,9 @@ func Fig2(cfg Fig2Config) ([]Fig2Week, error) {
 	if err != nil {
 		return nil, err
 	}
-	rcfg := privacy.UnversionedConfig(cfg.Params, cfg.Sim.Users)
+	// One process plays every party, so it pins the first config a
+	// server would advertise for this roster.
+	rcfg := privacy.RoundConfig{Version: 1, RosterVersion: 1, RosterSize: cfg.Sim.Users, Params: cfg.Params}
 	clients := make([]*privacy.Client, cfg.Sim.Users)
 	for i, p := range roster.Parties {
 		clients[i] = privacy.NewClient(rcfg, p, osrv.PublicKey(), osrv)

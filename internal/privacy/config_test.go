@@ -19,29 +19,10 @@ func versionedConfig(t *testing.T, version, rosterVersion uint32) RoundConfig {
 	}
 }
 
-func TestCompatibleReportVersion(t *testing.T) {
-	cases := []struct {
-		round, report uint32
-		want          bool
-	}{
-		{0, 0, true},  // unversioned everywhere: legacy
-		{0, 7, true},  // legacy round defers to geometry/suite checks
-		{4, 0, true},  // legacy report into a versioned round
-		{4, 4, true},  // exact match
-		{4, 3, false}, // stale reporter
-		{4, 5, false}, // reporter from the future (roster moved on)
-	}
-	for _, c := range cases {
-		cfg := RoundConfig{Version: c.round}
-		if got := cfg.CompatibleReportVersion(c.report); got != c.want {
-			t.Errorf("round v%d, report v%d: compatible = %v, want %v", c.round, c.report, got, c.want)
-		}
-	}
-}
-
-// A report stamped with a different config version than the round's
-// must bounce with ErrIncompatibleConfig — before any duplicate slot is
-// taken — on both the structured and the streamed ingestion paths.
+// A report folds only into a round pinned to exactly the version it was
+// built under: a stale, a future, or a zero version must bounce with
+// ErrIncompatibleConfig — before any duplicate slot is taken — on both
+// the structured and the streamed ingestion paths.
 func TestAggregatorRejectsStaleConfigVersion(t *testing.T) {
 	clients := newClients(t, smallParams())
 	agg, err := NewAggregator(versionedConfig(t, 4, 2), 1)
@@ -55,40 +36,36 @@ func TestAggregatorRejectsStaleConfigVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.ConfigVersion = 4
 
-	stale := *r
-	stale.ConfigVersion = 3
-	if err := agg.Add(&stale); !errors.Is(err, ErrIncompatibleConfig) {
-		t.Fatalf("stale version err = %v, want ErrIncompatibleConfig", err)
+	for _, cv := range []uint32{
+		0, // no wildcard: a zero version is refused like any stale one
+		3, // stale reporter
+		5, // reporter from the future (roster moved on)
+	} {
+		stale := *r
+		stale.ConfigVersion = cv
+		if err := agg.Add(&stale); !errors.Is(err, ErrIncompatibleConfig) {
+			t.Fatalf("report v%d into a v4 round: err = %v, want ErrIncompatibleConfig", cv, err)
+		}
+		cms := r.Sketch
+		err = agg.AddCells(r.User, cms.Depth(), cms.Width(), cms.N(), cms.Seed(),
+			blind.KeystreamHMACSHA256, cv, cms.FlatCells())
+		if !errors.Is(err, ErrIncompatibleConfig) {
+			t.Fatalf("streamed report v%d into a v4 round: err = %v, want ErrIncompatibleConfig", cv, err)
+		}
 	}
-	cms := r.Sketch
-	err = agg.AddCells(r.User, cms.Depth(), cms.Width(), cms.N(), cms.Seed(),
-		blind.KeystreamHMACSHA256, 3, cms.FlatCells())
-	if !errors.Is(err, ErrIncompatibleConfig) {
-		t.Fatalf("stale streamed version err = %v, want ErrIncompatibleConfig", err)
-	}
-	// The rejection must not have consumed the user's roster slot.
+	// The rejections must not have consumed the user's roster slot.
 	if agg.Reported() != 0 {
 		t.Fatalf("rejected report reserved a slot: Reported = %d", agg.Reported())
 	}
 
-	// A legacy (version-0) report and an exact match both fold.
-	if err := agg.Add(r); err != nil { // clients stamp 0 (unversioned config)
-		t.Fatalf("legacy report err = %v", err)
-	}
-	if _, err := clients[1].ObserveAd("https://ads.example/a"); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := clients[1].Report(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2.ConfigVersion = 4
-	if err := agg.Add(r2); err != nil {
+	// An exact match folds.
+	if err := agg.Add(r); err != nil {
 		t.Fatalf("matching version err = %v", err)
 	}
-	if agg.Reported() != 2 {
-		t.Fatalf("Reported = %d, want 2", agg.Reported())
+	if agg.Reported() != 1 {
+		t.Fatalf("Reported = %d, want 1", agg.Reported())
 	}
 }
 

@@ -91,9 +91,8 @@ func DefaultParams() Params {
 // A RoundConfig is an immutable value: rounds pin the config they were
 // opened under and never observe later bumps.
 type RoundConfig struct {
-	// Version is the config version. 0 means "unversioned": the legacy
-	// flag-agreement deployment style, where reports carry no version and
-	// only the geometry/suite checks apply.
+	// Version is the config version. A report folds into a round only
+	// when it was built under exactly the round's version.
 	Version uint32
 	// RosterVersion counts bulletin-board changes. Two reporters whose
 	// roster versions differ derived different pairwise blinding sets;
@@ -104,22 +103,6 @@ type RoundConfig struct {
 	RosterSize int
 	// Params is the protocol geometry the config freezes.
 	Params Params
-}
-
-// UnversionedConfig wraps legacy flag-derived Params in a version-0
-// config: every report version is accepted (subject to the usual
-// geometry and suite checks), which is exactly the old behavior.
-func UnversionedConfig(params Params, rosterSize int) RoundConfig {
-	return RoundConfig{RosterSize: rosterSize, Params: params}
-}
-
-// CompatibleReportVersion reports whether a report built under config
-// version v may fold into a round pinned to this config. Version 0 on
-// either side means "unversioned" (a legacy report, or a legacy round)
-// and defers to the geometry/suite checks; otherwise the versions must
-// match exactly.
-func (c RoundConfig) CompatibleReportVersion(v uint32) bool {
-	return v == 0 || c.Version == 0 || v == c.Version
 }
 
 // NewSketch allocates a CMS with the params' geometry.
@@ -304,8 +287,9 @@ func (c *Client) Adjust(round uint64, cells int, missing []int) ([]uint64, error
 // original): the aggregator rejects reports whose suite differs from the
 // round's, because their pairwise terms would not cancel and would
 // silently corrupt the aggregate for everyone. ConfigVersion names the
-// negotiated round config the report was built under (0 = legacy,
-// unversioned); the aggregator rejects stale versions the same way.
+// negotiated round config the report was built under; the aggregator
+// rejects a report built under any version but the round's the same
+// way.
 type Report struct {
 	User          int
 	Round         uint64
@@ -412,7 +396,7 @@ func (a *Aggregator) AddCells(user int, d, w int, n, seed uint64, ks blind.Keyst
 // definitely absorb — which is exactly the invariant crash recovery
 // replays on.
 func (a *Aggregator) ReserveCells(user int, d, w int, n, seed uint64, ks blind.Keystream, cv uint32, cellsLen int) error {
-	if !a.cfg.CompatibleReportVersion(cv) {
+	if cv != a.cfg.Version {
 		return ErrIncompatibleConfig
 	}
 	if ks != a.cfg.Params.Keystream {

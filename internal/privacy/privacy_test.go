@@ -45,11 +45,17 @@ func smallParams() Params {
 	return Params{Epsilon: 0.01, Delta: 0.01, IDSpace: 5000, Suite: group.P256()}
 }
 
+// roundConfig pins params at the first config version a server
+// advertises for a fresh roster, as a negotiated deployment runs.
+func roundConfig(params Params, rosterSize int) RoundConfig {
+	return RoundConfig{Version: 1, RosterVersion: 1, RosterSize: rosterSize, Params: params}
+}
+
 func newClients(t testing.TB, params Params) []*Client {
 	srv, ros := fixtures(t)
 	clients := make([]*Client, len(ros.Parties))
 	for i, p := range ros.Parties {
-		clients[i] = NewClient(UnversionedConfig(params, 0), p, srv.PublicKey(), srv)
+		clients[i] = NewClient(roundConfig(params, len(ros.Parties)), p, srv.PublicKey(), srv)
 	}
 	return clients
 }
@@ -67,7 +73,7 @@ func TestEndToEndFullParticipation(t *testing.T) {
 		"https://ads.example.com/targeted-2": {3},
 	}
 	ids := map[string]uint64{}
-	agg, err := NewAggregator(UnversionedConfig(params, len(clients)), round)
+	agg, err := NewAggregator(roundConfig(params, len(clients)), round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +190,7 @@ func TestMissingClientsRecovery(t *testing.T) {
 	params := smallParams()
 	clients := newClients(t, params)
 	const round = 4
-	agg, err := NewAggregator(UnversionedConfig(params, len(clients)), round)
+	agg, err := NewAggregator(roundConfig(params, len(clients)), round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +254,7 @@ func TestMissingClientsRecovery(t *testing.T) {
 func TestAggregatorValidation(t *testing.T) {
 	params := smallParams()
 	clients := newClients(t, params)
-	agg, err := NewAggregator(UnversionedConfig(params, len(clients)), 9)
+	agg, err := NewAggregator(roundConfig(params, len(clients)), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +298,7 @@ func TestAggregatorValidation(t *testing.T) {
 func TestAggregatorRejectsKeystreamMismatch(t *testing.T) {
 	params := smallParams()
 	clients := newClients(t, params)
-	agg, err := NewAggregator(UnversionedConfig(params, len(clients)), 3)
+	agg, err := NewAggregator(roundConfig(params, len(clients)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +317,7 @@ func TestAggregatorRejectsKeystreamMismatch(t *testing.T) {
 	// The streamed path enforces the same invariant.
 	cms := r.Sketch
 	err = agg.AddCells(r.User, cms.Depth(), cms.Width(), cms.N(), cms.Seed(),
-		blind.KeystreamAESCTR, 0, cms.FlatCells())
+		blind.KeystreamAESCTR, r.ConfigVersion, cms.FlatCells())
 	if err != ErrKeystreamMismatch {
 		t.Fatalf("mismatched streamed suite err = %v", err)
 	}
@@ -334,10 +340,10 @@ func TestEndToEndAESCTRSuite(t *testing.T) {
 	}
 	clients := make([]*Client, len(roster.Parties))
 	for i, p := range roster.Parties {
-		clients[i] = NewClient(UnversionedConfig(params, 0), p, srv.PublicKey(), srv)
+		clients[i] = NewClient(roundConfig(params, len(roster.Parties)), p, srv.PublicKey(), srv)
 	}
 	const round = 2
-	agg, err := NewAggregator(UnversionedConfig(params, len(clients)), round)
+	agg, err := NewAggregator(roundConfig(params, len(clients)), round)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +379,7 @@ func TestUserCountsEnumeration(t *testing.T) {
 	params := smallParams()
 	clients := newClients(t, params)
 	const round = 12
-	agg, _ := NewAggregator(UnversionedConfig(params, len(clients)), round)
+	agg, _ := NewAggregator(roundConfig(params, len(clients)), round)
 	urls := []string{"https://a.example/1", "https://a.example/2"}
 	for _, c := range clients[:3] {
 		for _, u := range urls {

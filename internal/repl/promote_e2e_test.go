@@ -141,7 +141,7 @@ type promoteDiff struct {
 // uninterrupted run.
 func TestPromoteAfterPrimaryKill(t *testing.T) {
 	params := testParams()
-	reports := buildReports(t, params, e2eUsers, 1)
+	reports := buildReports(t, params, e2eUsers, 1, 1) // a fresh back-end is at config version 1
 
 	// Uninterrupted control, in-process.
 	control, err := backend.New(backendCfg(params, e2eUsers))
@@ -188,6 +188,14 @@ func TestPromoteAfterPrimaryKill(t *testing.T) {
 	if err := cli.Do(wire.TypeRegister,
 		wire.RegisterReq{User: 3, PublicKey: []byte("pk3")}, nil); err != nil {
 		t.Fatal(err)
+	}
+	// The registration bumped the config version: the reporters re-join.
+	var board wire.RosterResp
+	if err := cli.Do(wire.TypeRoster, struct{}{}, &board); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		r.ConfigVersion = board.ConfigVersion
 	}
 	rs, err := cli.OpenReportStream(0)
 	if err != nil {

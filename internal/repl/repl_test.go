@@ -36,8 +36,9 @@ func backendCfg(params privacy.Params, users int) backend.Config {
 	return backend.Config{Params: params, Users: users, UsersEstimator: detector.EstimatorMean}
 }
 
-// buildReports blinds one report per roster member for the given round.
-func buildReports(t *testing.T, params privacy.Params, users int, round uint64) []*privacy.Report {
+// buildReports blinds one report per roster member for the given round,
+// stamped with config version cv.
+func buildReports(t *testing.T, params privacy.Params, users int, round uint64, cv uint32) []*privacy.Report {
 	t.Helper()
 	roster, err := blind.NewRosterKeystream(params.Suite, users, rand.Reader, params.Keystream)
 	if err != nil {
@@ -58,7 +59,7 @@ func buildReports(t *testing.T, params privacy.Params, users int, round uint64) 
 		if err := blind.ApplyBlinding(cells, roster.Parties[u].Blinding(round, len(cells))); err != nil {
 			t.Fatal(err)
 		}
-		reports[u] = &privacy.Report{User: u, Round: round, Sketch: cms, Keystream: params.Keystream}
+		reports[u] = &privacy.Report{User: u, Round: round, Sketch: cms, Keystream: params.Keystream, ConfigVersion: cv}
 	}
 	return reports
 }
@@ -161,7 +162,8 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 	}
 
 	// Round 1: full roster, straight close.
-	for _, r := range buildReports(t, params, users, 1) {
+	cv := b.CurrentConfig().Version
+	for _, r := range buildReports(t, params, users, 1, cv) {
 		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +179,7 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 	}
 
 	// Round 2: one user missing, adjustment shares, close.
-	reports2 := buildReports(t, params, users, 2)
+	reports2 := buildReports(t, params, users, 2, cv)
 	for _, r := range reports2[:users-1] {
 		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
@@ -189,7 +191,7 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 		for i := range share {
 			share[i] = uint64(u*1000 + i)
 		}
-		if err := b.ConsumeReport(wire.AdjustFrame(u, 2, geo.D, geo.W, geo.Keystream, 0, share)); err != nil {
+		if err := b.ConsumeReport(wire.AdjustFrame(u, 2, geo.D, geo.W, geo.Keystream, cv, share)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +200,7 @@ func TestFollowerMirrorsLivePrimary(t *testing.T) {
 	}
 
 	// Round 3 stays open mid-round: the warm state promotion needs.
-	for _, r := range buildReports(t, params, users, 3)[:3] {
+	for _, r := range buildReports(t, params, users, 3, cv)[:3] {
 		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +250,7 @@ func TestFollowerRestartAfterPrune(t *testing.T) {
 	b, _, p := newPrimary(t, dir, users, store.Options{SnapshotEvery: 4})
 	mirror := filepath.Join(t.TempDir(), "mirror")
 
-	for _, r := range buildReports(t, params, users, 1) {
+	for _, r := range buildReports(t, params, users, 1, b.CurrentConfig().Version) {
 		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +270,7 @@ func TestFollowerRestartAfterPrune(t *testing.T) {
 	f1.Stop()
 	f1Tail := store.FileInfo{Kind: store.FileWAL, Gen: f1.Status().TailGen}.Name()
 
-	for _, r := range buildReports(t, params, users, 2) {
+	for _, r := range buildReports(t, params, users, 2, b.CurrentConfig().Version) {
 		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +323,7 @@ func closedRoundWAL(t *testing.T, params privacy.Params, users int) (*backend.Ba
 		b.Close()
 		st.Close()
 	})
-	for _, r := range buildReports(t, params, users, 1) {
+	for _, r := range buildReports(t, params, users, 1, b.CurrentConfig().Version) {
 		if err := b.ConsumeReport(wire.ReportFrameOf(r)); err != nil {
 			t.Fatal(err)
 		}

@@ -98,7 +98,7 @@ type ReportEvent struct {
 	// legacy campaign).
 	Campaign uint32
 	// ConfigVersion is the negotiated config version the report was
-	// built under (0 = unversioned).
+	// built under.
 	ConfigVersion uint32
 	// Cells is the raw little-endian cell block (8·d·w bytes); it
 	// aliases the record buffer.

@@ -83,7 +83,7 @@ func (rec *refState) apply(ev Event) error {
 		if e.D != rs.D || e.W != rs.W || e.Seed != rs.Seed || e.Keystream != rs.Keystream {
 			return nil
 		}
-		if e.ConfigVersion != 0 && rs.ConfigVersion != 0 && e.ConfigVersion != rs.ConfigVersion {
+		if e.ConfigVersion != rs.ConfigVersion {
 			return nil
 		}
 		rs.Reported[e.User] = true

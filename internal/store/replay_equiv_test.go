@@ -93,7 +93,7 @@ func writeEquivWAL(t *testing.T, dir string) (tailGen uint64, lastStart int64) {
 	equivReport(t, d, rng, 0, 1, 20, paperD, paperW, 11, 1, 2) // out of roster: skipped
 	equivReport(t, d, rng, 0, 9, 0, smallD, smallW, 3, 1, 0)   // unknown round: skipped
 	equivReport(t, d, rng, 0, 2, 0, 2, bigW, 13, 1, 2)         // larger than the buffer
-	equivReport(t, d, rng, 0, 1, 15, paperD, paperW, 11, 1, 0) // unversioned report: accepted
+	equivReport(t, d, rng, 0, 1, 15, paperD, paperW, 11, 1, 0) // zero config version: skipped
 
 	adj := func(campaign uint32, round uint64, user, n int) {
 		t.Helper()
@@ -245,7 +245,7 @@ func TestReplayEquivalence(t *testing.T) {
 	// case left its mark on the reference state.
 	byKey := want.rounds
 	r1 := byKey[roundKey{0, 1}]
-	if r1 == nil || r1.Reported[12] || r1.Reported[13] || r1.Reported[14] || !r1.Reported[15] || len(r1.Adjusts) != 1 {
+	if r1 == nil || r1.Reported[12] || r1.Reported[13] || r1.Reported[14] || r1.Reported[15] || len(r1.Adjusts) != 1 {
 		t.Fatalf("round 0/1 reference state does not reflect the scripted records")
 	}
 	if r := byKey[roundKey{7, 1}]; r == nil || !r.Closed || r.Reported[7] || len(r.Adjusts) != 1 {

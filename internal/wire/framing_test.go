@@ -68,8 +68,6 @@ func TestWriteMsgByteIdentity(t *testing.T) {
 		{TypeAuditAdOK, AuditAdResp{Users: 4}},
 		{TypeCampaignAdd, CampaignAddReq{ID: 5, Name: html, Epsilon: 0.001, KeystreamSet: true, CadenceSec: 60}},
 		{TypeCampaignAddOK, CampaignAddResp{ID: 5, Campaigns: 2}},
-		{TypeCampaigns, CampaignsReq{}},
-		{TypeCampaignsOK, CampaignsResp{Campaigns: []CampaignInfo{{ID: 1, Name: html}, {ID: 2, Delta: 0.5}}}},
 		{TypePromote, PromoteReq{}},
 		{TypePromoteOK, PromoteResp{Rounds: 3}},
 		{TypeCrawlVisit, CrawlVisitReq{Site: 17}},

@@ -46,10 +46,9 @@ import (
 // the server answers within it or rejects with WelcomeIncompatible. An
 // old server predating the handshake treats the Hello as a malformed
 // report frame and drops the connection — the client surfaces that as
-// ErrNoHandshake rather than hanging. An old client simply never sends
-// a Hello and keeps using the flag-agreement deployment style (its
-// reports carry config version 0, which rounds accept subject to the
-// geometry/suite checks).
+// ErrNoHandshake rather than hanging. A client that never sends a Hello
+// has no config version to stamp: its reports carry version 0, which
+// no round accepts.
 
 // HandshakeRevision is the Hello/Welcome revision this build speaks.
 const HandshakeRevision = 1

@@ -29,8 +29,6 @@ const (
 	TypeAuditAdOK     = "backend.audit_ad_ok"
 	TypeCampaignAdd   = "backend.campaign_add"
 	TypeCampaignAddOK = "backend.campaign_add_ok"
-	TypeCampaigns     = "backend.campaigns"
-	TypeCampaignsOK   = "backend.campaigns_ok"
 
 	// Back-end ↔ crawler.
 	TypeCrawlVisit   = "crawler.visit"
@@ -202,28 +200,6 @@ type CampaignAddReq struct {
 type CampaignAddResp struct {
 	ID        uint32 `json:"id"`
 	Campaigns int    `json:"campaigns"`
-}
-
-// CampaignsReq lists the provisioned campaign directory.
-type CampaignsReq struct{}
-
-// CampaignInfo is one directory entry as the JSON admin plane renders
-// it (the binary directory frame is the client-facing form).
-type CampaignInfo struct {
-	ID           uint32  `json:"id"`
-	Name         string  `json:"name,omitempty"`
-	Epsilon      float64 `json:"epsilon,omitempty"`
-	Delta        float64 `json:"delta,omitempty"`
-	IDSpace      uint64  `json:"id_space,omitempty"`
-	Keystream    byte    `json:"keystream,omitempty"`
-	KeystreamSet bool    `json:"keystream_set,omitempty"`
-	RetainRounds int     `json:"retain_rounds,omitempty"`
-	CadenceSec   uint32  `json:"cadence_sec,omitempty"`
-}
-
-// CampaignsResp returns the directory in ID order.
-type CampaignsResp struct {
-	Campaigns []CampaignInfo `json:"campaigns"`
 }
 
 // PromoteReq asks a follower to stop replicating and take over as

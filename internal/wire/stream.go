@@ -113,10 +113,10 @@ type ReportFrame struct {
 	Keystream byte
 	// ConfigVersion is the negotiated round-config version the report
 	// was built under (see handshake.go), riding in what used to be
-	// reserved preamble bytes — so a pre-handshake peer's reports decode
-	// as version 0, "unversioned", and keep aggregating. The aggregator
-	// rejects a stale nonzero version (privacy.ErrIncompatibleConfig):
-	// it means the reporter blinded against an outdated roster.
+	// reserved preamble bytes. The aggregator rejects any version but
+	// the round's own (privacy.ErrIncompatibleConfig): it means the
+	// reporter blinded against another roster. Versions start at 1, so
+	// a frame from a peer that never negotiated carries 0 and bounces.
 	ConfigVersion uint32
 	// Kind distinguishes what the cell block is: FrameKindReport (zero —
 	// a blinded CMS, the only kind that existed before the byte) or
