@@ -1,21 +1,29 @@
-// Command eyewnder-eval prints the paper's study outputs: the
-// privacy-protocol overhead study (Section 7.1), the Figure 2
-// distribution comparison, the live-validation analogue (Section 7.3)
-// and the socio-economic bias analysis (Section 8):
+// Command eyewnder-eval prints every number of the paper's evaluation,
+// one mode per run: the privacy-protocol overhead study (Section 7.1),
+// the Figure 2 distribution comparison, the controlled simulation study
+// (Section 7.2), the live-validation analogue (Section 7.3) and the
+// socio-economic bias analysis (Section 8):
 //
-//	eyewnder-eval -overhead  # CMS sizes, blinding traffic/compute, OPRF latency
-//	eyewnder-eval -fig2      # actual vs CMS #Users distributions, 3 weeks
-//	eyewnder-eval -fig4      # evaluation tree + unknown resolution + precision
-//	eyewnder-eval -table2    # logistic regression odds ratios
-//	eyewnder-eval -fig5      # predicted targeting probability per level
+//	eyewnder-eval -overhead   # CMS sizes, blinding traffic/compute, OPRF latency
+//	eyewnder-eval -fig2       # actual vs CMS #Users distributions, 3 weeks
+//	eyewnder-eval -table1     # print the simulation configuration
+//	eyewnder-eval -fig3       # FN% vs frequency cap (Figure 3)
+//	eyewnder-eval -fpstudy 30 # false-positive configurations (§7.2.2)
+//	eyewnder-eval -evasion    # evasion trade-off (§7.3.4)
+//	eyewnder-eval -ablate     # threshold/window/min-data/sketch ablations
+//	eyewnder-eval -fig4       # evaluation tree + unknown resolution + precision
+//	eyewnder-eval -table2     # logistic regression odds ratios
+//	eyewnder-eval -fig5       # predicted targeting probability per level
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 
+	"eyewnder/internal/adsim"
 	"eyewnder/internal/experiments"
 	"eyewnder/internal/group"
 )
@@ -27,10 +35,24 @@ func main() {
 		fig4     = flag.Bool("fig4", false, "run the Figure 4 evaluation tree")
 		table2   = flag.Bool("table2", false, "run the Table 2 regression")
 		fig5     = flag.Bool("fig5", false, "print the Figure 5 predicted probabilities")
+		table1   = flag.Bool("table1", false, "print the Table 1 configuration")
+		fig3     = flag.Bool("fig3", false, "run the Figure 3 sweep")
+		fpstudy  = flag.Int("fpstudy", 0, "run N false-positive configurations (§7.2.2)")
+		ablate   = flag.Bool("ablate", false, "run the design-choice ablations")
+		evasion  = flag.Bool("evasion", false, "run the evasion trade-off study (§7.3.4)")
+		reps     = flag.Int("reps", 1, "repetitions per Figure 3 point")
 		rsaBits  = flag.Int("rsa-bits", 1024, "oprf RSA modulus (paper: 1024-bit elements)")
-		users    = flag.Int("users", 0, "override Figure 2 user count")
+		users    = flag.Int("users", 0, "override the population: the Table 1 base for -table1/-fig3/-fpstudy/-evasion/-ablate, the Figure 2 users for -fig2 (0 = the mode's default)")
 	)
 	flag.Parse()
+
+	base := adsim.DefaultConfig()
+	if *users > 0 {
+		base.Users = *users
+	}
+	// Keep campaigns ≫ users, as in the paper's live data (6743 ads for
+	// 100 users), so per-ad audiences stay long-tailed.
+	base.Campaigns = 4 * base.Users
 
 	switch {
 	case *overhead:
@@ -147,7 +169,93 @@ func main() {
 			}
 		}
 
+	case *table1:
+		fmt.Println("Table 1: Simulation configuration parameters")
+		fmt.Printf("  %-28s %v\n", "Number of users", base.Users)
+		fmt.Printf("  %-28s %v\n", "Number of websites", base.Sites)
+		fmt.Printf("  %-28s %v\n", "Average user visits", base.AvgVisitsPerWeek)
+		fmt.Printf("  %-28s %v\n", "Average ads per website", base.AdsPerSite)
+		fmt.Printf("  %-28s %v\n", "Percentage of targeted ads", base.TargetedFraction)
+
+	case *fig3:
+		cfg := experiments.DefaultFig3Config()
+		cfg.Base = base
+		cfg.Repetitions = *reps
+		pts, err := experiments.Fig3(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("Figure 3: False Negatives % vs. Frequency Cap")
+		fmt.Printf("%-14s %12s %16s\n", "FrequencyCap", "Mean FN%", "Mean+Median FN%")
+		for _, p := range pts {
+			fmt.Printf("%-14d %12.1f %16.1f\n", p.FrequencyCap, p.FNMeanPct, p.FNMeanMedianPct)
+		}
+
+	case *fpstudy > 0:
+		results, err := experiments.FPStudy(base, *fpstudy)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("Section 7.2.2: false positives over %d configurations (paper bound: <2%%)\n", len(results))
+		worst := 0.0
+		for _, r := range results {
+			fmt.Printf("  %-60s FP=%.2f%%  (%s)\n", r.Label, r.FPPct, r.Conf)
+			if r.FPPct > worst {
+				worst = r.FPPct
+			}
+		}
+		fmt.Printf("worst configuration: %.2f%%\n", worst)
+
+	case *evasion:
+		pts, err := experiments.EvasionStudy(base, []int{1, 2, 4, 6, 8, 10, 12})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("Evading detection (§7.3.4): hiding requires giving up delivery")
+		fmt.Printf("%-14s %12s %26s\n", "FrequencyCap", "Evasion %", "impressions/targeted pair")
+		for _, p := range pts {
+			fmt.Printf("%-14d %12.1f %26.2f\n", p.FrequencyCap, p.EvasionPct, p.ImpressionsPerTargetedPair)
+		}
+
+	case *ablate:
+		est, err := experiments.AblateEstimators(base)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("Ablation: threshold estimators (§4.2 / §7.2.3)")
+		for _, a := range est {
+			fmt.Printf("  %-14s %s\n", a.Estimator, a.Conf)
+		}
+		win, err := experiments.AblateWindow(base, []int{1, 3, 7})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("Ablation: observation window (days)")
+		for _, a := range win {
+			fmt.Printf("  %-14d %s\n", a.Days, a.Conf)
+		}
+		md, err := experiments.AblateMinDomains(base, []int{2, 4, 8})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("Ablation: minimum-data rule (domains)")
+		for _, a := range md {
+			fmt.Printf("  %-14d %s\n", a.MinDomains, a.Conf)
+		}
+		sk, err := experiments.AblateSketchGeometry(base, [][2]float64{
+			{0.1, 0.1}, {0.01, 0.01}, {0.001, 0.001},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println("Ablation: sketch geometry")
+		for _, a := range sk {
+			fmt.Printf("  ε=%-7g δ=%-7g size=%8.1fKB  mean-overestimate=%.4f\n",
+				a.Epsilon, a.Delta, a.SizeKB, a.MeanOverestimate)
+		}
+
 	default:
 		flag.Usage()
+		os.Exit(2)
 	}
 }

@@ -4,10 +4,11 @@
 // content analysis: Detecting targeted ads via distributed counting",
 // CoNEXT 2019).
 //
-// A System wires together the four components of the paper's Figure 1 —
-// browser-extension clients, the back-end aggregation server, the
-// oprf-server, and (optionally) the evaluation crawler — either fully
-// in-process or over TCP. The essential flow:
+// A System wires together the serving components of the paper's Figure
+// 1 — browser-extension clients, the back-end aggregation server and the
+// oprf-server — either fully in-process or over TCP. (Figure 1's
+// evaluation crawler is simulated: see internal/experiments.) The
+// essential flow:
 //
 //	sys, _ := eyewnder.NewSystem(eyewnder.SystemConfig{Users: 3})
 //	ext := sys.Extensions[0]

@@ -13,7 +13,6 @@ import (
 	"eyewnder/internal/adsim"
 	"eyewnder/internal/backend"
 	"eyewnder/internal/client"
-	"eyewnder/internal/crawler"
 	"eyewnder/internal/detector"
 	"eyewnder/internal/group"
 	"eyewnder/internal/obs"
@@ -378,75 +377,5 @@ func TestLocalAndWireBackendsAgree(t *testing.T) {
 	if local.reports["eyewnder_reports_accepted_total"] != nUsers ||
 		local.reports[`eyewnder_reports_rejected_total{reason="duplicate"}`] != 1 {
 		t.Fatalf("report counters = %v, want %d accepted and 1 duplicate", local.reports, nUsers)
-	}
-}
-
-// TestCrawlerIntegration runs the crawler against simulator-rendered
-// clean-profile pages, over the wire protocol.
-func TestCrawlerIntegration(t *testing.T) {
-	cfg := adsim.DefaultConfig()
-	cfg.Users = 20
-	cfg.Sites = 40
-	cfg.Campaigns = 30
-	cfg.AvgVisitsPerWeek = 20
-	cfg.StaticSitesMin, cfg.StaticSitesMax = 3, 10
-	sim, err := adsim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetch := crawler.FetcherFunc(func(site int) (string, error) {
-		ids := sim.CrawlerVisit(site, 3)
-		camps := make([]*adsim.Campaign, len(ids))
-		for i, id := range ids {
-			camps[i] = sim.Campaign(id)
-		}
-		return adsim.RenderPage(sim.Sites()[site], camps, int64(site)), nil
-	})
-	cr := crawler.New(fetch, nil)
-	srv, err := cr.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ctl, err := wire.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl.Close()
-	totalKeys := 0
-	for site := 0; site < cfg.Sites; site++ {
-		var resp wire.CrawlVisitResp
-		if err := ctl.Do(wire.TypeCrawlVisit, wire.CrawlVisitReq{Site: site}, &resp); err != nil {
-			t.Fatal(err)
-		}
-		totalKeys += len(resp.AdKeys)
-	}
-	if cr.Visits() != cfg.Sites {
-		t.Fatalf("visits = %d", cr.Visits())
-	}
-	if totalKeys == 0 {
-		t.Fatal("crawler found no ads")
-	}
-	// Every ad the crawler saw must be non-targeted ground truth.
-	ds := cr.Dataset()
-	if len(ds) == 0 {
-		t.Fatal("empty CR dataset")
-	}
-	for key := range ds {
-		if !cr.Seen(key) {
-			t.Fatalf("Seen(%q) = false for dataset member", key)
-		}
-		found := false
-		for _, c := range sim.Campaigns() {
-			if c.LandingURL() == key {
-				found = true
-				if c.Kind.IsTargeted() {
-					t.Fatalf("crawler saw targeted campaign %d", c.ID)
-				}
-			}
-		}
-		if !found {
-			t.Fatalf("crawler key %q matches no campaign", key)
-		}
 	}
 }

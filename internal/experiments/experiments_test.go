@@ -193,6 +193,16 @@ func TestFig4TreePopulatedAndPrecise(t *testing.T) {
 	if res.Summary.HighConfidenceTNRate <= 0 {
 		t.Fatal("no crawler-corroborated TNs")
 	}
+	// One LabelSeed, one figure: a second run must print the same tree,
+	// resolution and precision.
+	again, err := Fig4(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *again.Tree != *res.Tree || again.Resolution != res.Resolution || again.Summary != res.Summary {
+		t.Fatalf("Fig4 not reproducible under one LabelSeed:\n%+v %+v %+v\n%+v %+v %+v",
+			*res.Tree, res.Resolution, res.Summary, *again.Tree, again.Resolution, again.Summary)
+	}
 }
 
 func TestTable2RecoversPlantedBiases(t *testing.T) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"sort"
 
 	"eyewnder/internal/adsim"
 	"eyewnder/internal/contentbased"
@@ -139,10 +140,24 @@ func Fig4(cfg Fig4Config) (*Fig4Result, error) {
 		}
 	}
 
-	// Build observations.
+	// Build observations in an order drawn from rng: (user, ad) sorted,
+	// then shuffled. The order fixes which F8 label each pair draws and
+	// which UNKNOWNs ResolveUnknowns inspects, so map order would make
+	// the figure vary under one LabelSeed, and sorted order alone would
+	// inspect only the lowest user IDs.
+	pairs := make([]pairKey, 0, len(verdicts))
+	for k := range verdicts {
+		pairs = append(pairs, k)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		a, b := pairs[i], pairs[j]
+		return a.user < b.user || a.user == b.user && a.ad < b.ad
+	})
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
 	out := &Fig4Result{}
 	var obs []eval.Observation
-	for k, class := range verdicts {
+	for _, k := range pairs {
+		class := verdicts[k]
 		camp := sim.Campaign(k.ad)
 		out.TotalAds++
 		if camp.Kind.IsTargeted() {

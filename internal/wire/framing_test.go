@@ -70,13 +70,12 @@ func TestWriteMsgByteIdentity(t *testing.T) {
 		{TypeCampaignAddOK, CampaignAddResp{ID: 5, Campaigns: 2}},
 		{TypePromote, PromoteReq{}},
 		{TypePromoteOK, PromoteResp{Rounds: 3}},
-		{TypeCrawlVisit, CrawlVisitReq{Site: 17}},
-		{TypeCrawlVisitOK, CrawlVisitResp{AdKeys: []string{"a", html}}},
+		{TypeRosterOK, []string{"a", html}},
 		{"error", ErrorPayload{Error: html}},
 		{"error", nil},
 		// Payloads that marshal to null, and types json must escape.
 		{TypeRoundCountsOK, (*RoundCountsResp)(nil)},
-		{TypeCrawlVisitOK, CrawlVisitResp{}},
+		{TypeRosterOK, RosterResp{}},
 		{html, AuditAdResp{Users: 1}},
 		{"", nil},
 		{"\"quoted\\", json.RawMessage(` { "a" : [1, 2] } `)},

@@ -30,10 +30,6 @@ const (
 	TypeCampaignAdd   = "backend.campaign_add"
 	TypeCampaignAddOK = "backend.campaign_add_ok"
 
-	// Back-end ↔ crawler.
-	TypeCrawlVisit   = "crawler.visit"
-	TypeCrawlVisitOK = "crawler.visit_ok"
-
 	// Operator ↔ follower (replication admin; see internal/repl).
 	TypePromote   = "repl.promote"
 	TypePromoteOK = "repl.promote_ok"
@@ -213,15 +209,4 @@ type PromoteReq struct{}
 // the mirror actually held state.
 type PromoteResp struct {
 	Rounds int `json:"rounds"`
-}
-
-// CrawlVisitReq instructs the crawler to visit a site with a clean
-// profile (Figure 1, arrow 3).
-type CrawlVisitReq struct {
-	Site int `json:"site"`
-}
-
-// CrawlVisitResp returns the ad keys collected on the visit (arrow 4).
-type CrawlVisitResp struct {
-	AdKeys []string `json:"ad_keys"`
 }

@@ -1,8 +1,7 @@
 // Package wire is eyeWnder's message layer: length-prefixed JSON frames
-// over TCP. It carries the three conversations of Figure 1 — extension ↔
-// back-end (blinded reports, thresholds, ad audits), extension ↔
-// oprf-server (blinded PRF evaluations), and back-end ↔ crawler (visit
-// instructions and collected ads).
+// over TCP. It carries the two client conversations of Figure 1 —
+// extension ↔ back-end (blinded reports, thresholds, ad audits) and
+// extension ↔ oprf-server (blinded PRF evaluations).
 //
 // Frame format: 4-byte big-endian payload length, then a JSON envelope
 // {"type": ..., "payload": ...}. Payload size is capped to keep a
