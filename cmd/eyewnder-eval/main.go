@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 
 	"eyewnder/internal/adsim"
@@ -45,6 +46,27 @@ func main() {
 		users    = flag.Int("users", 0, "override the population: the Table 1 base for -table1/-fig3/-fpstudy/-evasion/-ablate, the Figure 2 users for -fig2 (0 = the mode's default)")
 	)
 	flag.Parse()
+
+	// The mode that runs is the first one set, in the switch's order. A
+	// parameter flag that mode does not read is a usage error: the run
+	// would otherwise quietly print another study than the one asked for.
+	mode := ""
+	for _, m := range []string{"overhead", "fig2", "fig4", "table2", "fig5", "table1", "fig3", "fpstudy", "evasion", "ablate"} {
+		if f := flag.Lookup(m); mode == "" && f.Value.String() != f.DefValue {
+			mode = m
+		}
+	}
+	readers := map[string][]string{
+		"users":    {"fig2", "table1", "fig3", "fpstudy", "evasion", "ablate"},
+		"reps":     {"fig3"},
+		"rsa-bits": {"overhead", "fig2"},
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if r, ok := readers[f.Name]; ok && mode != "" && !slices.Contains(r, mode) {
+			fmt.Fprintf(os.Stderr, "eyewnder-eval: -%s has no effect on -%s\n", f.Name, mode)
+			os.Exit(2)
+		}
+	})
 
 	base := adsim.DefaultConfig()
 	if *users > 0 {

@@ -3,7 +3,6 @@ package backend
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"eyewnder/internal/blind"
 	"eyewnder/internal/campaign"
@@ -66,18 +65,16 @@ func (b *Backend) loadBase(base *store.Base) error {
 			closedBy[rs.Campaign] = append(closedBy[rs.Campaign], rs.Round)
 		}
 	}
-	for c, closed := range closedBy {
-		if cut := retentionCutoff(closed, b.retainFor(c)); cut > 0 {
-			b.retiredBelow[c] = cut
-		}
-	}
+	b.mu.Lock()
+	cutoffs := b.retireBelowLocked(closedBy)
+	b.mu.Unlock()
 	for _, rs := range base.Rounds {
 		rcfg, err := b.loggedRoundConfig(rs.Campaign, rs.Round, rs.D, rs.W, rs.RosterSize, rs.Keystream, rs.ConfigVersion, rs.RosterVersion)
 		if err != nil {
 			return err
 		}
 		b.bumpVersions(rs.ConfigVersion, rs.RosterVersion)
-		if rs.Closed && rs.Round < b.retiredBelow[rs.Campaign] {
+		if rs.Closed && rs.Round < cutoffs[rs.Campaign] {
 			continue // aged out: its Users_th has been served long enough
 		}
 		agg, err := privacy.RestoreAggregatorStripes(rcfg, rs.Round, 0,
@@ -85,17 +82,14 @@ func (b *Backend) loadBase(base *store.Base) error {
 		if err != nil {
 			return err
 		}
-		adjusts := rs.Adjusts
-		if adjusts == nil {
-			adjusts = make(map[int][]uint64)
-		}
-		r := &round{agg: agg, adjusts: adjusts}
+		b.mu.Lock()
+		r := b.installRoundLocked(roundKey{rs.Campaign, rs.Round}, agg, rs.Adjusts)
+		b.mu.Unlock()
 		if rs.Closed {
 			if err := b.refinalizeLocked(r); err != nil {
 				return fmt.Errorf("backend: re-closing recovered round %d: %w", rs.Round, err)
 			}
 		}
-		b.rounds[roundKey{rs.Campaign, rs.Round}] = r
 	}
 	return nil
 }
@@ -152,7 +146,7 @@ func (b *Backend) applyEvent(ev store.Event) error {
 			return err
 		}
 		b.mu.Lock()
-		b.rounds[roundKey{e.Campaign, e.Round}] = &round{agg: agg, adjusts: make(map[int][]uint64)}
+		b.installRoundLocked(roundKey{e.Campaign, e.Round}, agg, nil)
 		b.mu.Unlock()
 
 	case *store.ReportEvent:
@@ -260,18 +254,4 @@ func (b *Backend) bumpVersions(cv, rv uint32) {
 	b.configVersion = max(b.configVersion, cv)
 	b.rosterVersion = max(b.rosterVersion, rv)
 	b.mu.Unlock()
-}
-
-// refinalizeLocked re-runs a logged close on the rebuilt aggregate —
-// its inputs are byte-identical to the original close's, so the counts
-// are too — times it into refinalize, and marks the round closed.
-// Caller holds r.mu (write).
-func (b *Backend) refinalizeLocked(r *round) error {
-	start := time.Now()
-	if err := b.finalizeLocked(r); err != nil {
-		return err
-	}
-	b.refinalize.Add(int64(time.Since(start)))
-	r.closed = true
-	return nil
 }

@@ -105,7 +105,8 @@ const replayBufBytes = 1 << 19
 // wildcard), an out-of-roster user, an unknown round, a report and a share
 // after the close, a share of the wrong size, a re-logged open. The
 // primary never saw those, so any one the applier took would show as a
-// difference. Paper-geometry records straddle the replay buffer, and a
+// difference. The primary also refuses first frames of a new round
+// (refusedFrameCases), which must leave no round and no record. Paper-geometry records straddle the replay buffer, and a
 // third campaign's records are larger than it.
 func TestReplicaRecoveredEquivalence(t *testing.T) {
 	const users = 6
@@ -215,9 +216,26 @@ func TestReplicaRecoveredEquivalence(t *testing.T) {
 	}
 	stale := stampedFrames(t, params, users, 2, cv-1)[4]
 	logged(*wire.ReportFrameOf(stale), func(*wire.ReportFrame) {})
+	// Refused first frames of new rounds, in campaigns 0 and 7: none may
+	// open a round, on the primary or in the log.
+	for _, base := range []*wire.ReportFrame{wire.ReportFrameOf(stale), frames7[0]} {
+		for _, tc := range refusedFrameCases {
+			f := *base
+			f.Round, f.ConfigVersion = 50, cv
+			tc.edit(&f)
+			if err := primary.ConsumeReport(&f); err == nil {
+				t.Fatalf("%s: refused frame admitted", tc.name)
+			}
+		}
+	}
 	must(primary.SyncReports())
 	must(st.Close())
 	want := servedStateOf(t, primary)
+	for k := range loggedOpens(t, dir) {
+		if k.round == 50 {
+			t.Fatalf("a refused frame logged an open of round %d/%d", k.campaign, k.round)
+		}
+	}
 
 	// The scripted cases left their marks on the primary's own state.
 	if p, err := primary.RoundProgressOf(0, 1); err != nil || !p.Closed || !reflect.DeepEqual(p.Missing, []int{5}) || p.Adjusted != 5 {

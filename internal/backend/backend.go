@@ -8,6 +8,7 @@
 package backend
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/big"
@@ -134,7 +135,7 @@ type Config struct {
 // round's ingestion serialized even on many-core hosts.
 type Backend struct {
 	cfg   Config
-	cells int             // sketch cell count implied by Params, for share validation
+	cells int             // sketch cell count implied by Params, for logged-round validation
 	m     *backendMetrics // pre-registered instrument handles, always non-nil
 	// refinalize is the time (ns) the WAL applier spent re-finalizing
 	// logged closes (eyewnder_restore_refinalize_seconds): at startup,
@@ -171,7 +172,7 @@ type Backend struct {
 	campaigns map[uint32]*campaignState
 	// retiredBelow is the per-campaign retention cutoff (guarded by mu):
 	// rounds of campaign c with ID below retiredBelow[c] have had their
-	// Users_th served for the full horizon and were dropped. getRound
+	// Users_th served for the full horizon and were dropped. openRound
 	// refuses to re-create them — a retired round must answer
 	// ErrUnknownRound, not silently reopen with a fresh reported bitmap.
 	// Absent key = nothing retired for that campaign.
@@ -214,29 +215,6 @@ type campaignState struct {
 	// accepted is the campaign's pre-registered accepted-report counter
 	// (eyewnder_campaign_reports_accepted_total{campaign="<id>"}).
 	accepted *obs.Counter
-}
-
-type round struct {
-	mu      sync.RWMutex
-	agg     *privacy.Aggregator
-	adjusts map[int][]uint64 // second-round shares by reporter
-	// sealed stops report admission without closing: a deadline close
-	// (CloseRound, wait > 0) seals first so the missing set is frozen
-	// while reporters compute and upload their adjustment shares. Sealing
-	// is in-memory only — after a crash the round recovers open, and the
-	// retried deadline close simply seals it again.
-	sealed bool
-	// adjCond (lazily created under mu's write side) wakes deadline
-	// closes whenever an adjustment share lands.
-	adjCond *sync.Cond
-	closed  bool
-	final   *sketch.CMS
-	usersTh float64
-	// counts is the close-time count table — counts[id] is the final
-	// sketch's estimate for ad ID id, over the round's whole ID space —
-	// and distinct the number of non-zero entries in it.
-	counts   []uint64
-	distinct int
 }
 
 // New constructs a back-end. With a durable Config.Store, the store's
@@ -364,51 +342,6 @@ func (b *Backend) newCampaignState(c campaign.Campaign) (*campaignState, error) 
 	}, nil
 }
 
-// retainFor resolves the retention horizon for a campaign: the
-// campaign's own RetainRounds when provisioned and set, else the
-// deployment default.
-func (b *Backend) retainFor(c uint32) int {
-	if c != 0 {
-		if cs, ok := b.campaigns[c]; ok && cs.retain != 0 {
-			return cs.retain
-		}
-	}
-	return b.cfg.RetainRounds
-}
-
-// campaignCells resolves the flat cell count a campaign's reports and
-// adjustment shares must carry: the campaign's own geometry when
-// provisioned, the deployment default for campaign 0 or (conservatively)
-// an unknown ID — the round lookup right behind every caller rejects the
-// unknown campaign anyway.
-func (b *Backend) campaignCells(c uint32) int {
-	if c != 0 {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if cs, ok := b.campaigns[c]; ok {
-			return cs.cells
-		}
-	}
-	return b.cells
-}
-
-// retentionCutoff returns the exclusive round-ID bound below which
-// closed rounds age out: with retain > 0 and more than retain closed
-// rounds, it is the retain-th newest closed round's ID — every closed
-// round older than that has had its Users_th served while retain newer
-// closed rounds were published. Counting closed rounds (rather than
-// subtracting retain from an ID) keeps the promise independent of the
-// round numbering scheme: sparse or date-keyed round IDs retire on the
-// same schedule as consecutive ones. 0 means nothing retires. The
-// slice is sorted in place.
-func retentionCutoff(closed []uint64, retain int) uint64 {
-	if retain <= 0 || len(closed) <= retain {
-		return 0
-	}
-	sort.Slice(closed, func(i, j int) bool { return closed[i] > closed[j] })
-	return closed[retain-1]
-}
-
 // snapshotLoop runs store snapshots off the hot path: report ingestion
 // only pokes snapC (non-blocking) when the store says enough has been
 // logged, and this goroutine captures the round states and compacts the
@@ -446,14 +379,7 @@ func (b *Backend) maybeSnapshot() {
 // time, which is fine because the WAL has already rotated — anything
 // folded between two captures is replayed idempotently on top.
 func (b *Backend) captureRoundStates() ([]*store.RoundState, error) {
-	b.mu.Lock()
-	keys := make([]roundKey, 0, len(b.rounds))
-	rounds := make([]*round, 0, len(b.rounds))
-	for k, r := range b.rounds {
-		keys = append(keys, k)
-		rounds = append(rounds, r)
-	}
-	b.mu.Unlock()
+	keys, rounds := b.roundList()
 	out := make([]*store.RoundState, 0, len(rounds))
 	for i, r := range rounds {
 		r.mu.Lock()
@@ -580,7 +506,7 @@ func (b *Backend) Register(user int, publicKey []byte) (rosterSize int, err erro
 		b.mu.Unlock()
 		return 0, err
 	}
-	if !bytesEqual(b.roster[user], publicKey) {
+	if !bytes.Equal(b.roster[user], publicKey) {
 		// The version bump is logged in the same critical section as the
 		// register record, so recovery can never observe one without the
 		// other; the live counters advance only once the record is
@@ -601,19 +527,6 @@ func (b *Backend) Register(user int, publicKey []byte) (rosterSize int, err erro
 	return b.cfg.Users, nil
 }
 
-// bytesEqual reports whether a and b hold the same bytes.
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Roster returns the bulletin board together with the config/roster
 // versions it is current at, so a caller deriving pairwise blinding
 // secrets can pin the exact negotiated state its reports belong to.
@@ -629,15 +542,6 @@ func (b *Backend) Roster() (keys [][]byte, configVersion, rosterVersion uint32) 
 	return out, b.configVersion, b.rosterVersion
 }
 
-// getRound returns (creating on first touch) the round's state. Only the
-// map access happens under the global lock; callers lock the returned
-// round for any state access. Round creation is logged before the round
-// becomes visible, so the WAL always carries a round's open record
-// ahead of its reports; the record is not fsynced here — every
-// acknowledgement barrier that matters (report ack, adjustment upload,
-// close) group-commits everything appended before it, open record
-// included, and an open that was never followed by an acked event is
-// trivially recreated on demand after a crash.
 // AddCampaign provisions (or re-provisions) a counting campaign: the
 // definition is validated, resolved against the deployment's base
 // params, logged durably, and published to the wire directory. Last
@@ -679,63 +583,6 @@ func (b *Backend) Campaigns() []campaign.Campaign {
 	return out
 }
 
-func (b *Backend) getRound(c uint32, id uint64) (*round, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.rounds[roundKey{c, id}]
-	if !ok {
-		if b.cfg.Replica {
-			// A replica's rounds exist exactly when the primary's WAL
-			// opened them (ApplyEvent); creating one here would log an
-			// open record the primary never wrote.
-			return nil, ErrUnknownRound
-		}
-		if id < b.retiredBelow[c] {
-			// The round was retired: its Users_th has already been
-			// published and served. Re-creating it here would hand out a
-			// fresh reported bitmap (breaking the duplicate invariant
-			// for late or replayed reports) and eventually publish a
-			// second, different threshold for the same round ID.
-			return nil, ErrUnknownRound
-		}
-		params := b.cfg.Params
-		if c != 0 {
-			cs, ok := b.campaigns[c]
-			if !ok {
-				return nil, ErrUnknownCampaign
-			}
-			params = cs.params
-		}
-		// The round pins the config current at its open: later version
-		// bumps (roster changes, campaign re-provisioning) open *future*
-		// rounds under the new config, while this one keeps accepting
-		// exactly the cohort that negotiated it.
-		rcfg := b.currentConfigLocked()
-		rcfg.Params = params
-		agg, err := privacy.NewAggregator(rcfg, id)
-		if err != nil {
-			return nil, err
-		}
-		d, w, seed := agg.Layout()
-		if err := b.store.AppendOpen(c, id, b.cfg.Users, d, w, seed, byte(params.Keystream),
-			rcfg.Version, rcfg.RosterVersion); err != nil {
-			return nil, err
-		}
-		r = &round{agg: agg, adjusts: make(map[int][]uint64)}
-		b.rounds[roundKey{c, id}] = r
-		b.m.roundsOpened.Inc()
-	}
-	return r, nil
-}
-
-// lookupRound returns an existing round without creating one.
-func (b *Backend) lookupRound(c uint32, id uint64) (*round, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.rounds[roundKey{c, id}]
-	return r, ok
-}
-
 // campaignAcceptedCounter resolves a campaign's pre-registered
 // accepted-report counter (nil for an unprovisioned nonzero ID, which
 // can only happen on paths that already rejected the report).
@@ -762,11 +609,13 @@ func (b *Backend) campaignAcceptedCounter(c uint32) *obs.Counter {
 // Reporters hold only the round's read lock: the aggregator's own
 // bookkeeping lock and striped cell merge admit concurrent submissions
 // into the same round, while the write lock (CloseRound) excludes them.
-// The sequence is reserve → log → fold: the aggregator first validates
-// and reserves the user's slot (so the WAL only ever records reports
-// the aggregate will absorb, and records them in acceptance order),
-// then the frame is logged while its cells are still the caller's
-// buffer, then the cells merge.
+// A frame for a round no report has opened yet opens it (openRound) —
+// only once the frame passes the admission rule, so a refused frame
+// leaves no trace. The sequence is then reserve → log → fold: the
+// aggregator first validates and reserves the user's slot (so the WAL
+// only ever records reports the aggregate will absorb, and records them
+// in acceptance order), then the frame is logged while its cells are
+// still the caller's buffer, then the cells merge.
 //
 // Durability: the frame is logged but NOT synced here — the caller
 // runs SyncReports before it acknowledges (the wire layer immediately
@@ -800,9 +649,12 @@ func (b *Backend) consumeReport(f *wire.ReportFrame) error {
 	if b.cfg.Replica {
 		return ErrReadOnlyReplica
 	}
-	r, err := b.getRound(f.Campaign, f.Round)
-	if err != nil {
-		return err
+	r, ok := b.lookupRound(f.Campaign, f.Round)
+	if !ok {
+		var err error
+		if r, err = b.openRound(f); err != nil {
+			return err
+		}
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -881,14 +733,7 @@ type RoundSnapshot struct {
 // observation only — on a primary, a follower, and everything in
 // between.
 func (b *Backend) RoundsProgress() []RoundSnapshot {
-	b.mu.Lock()
-	keys := make([]roundKey, 0, len(b.rounds))
-	rounds := make([]*round, 0, len(b.rounds))
-	for k, r := range b.rounds {
-		keys = append(keys, k)
-		rounds = append(rounds, r)
-	}
-	b.mu.Unlock()
+	keys, rounds := b.roundList()
 	out := make([]RoundSnapshot, 0, len(rounds))
 	for i, r := range rounds {
 		r.mu.RLock()
@@ -912,15 +757,15 @@ func (b *Backend) RoundsProgress() []RoundSnapshot {
 // submitAdjustment records a reporter's second-round share, streamed
 // as a wire.AdjustFrame into ConsumeReport. Invalid shares are rejected
 // here, at upload time, rather than poisoning every later CloseRound
-// attempt: the cell count must match the geometry, the round must exist
-// and be open, the share must be blinded under the round's keystream
-// suite, and the submitter must be one of the round's reporters — a
-// share is the sum of the submitter's pairwise blinding terms toward the
-// missing users, meaningless without the submitter's own report in the
-// aggregate. Re-uploading an identical share is an idempotent retry; a
-// *different* share for the same round is refused (ErrAdjustConflict) —
-// the client computed against two different missing sets and the server
-// cannot tell which one is right.
+// attempt: the round must exist, the cell count must match the round's
+// geometry, the round must be open, the share must be blinded under the
+// round's keystream suite, and the submitter must be one of the round's
+// reporters — a share is the sum of the submitter's pairwise blinding
+// terms toward the missing users, meaningless without the submitter's
+// own report in the aggregate. Re-uploading an identical share is an
+// idempotent retry; a *different* share for the same round is refused
+// (ErrAdjustConflict) — the client computed against two different
+// missing sets and the server cannot tell which one is right.
 //
 // cv is the negotiated config version the share was derived under; any
 // version but the round's own is rejected (the share's pairwise terms
@@ -949,10 +794,6 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 	if user < 0 || user >= b.cfg.Users {
 		return ErrBadUser
 	}
-	if len(cells) != b.campaignCells(c) {
-		return fmt.Errorf("%w: adjustment share has %d cells, want %d",
-			sketch.ErrDimensionMismatch, len(cells), b.campaignCells(c))
-	}
 	// Unlike reports, an adjustment never opens a round: a share can
 	// only repair a round that reports have already touched.
 	r, ok := b.lookupRound(c, id)
@@ -967,6 +808,11 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 	// Sync failure surfaces in place of the ack; a retry overwrites the
 	// share idempotently.
 	r.mu.Lock()
+	if d, w, _ := r.agg.Layout(); len(cells) != d*w {
+		r.mu.Unlock()
+		return fmt.Errorf("%w: adjustment share has %d cells, want %d",
+			sketch.ErrDimensionMismatch, len(cells), d*w)
+	}
 	if r.closed {
 		r.mu.Unlock()
 		return ErrRoundClosed
@@ -983,7 +829,7 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 		r.mu.Unlock()
 		return ErrAdjustNotReporter
 	}
-	if prev, dup := r.adjusts[user]; dup && !cellsEqual(prev, cells) {
+	if prev, dup := r.adjusts[user]; dup && !slices.Equal(prev, cells) {
 		r.mu.Unlock()
 		return ErrAdjustConflict
 	}
@@ -1006,348 +852,6 @@ func (b *Backend) applyAdjustment(c uint32, user int, id uint64, cv uint32, ks b
 	r.mu.Unlock()
 	b.maybeSnapshot()
 	return nil
-}
-
-// cellsEqual reports whether two cell vectors hold the same values.
-func cellsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// CloseRound unblinds the aggregate (applying any adjustment shares),
-// extracts the per-ad user counts, and computes Users_th. The close is
-// logged and synced before the round flips to closed, so a crash
-// straddling the close either replays it (record durable) or leaves
-// the round open and retryable (record lost) — never half-closed. With
-// Config.RetainRounds set, a successful close also ages out closed
-// rounds whose Users_th has now been served for the retention horizon.
-// A close is a query about accumulated state: closing a round no
-// reports have touched returns ErrUnknownRound instead of opening (and
-// logging) an empty round that could only ever fail with ErrNoReports.
-//
-// With wait == 0 a round whose reporters still owe adjustment shares is
-// refused at once (ErrAdjustIncomplete). wait > 0 makes it the deadline
-// close: it first *seals* the round (reports are refused from here on,
-// so the missing set is frozen and every reporter can compute its
-// adjustment share against the same list), then waits up to wait for
-// every reporter's share to land before finalizing. If the deadline
-// expires with shares still outstanding it returns ErrAdjustIncomplete
-// and leaves the round open (and sealed): stragglers can still upload
-// and the close can be retried. This is how a round with
-// permanently-lost users closes — the lost users simply stay in the
-// missing set, and once the reporters that ARE alive have all adjusted
-// for them, the round finalizes without them. A reporter that vanishes
-// *between* its report and its share, by contrast, holds the round at
-// ErrAdjustIncomplete: its pairwise terms are in the aggregate and
-// nobody else can cancel them.
-//
-// With a full roster (nothing missing) no shares are owed and either
-// form proceeds immediately. Sealing is in-memory: a crash recovers the
-// round unsealed, and the retried deadline close re-seals it.
-func (b *Backend) CloseRound(c uint32, id uint64, wait time.Duration) (usersTh float64, distinctAds int, err error) {
-	if b.cfg.Replica {
-		return 0, 0, ErrReadOnlyReplica
-	}
-	r, ok := b.lookupRound(c, id)
-	if !ok {
-		return 0, 0, ErrUnknownRound
-	}
-	r.mu.Lock()
-	if wait > 0 && !r.closed {
-		if !r.sealed {
-			r.sealed = true
-			b.m.roundsSealed.Inc()
-		}
-		awaitSharesLocked(r, wait)
-	}
-	closedNow := !r.closed
-	if closedNow {
-		if err := b.closeLocked(c, id, r); err != nil {
-			r.mu.Unlock()
-			return 0, 0, err
-		}
-	}
-	usersTh, distinctAds = r.usersTh, r.distinct
-	r.mu.Unlock()
-	if closedNow {
-		b.retireRounds()
-	}
-	return usersTh, distinctAds, nil
-}
-
-// awaitSharesLocked blocks until no adjustment share is owed, a
-// concurrent close wins the race, or wait elapses — whichever is first;
-// the caller re-examines the round afterwards. Caller holds r.mu
-// (write), which is released while waiting.
-func awaitSharesLocked(r *round, wait time.Duration) {
-	if len(owedLocked(r)) == 0 {
-		return
-	}
-	if r.adjCond == nil {
-		r.adjCond = sync.NewCond(&r.mu)
-	}
-	// One timer per close call: it grabs the round lock and broadcasts,
-	// so a wait with no more shares arriving still wakes up to observe
-	// its expired deadline.
-	cond, deadline := r.adjCond, time.Now().Add(wait)
-	timer := time.AfterFunc(wait, func() {
-		r.mu.Lock()
-		cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer timer.Stop()
-	for !r.closed && len(owedLocked(r)) > 0 && time.Now().Before(deadline) {
-		cond.Wait()
-	}
-}
-
-// owedLocked lists the reporters whose second-round shares are still
-// outstanding — empty when nothing is missing (no adjustment round is
-// needed) or when no reports have landed at all (nothing to repair;
-// the close will fail on ErrNoReports instead). Caller holds r.mu.
-func owedLocked(r *round) []int {
-	reported, missing := r.agg.Progress()
-	if reported == 0 || len(missing) == 0 {
-		return nil
-	}
-	miss := make(map[int]bool, len(missing))
-	for _, m := range missing {
-		miss[m] = true
-	}
-	var owed []int
-	for u := 0; u < r.agg.Config().RosterSize; u++ {
-		if miss[u] {
-			continue
-		}
-		if _, ok := r.adjusts[u]; !ok {
-			owed = append(owed, u)
-		}
-	}
-	return owed
-}
-
-// closeLocked runs the close body under r.mu (write): finalize, log,
-// sync, flip closed. The close record is durable before the flag flips,
-// so a crash straddling the close either replays it or leaves the round
-// open and retryable — never half-closed.
-//
-// A close with users missing requires EVERY reporter's adjustment share
-// first: a partial share set subtracts a partial set of pairwise terms
-// and would publish corrupted counts that look plausible. A deadline
-// close has waited for the stragglers by now; either form refuses here.
-func (b *Backend) closeLocked(c uint32, id uint64, r *round) error {
-	if owed := owedLocked(r); len(owed) > 0 {
-		reported, _ := r.agg.Progress()
-		return fmt.Errorf("%w: %d of %d reporters (first: user %d)",
-			ErrAdjustIncomplete, len(owed), reported, owed[0])
-	}
-	if err := b.finalizeLocked(r); err != nil {
-		return err
-	}
-	logged := time.Now()
-	if err := b.store.AppendClose(c, id); err != nil {
-		return err
-	}
-	if err := b.store.Sync(); err != nil {
-		return err
-	}
-	b.m.closeLogSync.Observe(time.Since(logged))
-	r.closed = true
-	b.m.roundsClosed.Inc()
-	return nil
-}
-
-// retireRounds drops every closed round older than the RetainRounds-th
-// newest closed round: its Users_th has been served for the configured
-// horizon, so its memory (cells, counts, final sketch) and its slot in
-// future snapshots are released, and getRound refuses to resurrect it.
-// Open stragglers are never retired — they have not served anything
-// yet. Retention is not logged — the WAL may still carry the rounds
-// until compaction — because the same cutoff is re-derived at recovery
-// (restore), so an aged-out round stays gone across restarts.
-func (b *Backend) retireRounds() {
-	// Pass 1: snapshot the round map under b.mu only. Checking a
-	// round's closed flag takes its lock, and a round mid-close holds
-	// its write lock across an fsync — blocking on that while holding
-	// b.mu would stall every reporter's round lookup behind a disk
-	// flush.
-	b.mu.Lock()
-	keys := make([]roundKey, 0, len(b.rounds))
-	rounds := make([]*round, 0, len(b.rounds))
-	for k, r := range b.rounds {
-		keys = append(keys, k)
-		rounds = append(rounds, r)
-	}
-	b.mu.Unlock()
-	// Retention is per campaign: each campaign ages out its own closed
-	// rounds against its own horizon (falling back to the deployment
-	// default), so a slow-cadence campaign never loses rounds because a
-	// fast one churned through its window.
-	closedBy := make(map[uint32][]uint64)
-	closedSet := make(map[roundKey]bool)
-	for i, r := range rounds {
-		r.mu.RLock()
-		c := r.closed
-		r.mu.RUnlock()
-		if c {
-			closedBy[keys[i].campaign] = append(closedBy[keys[i].campaign], keys[i].round)
-			closedSet[keys[i]] = true
-		}
-	}
-	cutoffs := make(map[uint32]uint64)
-	b.mu.Lock()
-	for c, rounds := range closedBy {
-		if cut := retentionCutoff(rounds, b.retainFor(c)); cut > 0 {
-			cutoffs[c] = cut
-		}
-	}
-	if len(cutoffs) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	// Pass 2: delete under the same b.mu hold. Rounds are only ever
-	// created or deleted, never replaced, and closed is sticky — a
-	// round observed closed in pass 1 is still the same closed round
-	// now.
-	for k := range b.rounds {
-		if k.round < cutoffs[k.campaign] && closedSet[k] {
-			delete(b.rounds, k)
-		}
-	}
-	for c, cut := range cutoffs {
-		if cut > b.retiredBelow[c] {
-			b.retiredBelow[c] = cut
-		}
-	}
-	b.mu.Unlock()
-}
-
-// finalizeLocked computes a round's close-time results — the unblinded
-// final sketch, the per-ad count table, and Users_th — without marking
-// it closed: clone the aggregate, subtract the adjustment shares, sweep
-// the ID space once, derive the threshold. Shared by CloseRound and
-// the WAL applier's close (restart and replica), which re-runs it on a
-// restored or replicated aggregate: the inputs are byte-identical to the
-// original close, and every step reads them in index order, so the
-// results are too. Each stage is timed into
-// eyewnder_round_close_stage_seconds. Caller holds r.mu (write).
-func (b *Backend) finalizeLocked(r *round) error {
-	// Adjustments are applied to a clone of the aggregate
-	// (FinalizeWithAdjustments), never to the live one: if the close
-	// fails (reports still missing, say), a retry must not subtract the
-	// same shares twice. With a full roster the shares are skipped
-	// entirely — any stored ones were computed against a transient
-	// missing view that later reports emptied, and subtracting terms
-	// that already cancel pairwise would corrupt the aggregate.
-	start := time.Now()
-	var shares [][]uint64
-	if _, missing := r.agg.Progress(); len(missing) > 0 {
-		shares = make([][]uint64, 0, len(r.adjusts))
-		for _, s := range r.adjusts {
-			shares = append(shares, s)
-		}
-	}
-	final, err := r.agg.FinalizeWithAdjustments(shares...)
-	if err != nil {
-		return err
-	}
-	r.final = final
-	subtracted := time.Now()
-	b.m.closeSubtract.Observe(subtracted.Sub(start))
-	// The round's pinned params — not the deployment defaults — scope
-	// the count extraction: each campaign queries its own ID space.
-	r.counts, r.distinct = privacy.CountTable(final, r.agg.Config().Params)
-	extracted := time.Now()
-	b.m.closeExtract.Observe(extracted.Sub(subtracted))
-	r.usersTh = detector.UsersThreshold(ascendingSample(r.counts, r.distinct), b.cfg.UsersEstimator)
-	b.m.closeThreshold.Observe(time.Since(extracted))
-	return nil
-}
-
-// ascendingSample renders the non-zero entries of a count table (there
-// are distinct of them) as the Users_th estimator's sample in ascending
-// order: float sums are order-dependent, and every estimator must see
-// the same input on the primary, on a follower and after recovery for
-// the published Users_th to be bit-identical on all three. A count is a
-// number of users, so a counting sort over the small values covers every
-// honest round at the cost of one sequential scan of the table; only the
-// rest is compared and sorted.
-func ascendingSample(table []uint64, distinct int) []float64 {
-	var small [1 << 12]int
-	var large []uint64
-	for _, c := range table {
-		if c < uint64(len(small)) {
-			small[c]++
-		} else {
-			large = append(large, c)
-		}
-	}
-	slices.Sort(large)
-	sample := make([]float64, 0, distinct)
-	for v, n := range small[1:] {
-		for ; n > 0; n-- {
-			sample = append(sample, float64(v+1))
-		}
-	}
-	for _, c := range large {
-		sample = append(sample, float64(c))
-	}
-	return sample
-}
-
-// Threshold returns a closed (campaign, round)'s Users_th (Figure 1,
-// arrow 5).
-func (b *Backend) Threshold(c uint32, id uint64) (float64, error) {
-	r, ok := b.lookupRound(c, id)
-	if !ok {
-		return 0, ErrUnknownRound
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if !r.closed {
-		return 0, ErrRoundNotClosed
-	}
-	return r.usersTh, nil
-}
-
-// AuditAd answers a real-time audit: the estimated #Users for an ad ID in
-// a closed (campaign, round).
-func (b *Backend) AuditAd(c uint32, id uint64, adID uint64) (uint64, error) {
-	r, ok := b.lookupRound(c, id)
-	if !ok {
-		return 0, ErrUnknownRound
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if !r.closed {
-		return 0, ErrRoundNotClosed
-	}
-	return privacy.QueryUsers(r.final, adID), nil
-}
-
-// UserCounts exposes a closed (campaign, round)'s per-ad-ID counts as a
-// map holding the IDs with a non-zero count (used by the round_counts
-// op, the evaluation harness, the churn oracle check and the Figure 2
-// experiment). The round keeps a dense table; the map is built here, per
-// call.
-func (b *Backend) UserCounts(c uint32, id uint64) (map[uint64]uint64, error) {
-	r, ok := b.lookupRound(c, id)
-	if !ok {
-		return nil, ErrUnknownRound
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if !r.closed {
-		return nil, ErrRoundNotClosed
-	}
-	return privacy.CountMap(r.counts, r.distinct), nil
 }
 
 // Handler adapts the back-end to the wire protocol.

@@ -82,11 +82,22 @@ func TestConcurrentSubmitAndClose(t *testing.T) {
 
 // A wrong-length adjustment share must be rejected at upload time — if it
 // were stored, every later CloseRound would fail on it and the round could
-// never close.
+// never close. The length is checked against the round's own layout, so
+// a share for a round no report opened is unknown whatever its length.
 func TestSubmitAdjustmentRejectsBadLength(t *testing.T) {
-	b, _ := newBackend(t)
-	if err := submitShare(b, 0, 0, 1, make([]uint64, 7)); err == nil {
-		t.Fatal("wrong-length adjustment share accepted")
+	b, clients := newBackend(t)
+	if err := submitShare(b, 0, 0, 1, make([]uint64, 7)); !errors.Is(err, ErrUnknownRound) {
+		t.Fatalf("share for an unopened round = %v, want ErrUnknownRound", err)
+	}
+	rep, err := clients[0].Report(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := submit(b, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := submitShare(b, 0, 0, 1, make([]uint64, 7)); !errors.Is(err, sketch.ErrDimensionMismatch) {
+		t.Fatalf("wrong-length share = %v, want ErrDimensionMismatch", err)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestConsumeReportZeroAllocs(t *testing.T) {
 
 // RoundsProgress (the /statusz enumeration) must agree with
 // RoundProgressOf at every point mid-round, and must never create
-// rounds the way RoundProgressOf's getRound does.
+// rounds.
 func TestRoundsProgressConsistency(t *testing.T) {
 	const users = 6
 	params := testParams()

@@ -285,9 +285,6 @@ func (e *Extension) AuditAd(adKey string, round uint64, now time.Time) (detector
 	return e.state.Classify(adKey, users, th, now), nil
 }
 
-// State exposes the local detector state (used by evaluation harnesses).
-func (e *Extension) State() *detector.UserState { return e.state }
-
 // --- wire-backed BackendAPI and Evaluator adapters ---
 
 // WireBackend adapts a wire.Client to BackendAPI.

@@ -1,10 +1,11 @@
 // Package docscheck holds the repository's documentation checks: godoc
 // coverage over the protocol/durability packages, relative-link
 // integrity across every markdown file, README coverage of every
-// command-line flag the main binaries define, and the reverse: every
-// flag a README flag-table row names exists. CI's lint and docs jobs
-// run these tests (see scripts/checkdocs.sh for the local entry point);
-// they exist so the documentation cannot silently drift from the code.
+// command-line flag the main binaries define, the reverse (every flag a
+// README flag-table row names exists), and the package guide's coverage
+// of every internal package. CI's lint and docs jobs run these tests
+// (see scripts/checkdocs.sh for the local entry point); they exist so
+// the documentation cannot silently drift from the code.
 package docscheck
 
 import (
@@ -317,6 +318,26 @@ func TestREADMEFlagRowsExist(t *testing.T) {
 			if !defined[m[1]] {
 				t.Errorf("README.md flag table names -%s, which no cmd/ binary defines", m[1])
 			}
+		}
+	}
+}
+
+// TestInternalPackageGuide fails if a directory under internal/ has no
+// bold entry (**`name`**) in internal/README.md, the package guide: a
+// package added without one is invisible to the one-screen orientation.
+func TestInternalPackageGuide(t *testing.T) {
+	root := repoRoot(t)
+	guide, err := os.ReadFile(filepath.Join(root, "internal", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() && !strings.Contains(string(guide), "**`"+e.Name()+"`**") {
+			t.Errorf("internal/README.md has no **`%s`** entry", e.Name())
 		}
 	}
 }

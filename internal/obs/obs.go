@@ -255,16 +255,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// SetBool sets the gauge to 1 or 0 — the conventional encoding for
-// connected/caught-up style status gauges.
-func (g *Gauge) SetBool(b bool) {
-	if b {
-		g.v.Store(1)
-	} else {
-		g.v.Store(0)
-	}
-}
-
 // nShards is the shard count of a ShardedCounter: enough to spread a
 // many-core ingest fan-in, small enough that summing at scrape time is
 // trivial.

@@ -165,9 +165,6 @@ func NewClient(cfg RoundConfig, party *blind.Party, oprfPub oprf.PublicKey, eval
 	}
 }
 
-// UserIndex returns the client's roster position.
-func (c *Client) UserIndex() int { return c.party.Index() }
-
 // ForCampaign returns a client view scoped to one counting campaign:
 // its reports carry the campaign ID, its sketches use the campaign's
 // geometry and ID space, and its blinding expands the campaign-derived
@@ -396,24 +393,43 @@ func (a *Aggregator) AddCells(user int, d, w int, n, seed uint64, ks blind.Keyst
 // definitely absorb — which is exactly the invariant crash recovery
 // replays on.
 func (a *Aggregator) ReserveCells(user int, d, w int, n, seed uint64, ks blind.Keystream, cv uint32, cellsLen int) error {
-	if cv != a.cfg.Version {
-		return ErrIncompatibleConfig
-	}
-	if ks != a.cfg.Params.Keystream {
-		return ErrKeystreamMismatch
-	}
-	if !a.agg.LayoutMatches(d, w, seed) || cellsLen != a.agg.Cells() {
-		return sketch.ErrDimensionMismatch
+	if err := a.cfg.CheckReport(a.agg.Seed(), user, d, w, seed, ks, cv, cellsLen); err != nil {
+		return err
 	}
 	return a.reserve(user, n)
+}
+
+// CheckReport is the admission rule a report must pass against a round
+// opened under cfg, before the round is touched: the report's config
+// version, blinding suite, sketch layout (d×w under the hash seed) and
+// cell count must be the round's, and the user must sit on its roster.
+// roundSeed is the round's hash-seed base — 0 for every round
+// NewAggregator opens, so a caller can check a round's first report
+// before opening it. A duplicate it cannot see: that depends on the
+// round's reported set (ReserveCells).
+func (cfg RoundConfig) CheckReport(roundSeed uint64, user, d, w int, seed uint64, ks blind.Keystream, cv uint32, cellsLen int) error {
+	if cv != cfg.Version {
+		return ErrIncompatibleConfig
+	}
+	if ks != cfg.Params.Keystream {
+		return ErrKeystreamMismatch
+	}
+	rd, rw, err := sketch.Dimensions(cfg.Params.Epsilon, cfg.Params.Delta)
+	if err != nil {
+		return err
+	}
+	if d != rd || w != rw || seed != roundSeed || cellsLen != d*w {
+		return sketch.ErrDimensionMismatch
+	}
+	if user < 0 || user >= cfg.RosterSize {
+		return fmt.Errorf("privacy: user %d outside roster of %d", user, cfg.RosterSize)
+	}
+	return nil
 }
 
 // reserve runs the bookkeeping under the short lock: duplicate
 // rejection, the reported-bitmap mark, and the weight total.
 func (a *Aggregator) reserve(user int, n uint64) error {
-	if user < 0 || user >= a.cfg.RosterSize {
-		return fmt.Errorf("privacy: user %d outside roster of %d", user, a.cfg.RosterSize)
-	}
 	a.mu.Lock()
 	if a.reported[user] {
 		a.mu.Unlock()

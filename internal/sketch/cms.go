@@ -305,13 +305,6 @@ func (c *CMS) SameLayout(other *CMS) bool {
 	return other != nil && c.d == other.d && c.w == other.w && c.seed == other.seed
 }
 
-// LayoutMatches reports whether a sketch with the given header fields
-// would share c's cell layout. The streaming ingestion path uses it to
-// validate a report's raw cell vector without materializing a CMS.
-func (c *CMS) LayoutMatches(d, w int, seed uint64) bool {
-	return c.d == d && c.w == w && c.seed == seed
-}
-
 // AddWeight adds delta to the update total n without touching cells: the
 // bookkeeping half of a merge whose cell adds happen externally (the
 // striped round aggregation). Not safe for concurrent use; callers

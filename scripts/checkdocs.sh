@@ -7,6 +7,8 @@
 #   - flag coverage: every eyewnder-server / -sim / -eval flag is
 #     mentioned in README.md, and every flag a README flag-table row
 #     names is defined by some cmd/ binary
+#   - package guide: every internal/ package has an entry in
+#     internal/README.md
 #
 # CI's docs job runs exactly this script; the lint job additionally
 # runs the godoc check on its own. The checks are plain Go tests in
