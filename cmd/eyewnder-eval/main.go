@@ -23,6 +23,7 @@ import (
 	"os"
 	"slices"
 	"sort"
+	"strings"
 
 	"eyewnder/internal/adsim"
 	"eyewnder/internal/experiments"
@@ -47,14 +48,22 @@ func main() {
 	)
 	flag.Parse()
 
-	// The mode that runs is the first one set, in the switch's order. A
-	// parameter flag that mode does not read is a usage error: the run
-	// would otherwise quietly print another study than the one asked for.
-	mode := ""
+	// One mode per run. A second mode, or a parameter flag the mode does
+	// not read, is a usage error: the run would otherwise quietly print
+	// another study than the one asked for.
+	var modes []string
 	for _, m := range []string{"overhead", "fig2", "fig4", "table2", "fig5", "table1", "fig3", "fpstudy", "evasion", "ablate"} {
-		if f := flag.Lookup(m); mode == "" && f.Value.String() != f.DefValue {
-			mode = m
+		if f := flag.Lookup(m); f.Value.String() != f.DefValue {
+			modes = append(modes, m)
 		}
+	}
+	if len(modes) > 1 {
+		fmt.Fprintf(os.Stderr, "eyewnder-eval: one mode per run, got -%s\n", strings.Join(modes, " -"))
+		os.Exit(2)
+	}
+	mode := ""
+	if len(modes) == 1 {
+		mode = modes[0]
 	}
 	readers := map[string][]string{
 		"users":    {"fig2", "table1", "fig3", "fpstudy", "evasion", "ablate"},

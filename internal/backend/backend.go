@@ -681,9 +681,9 @@ func (b *Backend) consumeReport(f *wire.ReportFrame) error {
 // Reported and Missing come from the same aggregator critical section
 // (Reported + len(Missing) equals the roster size, always), and the
 // adjusted count, sealed and closed flags are read under the same round
-// lock. Separate Reported()/Missing() reads can each be individually
-// correct yet disagree when a report folds in between them — the torn
-// view a status poll racing submissions used to publish.
+// lock. A reported count and a missing list read in two calls can each
+// be correct yet disagree when a report folds in between them — the
+// torn view a status poll racing submissions would publish.
 type RoundProgress struct {
 	Reported int
 	Missing  []int

@@ -110,17 +110,13 @@ type Party struct {
 	derivedCache
 }
 
-// NewParty derives the pairwise secrets between the holder of priv (whose
-// public key must appear at position `index` in roster) and every other
-// roster member, using the default HMAC-SHA256 keystream. Roster order
-// must be identical across all parties — it is the bulletin board.
-func NewParty(priv group.PrivateKey, roster [][]byte, index int) (*Party, error) {
-	return NewPartyKeystream(priv, roster, index, KeystreamHMACSHA256)
-}
-
-// NewPartyKeystream is NewParty with an explicit factor-expansion suite.
-// Every party in a deployment must use the same suite: the pairwise terms
-// only cancel when both sides of each pair expand the same stream.
+// NewPartyKeystream derives the pairwise secrets between the holder of
+// priv (whose public key must appear at position `index` in roster) and
+// every other roster member, expanding them under the keystream suite
+// ks. Roster order must be identical across all parties — it is the
+// bulletin board. Every party in a deployment must use the same suite:
+// the pairwise terms only cancel when both sides of each pair expand
+// the same stream.
 func NewPartyKeystream(priv group.PrivateKey, roster [][]byte, index int, ks Keystream) (*Party, error) {
 	if !ks.Valid() {
 		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownSuite, byte(ks))

@@ -241,16 +241,16 @@ func TestNewPartyValidation(t *testing.T) {
 	k1, _ := s.GenerateKey(rand.Reader)
 	k2, _ := s.GenerateKey(rand.Reader)
 	roster := [][]byte{k1.PublicKey(), k2.PublicKey()}
-	if _, err := NewParty(k1, roster[:1], 0); err != ErrRosterTooSmall {
+	if _, err := NewPartyKeystream(k1, roster[:1], 0, KeystreamHMACSHA256); err != ErrRosterTooSmall {
 		t.Fatalf("small roster err = %v", err)
 	}
-	if _, err := NewParty(k1, roster, 5); err != ErrUnknownUser {
+	if _, err := NewPartyKeystream(k1, roster, 5, KeystreamHMACSHA256); err != ErrUnknownUser {
 		t.Fatalf("bad index err = %v", err)
 	}
-	if _, err := NewParty(k1, roster, 1); err != ErrNotInRoster {
+	if _, err := NewPartyKeystream(k1, roster, 1, KeystreamHMACSHA256); err != ErrNotInRoster {
 		t.Fatalf("wrong slot err = %v", err)
 	}
-	p, err := NewParty(k1, roster, 0)
+	p, err := NewPartyKeystream(k1, roster, 0, KeystreamHMACSHA256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,36 +280,34 @@ func rosterKeys(t testing.TB, s group.Suite, n int) ([]group.PrivateKey, [][]byt
 // so blind identically.
 func TestNewPartyParallelMatchesSerial(t *testing.T) {
 	const n, index = 40, 17
-	for _, s := range []group.Suite{group.P256(), group.MODP2048()} {
-		privs, pubs := rosterKeys(t, s, n)
-		for _, ks := range []Keystream{KeystreamHMACSHA256, KeystreamAESCTR} {
-			build := func(procs int) *Party {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				p, err := NewPartyKeystream(privs[index], pubs, index, ks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
+	privs, pubs := rosterKeys(t, group.P256(), n)
+	for _, ks := range []Keystream{KeystreamHMACSHA256, KeystreamAESCTR} {
+		build := func(procs int) *Party {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			p, err := NewPartyKeystream(privs[index], pubs, index, ks)
+			if err != nil {
+				t.Fatal(err)
 			}
-			serial, parallel := build(1), build(4)
-			for j := range serial.pairKeys {
-				if !bytes.Equal(serial.pairKeys[j], parallel.pairKeys[j]) {
-					t.Fatalf("%s/%v: pair key %d differs", s.Name(), ks, j)
-				}
+			return p
+		}
+		serial, parallel := build(1), build(4)
+		for j := range serial.pairKeys {
+			if !bytes.Equal(serial.pairKeys[j], parallel.pairKeys[j]) {
+				t.Fatalf("%v: pair key %d differs", ks, j)
 			}
-			if len(serial.peers) != n-1 || len(parallel.peers) != n-1 {
-				t.Fatalf("%s/%v: %d and %d peers, want %d", s.Name(), ks, len(serial.peers), len(parallel.peers), n-1)
+		}
+		if len(serial.peers) != n-1 || len(parallel.peers) != n-1 {
+			t.Fatalf("%v: %d and %d peers, want %d", ks, len(serial.peers), len(parallel.peers), n-1)
+		}
+		for i := range serial.peers {
+			if serial.peers[i] != parallel.peers[i] {
+				t.Fatalf("%v: peer order differs at %d", ks, i)
 			}
-			for i := range serial.peers {
-				if serial.peers[i] != parallel.peers[i] {
-					t.Fatalf("%s/%v: peer order differs at %d", s.Name(), ks, i)
-				}
-			}
-			a, b := serial.Blinding(7, 5000), parallel.Blinding(7, 5000)
-			for m := range a {
-				if a[m] != b[m] {
-					t.Fatalf("%s/%v: blinding differs at cell %d", s.Name(), ks, m)
-				}
+		}
+		a, b := serial.Blinding(7, 5000), parallel.Blinding(7, 5000)
+		for m := range a {
+			if a[m] != b[m] {
+				t.Fatalf("%v: blinding differs at cell %d", ks, m)
 			}
 		}
 	}
@@ -322,7 +320,7 @@ func TestNewPartyReportsFirstBadKey(t *testing.T) {
 	pubs[40] = []byte{1, 2, 3}
 	pubs[9] = []byte{4, 5, 6}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	_, err := NewParty(privs[0], pubs, 0)
+	_, err := NewPartyKeystream(privs[0], pubs, 0, KeystreamHMACSHA256)
 	if !errors.Is(err, group.ErrBadPublicKey) {
 		t.Fatalf("err = %v, want ErrBadPublicKey", err)
 	}
@@ -348,8 +346,8 @@ func TestApplySubtractLengthChecks(t *testing.T) {
 
 func TestTrafficBytes(t *testing.T) {
 	// Section 7.1: the paper reports 0.38 MB for 10k users. With ~33-65B
-	// EC keys we land in the same order of magnitude; with MODP2048 keys
-	// (256 B) it is ~2.6 MB for 10k. Just verify linear scaling here.
+	// EC keys we land in the same order of magnitude. Just verify linear
+	// scaling here.
 	a := TrafficBytes(group.P256(), 10000)
 	b := TrafficBytes(group.P256(), 50000)
 	if b != 5*a {
@@ -418,7 +416,7 @@ func BenchmarkNewParty96(b *testing.B) {
 	privs, pubs := rosterKeys(b, group.P256(), 96)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewParty(privs[0], pubs, 0); err != nil {
+		if _, err := NewPartyKeystream(privs[0], pubs, 0, KeystreamHMACSHA256); err != nil {
 			b.Fatal(err)
 		}
 	}

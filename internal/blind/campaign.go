@@ -24,19 +24,12 @@ import (
 // campaignKDFLabel is the domain-separation label of the derivation.
 const campaignKDFLabel = "eyewnder/blind/campaign/v1"
 
-// ForCampaign returns the party view for the campaign: campaign 0 is
-// the receiver itself; any other campaign gets derived pairwise keys
-// (and optionally its own keystream suite via ForCampaignKeystream).
-// Derived parties are cached, so per-round blinding across many
+// ForCampaignKeystream returns the party view for the campaign under
+// the factor-expansion suite ks — campaigns may pin a different suite
+// than the deployment default. Campaign 0 under the party's own suite
+// is the receiver itself; any other campaign gets derived pairwise
+// keys. Derived parties are cached, so per-round blinding across many
 // campaigns pays the hashing once.
-func (p *Party) ForCampaign(campaign uint32) *Party {
-	return p.ForCampaignKeystream(campaign, p.ks)
-}
-
-// ForCampaignKeystream is ForCampaign with an explicit factor-expansion
-// suite for the derived party — campaigns may pin a different suite
-// than the deployment default. For campaign 0 the suite must equal the
-// party's own (campaign 0 is the deployment itself).
 func (p *Party) ForCampaignKeystream(campaign uint32, ks Keystream) *Party {
 	if campaign == 0 && ks == p.ks {
 		return p

@@ -13,7 +13,7 @@ func TestCampaignBlindingCancels(t *testing.T) {
 	for _, campaign := range []uint32{0, 1, 7, 0xFFFFFFFF} {
 		sum := make([]uint64, cells)
 		for _, p := range r.Parties {
-			b := p.ForCampaign(campaign).Blinding(42, cells)
+			b := p.ForCampaignKeystream(campaign, p.Keystream()).Blinding(42, cells)
 			for m := range sum {
 				sum[m] += b[m]
 			}
@@ -34,11 +34,11 @@ func TestCampaignDomainSeparation(t *testing.T) {
 	p := r.Parties[0]
 	const cells = 32
 	base := p.Blinding(7, cells)
-	if got := p.ForCampaign(0).Blinding(7, cells); !equalU64(got, base) {
+	if got := p.ForCampaignKeystream(0, p.Keystream()).Blinding(7, cells); !equalU64(got, base) {
 		t.Fatal("campaign 0 blinding differs from legacy blinding")
 	}
-	c1 := p.ForCampaign(1).Blinding(7, cells)
-	c2 := p.ForCampaign(2).Blinding(7, cells)
+	c1 := p.ForCampaignKeystream(1, p.Keystream()).Blinding(7, cells)
+	c2 := p.ForCampaignKeystream(2, p.Keystream()).Blinding(7, cells)
 	if equalU64(c1, base) || equalU64(c2, base) || equalU64(c1, c2) {
 		t.Fatal("campaign pads are not independent")
 	}
@@ -56,7 +56,7 @@ func TestCampaignAdjustmentCancels(t *testing.T) {
 		if i == 2 {
 			continue
 		}
-		cp := p.ForCampaign(campaign)
+		cp := p.ForCampaignKeystream(campaign, p.Keystream())
 		b := cp.Blinding(round, cells)
 		adj, err := cp.Adjustment(round, cells, missing)
 		if err != nil {
@@ -78,10 +78,10 @@ func TestCampaignAdjustmentCancels(t *testing.T) {
 func TestForCampaignCaching(t *testing.T) {
 	r := makeRoster(t, 2)
 	p := r.Parties[0]
-	if p.ForCampaign(0) != p {
+	if p.ForCampaignKeystream(0, p.Keystream()) != p {
 		t.Fatal("campaign 0 should return the receiver")
 	}
-	a, b := p.ForCampaign(5), p.ForCampaign(5)
+	a, b := p.ForCampaignKeystream(5, p.Keystream()), p.ForCampaignKeystream(5, p.Keystream())
 	if a != b {
 		t.Fatal("derived party not cached")
 	}

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -30,10 +29,8 @@ var (
 	// ErrBadCampaign marks a definition that fails validation (reserved
 	// ID, bad geometry, unknown suite, oversized name).
 	ErrBadCampaign = errors.New("campaign: invalid definition")
-	// ErrDuplicate marks provisioning an ID the directory already holds.
+	// ErrDuplicate marks a campaign ID that a spec defines twice.
 	ErrDuplicate = errors.New("campaign: duplicate id")
-	// ErrUnknown marks a lookup of an ID the directory does not hold.
-	ErrUnknown = errors.New("campaign: unknown id")
 )
 
 // MaxName caps a campaign name: names ride in fixed directory frames
@@ -180,48 +177,6 @@ func DecodeBinary(b []byte) (Campaign, int, error) {
 
 // EncodedSize returns the byte length of c's binary encoding.
 func (c Campaign) EncodedSize() int { return wireFixed + len(c.Name) }
-
-// Directory is an ordered set of provisioned campaigns. The zero value
-// is empty and ready to use. A Directory is not safe for concurrent
-// mutation; owners (the backend) guard it with their own lock.
-type Directory struct {
-	byID map[uint32]Campaign
-}
-
-// Add provisions a campaign, validating it and refusing duplicates.
-func (d *Directory) Add(c Campaign) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	if _, ok := d.byID[c.ID]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicate, c.ID)
-	}
-	if d.byID == nil {
-		d.byID = make(map[uint32]Campaign)
-	}
-	d.byID[c.ID] = c
-	return nil
-}
-
-// Get returns the campaign with the given ID.
-func (d *Directory) Get(id uint32) (Campaign, bool) {
-	c, ok := d.byID[id]
-	return c, ok
-}
-
-// Len returns the number of provisioned campaigns.
-func (d *Directory) Len() int { return len(d.byID) }
-
-// List returns the campaigns sorted by ID — the canonical directory
-// order used by the wire frame and the snapshot section.
-func (d *Directory) List() []Campaign {
-	out := make([]Campaign, 0, len(d.byID))
-	for _, c := range d.byID {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // ParseSpec parses the -campaigns flag syntax: semicolon-separated
 // campaign entries, each a comma-separated list of key=value pairs.

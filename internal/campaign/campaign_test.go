@@ -116,35 +116,6 @@ func TestDecodeBinaryRejects(t *testing.T) {
 	}
 }
 
-func TestDirectory(t *testing.T) {
-	var d Directory
-	if err := d.Add(Campaign{ID: 2, Name: "travel"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Add(Campaign{ID: 1, Name: "cars"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Add(Campaign{ID: 2, Name: "dup"}); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("duplicate add: %v", err)
-	}
-	if err := d.Add(Campaign{ID: 0, Name: "zero"}); !errors.Is(err, ErrBadCampaign) {
-		t.Fatalf("campaign 0 add: %v", err)
-	}
-	list := d.List()
-	if len(list) != 2 || list[0].ID != 1 || list[1].ID != 2 {
-		t.Fatalf("list order: %+v", list)
-	}
-	if c, ok := d.Get(1); !ok || c.Name != "cars" {
-		t.Fatalf("get: %+v %v", c, ok)
-	}
-	if _, ok := d.Get(9); ok {
-		t.Fatal("unknown id found")
-	}
-	if d.Len() != 2 {
-		t.Fatalf("len %d", d.Len())
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	got, err := ParseSpec("id=1,name=cars,eps=0.01,delta=0.02;id=2,name=travel,ids=4096,ks=aes-ctr,retain=3,cadence=60")
 	if err != nil {

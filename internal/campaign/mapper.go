@@ -44,10 +44,3 @@ func (m *Mapper) Map(ad *addetect.Ad) (id uint32, ok bool) {
 	id, ok = m.byTopic[topic]
 	return id, ok
 }
-
-// MapTopic returns the campaign claiming the topic directly, for
-// callers that classified out-of-band.
-func (m *Mapper) MapTopic(topic taxonomy.Topic) (id uint32, ok bool) {
-	id, ok = m.byTopic[topic]
-	return id, ok
-}

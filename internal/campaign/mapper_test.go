@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"eyewnder/internal/addetect"
-	"eyewnder/internal/taxonomy"
 )
 
 func testDirectory(t *testing.T) []Campaign {
@@ -74,15 +73,5 @@ func TestMapperFromDetectorScan(t *testing.T) {
 		if id != tc.wantID || ok != tc.wantOK {
 			t.Errorf("landing %s: Map() = (%d, %v), want (%d, %v)", tc.landing, id, ok, tc.wantID, tc.wantOK)
 		}
-	}
-}
-
-func TestMapTopic(t *testing.T) {
-	m := NewMapper(testDirectory(t))
-	if id, ok := m.MapTopic(taxonomy.Cars); !ok || id != 1 {
-		t.Fatalf("MapTopic(Cars) = (%d, %v)", id, ok)
-	}
-	if _, ok := m.MapTopic(taxonomy.Fishing); ok {
-		t.Fatal("unclaimed topic mapped")
 	}
 }

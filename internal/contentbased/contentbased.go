@@ -45,10 +45,6 @@ func (p *Profile) VisitSite(domain string, topic taxonomy.Topic) {
 	m[domain] = true
 }
 
-// SiteCount returns how many distinct domains of the topic the user
-// visited.
-func (p *Profile) SiteCount(topic taxonomy.Topic) int { return len(p.sites[topic]) }
-
 // Categories returns the profile: topics backed by at least T distinct
 // websites.
 func (p *Profile) Categories(T int) []taxonomy.Topic {

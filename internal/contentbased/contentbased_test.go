@@ -32,8 +32,8 @@ func TestDistinctSitesOnly(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.VisitSite("www.same.example", taxonomy.Travel) // repeat visits
 	}
-	if p.SiteCount(taxonomy.Travel) != 1 {
-		t.Fatalf("SiteCount = %d", p.SiteCount(taxonomy.Travel))
+	if got := len(p.sites[taxonomy.Travel]); got != 1 {
+		t.Fatalf("%d distinct travel sites, want 1", got)
 	}
 	if got := p.Categories(2); len(got) != 0 {
 		t.Fatalf("repeat visits inflated the profile: %v", got)

@@ -157,7 +157,6 @@ type UserState struct {
 	// quantities keyed by `now`; any Observe invalidates the cache.
 	cacheValid  bool
 	cacheNow    time.Time
-	cacheActive int       // distinct ad-serving domains in the window
 	cacheSample []float64 // per-ad domain counts (reused buffer)
 	cacheTh     float64   // Domains_th,u; 0 when the min-data rule fails
 	cacheThOK   bool      // minimum-data rule satisfied
@@ -213,8 +212,7 @@ func (u *UserState) refresh(now time.Time) {
 			set[d] = struct{}{}
 		}
 	}
-	u.cacheActive = len(set)
-	u.cacheThOK = u.cacheActive >= u.cfg.MinDomains
+	u.cacheThOK = len(set) >= u.cfg.MinDomains
 	if u.cacheThOK {
 		u.cacheTh = u.cfg.DomainsEstimator.Threshold(u.cacheSample)
 	} else {
@@ -230,41 +228,12 @@ func (u *UserState) DomainCount(ad string, now time.Time) int {
 	return len(u.lastSeen[ad])
 }
 
-// ActiveDomains returns the number of distinct ad-serving domains the user
-// visited within the window — the quantity the minimum-data rule checks.
-func (u *UserState) ActiveDomains(now time.Time) int {
-	u.refresh(now)
-	return u.cacheActive
-}
-
-// AdCount returns the number of distinct ads inside the window.
-func (u *UserState) AdCount(now time.Time) int {
-	u.refresh(now)
-	return len(u.lastSeen)
-}
-
-// Ads returns the distinct ads observed inside the window.
-func (u *UserState) Ads(now time.Time) []string {
-	u.refresh(now)
-	out := make([]string, 0, len(u.lastSeen))
-	for ad := range u.lastSeen {
-		out = append(out, ad)
-	}
-	return out
-}
-
 // DomainsThreshold computes Domains_th,u at time now. ok is false when the
 // minimum-data rule is not met, in which case the caller must return
 // Unknown rather than guess.
 func (u *UserState) DomainsThreshold(now time.Time) (th float64, ok bool) {
 	u.refresh(now)
 	return u.cacheTh, u.cacheThOK
-}
-
-// HasMinimumData reports whether the minimum-data rule is satisfied.
-func (u *UserState) HasMinimumData(now time.Time) bool {
-	u.refresh(now)
-	return u.cacheThOK
 }
 
 // UsersThreshold derives the global Users_th from the per-ad user counts

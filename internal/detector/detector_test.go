@@ -72,12 +72,12 @@ func TestMinimumDataRuleReturnsUnknown(t *testing.T) {
 	if v.Class != Unknown {
 		t.Fatalf("verdict = %+v, want Unknown", v)
 	}
-	if u.HasMinimumData(t0.Add(time.Hour)) {
-		t.Fatal("HasMinimumData = true with 3 domains")
+	if _, ok := u.DomainsThreshold(t0.Add(time.Hour)); ok {
+		t.Fatal("minimum-data rule met with 3 domains")
 	}
 	u.Observe("d", "d4.com", t0)
-	if !u.HasMinimumData(t0.Add(time.Hour)) {
-		t.Fatal("HasMinimumData = false with 4 domains")
+	if _, ok := u.DomainsThreshold(t0.Add(time.Hour)); !ok {
+		t.Fatal("minimum-data rule not met with 4 domains")
 	}
 }
 
@@ -89,8 +89,8 @@ func TestWindowPruning(t *testing.T) {
 	if got := u.DomainCount("old-ad", later); got != 0 {
 		t.Fatalf("DomainCount after window = %d", got)
 	}
-	if got := u.AdCount(later); got != 0 {
-		t.Fatalf("AdCount after window = %d", got)
+	if got := len(u.lastSeen); got != 0 {
+		t.Fatalf("%d ads left after the window", got)
 	}
 	// Re-observation refreshes the window.
 	u.Observe("old-ad", "old-site.com", later)

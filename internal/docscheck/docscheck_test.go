@@ -3,9 +3,12 @@
 // integrity across every markdown file, README coverage of every
 // command-line flag the main binaries define, the reverse (every flag a
 // README flag-table row names exists), and the package guide's coverage
-// of every internal package. CI's lint and docs jobs run these tests
-// (see scripts/checkdocs.sh for the local entry point); they exist so
-// the documentation cannot silently drift from the code.
+// of every internal package. Two structure checks ride along: no
+// exported function in internal/ that only tests call, and no round
+// lifecycle write in internal/backend outside round.go. CI's lint and
+// docs jobs run these tests (see scripts/checkdocs.sh for the local
+// entry point); they exist so the documentation cannot silently drift
+// from the code, nor the code grow a second door.
 package docscheck
 
 import (

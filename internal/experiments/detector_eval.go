@@ -20,9 +20,6 @@ type Confusion struct {
 	Unknown int
 }
 
-// Classified returns the number of classified pairs.
-func (c Confusion) Classified() int { return c.TP + c.FP + c.TN + c.FN }
-
 // FNRate is FN / (TP + FN): the share of truly targeted ads the detector
 // missed — the y-axis of Figure 3.
 func (c Confusion) FNRate() float64 {

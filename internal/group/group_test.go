@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func suites() []Suite { return []Suite{P256(), MODP2048()} }
+func suites() []Suite { return []Suite{P256()} }
 
 func TestSharedSecretSymmetry(t *testing.T) {
 	for _, s := range suites() {
@@ -73,13 +73,6 @@ func TestRejectsBadPublicKey(t *testing.T) {
 			}
 		})
 	}
-	// MODP: identity element must be rejected.
-	k, _ := MODP2048().GenerateKey(rand.Reader)
-	one := make([]byte, MODP2048().PublicKeySize())
-	one[len(one)-1] = 1
-	if _, err := k.SharedSecret(one); err == nil {
-		t.Fatal("identity element accepted")
-	}
 }
 
 // SharedSecret is documented as safe for concurrent use; the blinding
@@ -130,33 +123,8 @@ func TestSharedSecretConcurrent(t *testing.T) {
 	}
 }
 
-func TestBySuiteName(t *testing.T) {
-	for _, name := range []string{"P256", "MODP2048"} {
-		s, err := BySuiteName(name)
-		if err != nil || s.Name() != name {
-			t.Fatalf("BySuiteName(%q) = %v, %v", name, s, err)
-		}
-	}
-	if _, err := BySuiteName("X25519"); err == nil {
-		t.Fatal("unknown suite accepted")
-	}
-}
-
 func BenchmarkSharedSecretP256(b *testing.B) {
 	s := P256()
-	a, _ := s.GenerateKey(rand.Reader)
-	peer, _ := s.GenerateKey(rand.Reader)
-	pub := peer.PublicKey()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.SharedSecret(pub); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSharedSecretMODP2048(b *testing.B) {
-	s := MODP2048()
 	a, _ := s.GenerateKey(rand.Reader)
 	peer, _ := s.GenerateKey(rand.Reader)
 	pub := peer.PublicKey()

@@ -248,13 +248,3 @@ func parseAttrs(s string) map[string]string {
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
-
-// All scans the whole document and returns every token.
-func All(src string) []*Token {
-	sc := NewScanner(src)
-	var out []*Token
-	for tok := sc.Next(); tok != nil; tok = sc.Next() {
-		out = append(out, tok)
-	}
-	return out
-}

@@ -5,9 +5,19 @@ import (
 	"testing/quick"
 )
 
+// scanAll scans the whole document and returns every token.
+func scanAll(src string) []*Token {
+	sc := NewScanner(src)
+	var out []*Token
+	for tok := sc.Next(); tok != nil; tok = sc.Next() {
+		out = append(out, tok)
+	}
+	return out
+}
+
 func TestBasicDocument(t *testing.T) {
 	src := `<html><body><p class="x">Hello</p><br/></body></html>`
-	toks := All(src)
+	toks := scanAll(src)
 	if len(toks) == 0 {
 		t.Fatal("no tokens")
 	}
@@ -30,7 +40,7 @@ func TestBasicDocument(t *testing.T) {
 
 func TestAttributes(t *testing.T) {
 	src := `<a href="https://x.example/p?a=1&b=2" target=_blank data-ad>link</a>`
-	toks := All(src)
+	toks := scanAll(src)
 	a := toks[0]
 	if a.Type != StartTag || a.Name != "a" {
 		t.Fatalf("first token %+v", a)
@@ -51,7 +61,7 @@ func TestAttributes(t *testing.T) {
 
 func TestSingleQuotedAndAngleInAttr(t *testing.T) {
 	src := `<div onclick='go("https://t.example/x?a<b")'>x</div>`
-	toks := All(src)
+	toks := scanAll(src)
 	d := toks[0]
 	if v, _ := d.Attr("onclick"); v != `go("https://t.example/x?a<b")` {
 		t.Fatalf("onclick = %q", v)
@@ -60,7 +70,7 @@ func TestSingleQuotedAndAngleInAttr(t *testing.T) {
 
 func TestScriptBodyIsRawText(t *testing.T) {
 	src := `<script type="text/javascript">if (a < b) { window.open("https://lp.example/x"); }</script><p>after</p>`
-	toks := All(src)
+	toks := scanAll(src)
 	if toks[0].Type != StartTag || toks[0].Name != "script" {
 		t.Fatalf("tok0 = %+v", toks[0])
 	}
@@ -77,7 +87,7 @@ func TestScriptBodyIsRawText(t *testing.T) {
 
 func TestComments(t *testing.T) {
 	src := `<!-- ad slot 3 --><p>x</p><!doctype html>`
-	toks := All(src)
+	toks := scanAll(src)
 	if toks[0].Type != Comment || toks[0].Data != " ad slot 3 " {
 		t.Fatalf("comment = %+v", toks[0])
 	}
@@ -98,14 +108,14 @@ func TestUnterminatedStructures(t *testing.T) {
 		"text only",
 		"</closing>",
 	} {
-		toks := All(src)
+		toks := scanAll(src)
 		_ = toks // reaching here without a hang is the assertion
 	}
 }
 
 func TestSelfClosingScriptDoesNotSwallow(t *testing.T) {
 	src := `<script src="https://ads.example/x.js"/><p>visible</p>`
-	toks := All(src)
+	toks := scanAll(src)
 	foundP := false
 	for _, tok := range toks {
 		if tok.Type == StartTag && tok.Name == "p" {
@@ -118,7 +128,7 @@ func TestSelfClosingScriptDoesNotSwallow(t *testing.T) {
 }
 
 func TestCaseInsensitiveTags(t *testing.T) {
-	toks := All(`<IFRAME SRC="https://adx.example/f"></IFRAME>`)
+	toks := scanAll(`<IFRAME SRC="https://adx.example/f"></IFRAME>`)
 	if toks[0].Name != "iframe" {
 		t.Fatalf("name = %q", toks[0].Name)
 	}
@@ -131,7 +141,7 @@ func TestCaseInsensitiveTags(t *testing.T) {
 }
 
 func TestTextBetweenTags(t *testing.T) {
-	toks := All(`<b>bold</b> and plain`)
+	toks := scanAll(`<b>bold</b> and plain`)
 	if toks[1].Type != Text || toks[1].Data != "bold" {
 		t.Fatalf("inner text = %+v", toks[1])
 	}
@@ -147,7 +157,7 @@ func TestPropertyNeverPanics(t *testing.T) {
 		if len(src) > 4096 {
 			src = src[:4096]
 		}
-		All(src)
+		scanAll(src)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

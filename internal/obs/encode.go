@@ -23,7 +23,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			lastName = m.name
 			typ := "counter"
 			switch m.kind {
-			case kindGauge, kindGaugeFunc:
+			case kindGaugeFunc:
 				typ = "gauge"
 			case kindHistogram:
 				typ = "histogram"
@@ -34,8 +34,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		switch m.kind {
 		case kindCounter:
 			writeSample(bw, m.name, m.labels, "", formatUint(m.counter.Value()))
-		case kindGauge:
-			writeSample(bw, m.name, m.labels, "", strconv.FormatInt(m.gauge.Value(), 10))
 		case kindGaugeFunc:
 			v := 0.0
 			if m.gaugeFn != nil {
@@ -107,8 +105,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		switch m.kind {
 		case kindCounter:
 			out[key] = float64(m.counter.Value())
-		case kindGauge:
-			out[key] = float64(m.gauge.Value())
 		case kindGaugeFunc:
 			if m.gaugeFn != nil {
 				out[key] = m.gaugeFn()

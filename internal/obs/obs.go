@@ -1,15 +1,16 @@
 // Package obs is the repository's dependency-free metrics core: a
-// registry of atomically-updated counters, gauges, and fixed-bucket
-// latency histograms, plus a Prometheus-text-format encoder, a JSON
-// snapshot encoder, and the admin HTTP endpoint (/metrics, /statusz,
-// /healthz, /debug/pprof/*) eyewnder-server exposes behind -admin.
+// registry of atomically-updated counters and fixed-bucket latency
+// histograms, and of gauges read from a callback at encode time, plus
+// a Prometheus-text-format encoder, a JSON snapshot encoder, and the
+// admin HTTP endpoint (/metrics, /statusz, /healthz, /debug/pprof/*)
+// eyewnder-server exposes behind -admin.
 //
 // The design constraint is the report hot path: every instrument
 // handle is pre-registered once at construction time (get-or-register
 // by name+labels, so a promoted follower reuses the instruments its
-// warm-replica phase created), and the update operations — Counter.Inc,
-// Gauge.Set, Histogram.Observe — are pure atomic arithmetic with no
-// allocation, no map lookup, and no lock. The package uses no unsafe
+// warm-replica phase created), and the update operations —
+// Counter.Inc, ShardedCounter.Inc, Histogram.Observe — are pure atomic
+// arithmetic with no allocation, no map lookup, and no lock. The package uses no unsafe
 // and no assembly, so it is identical under the purego CI leg.
 package obs
 
@@ -25,7 +26,6 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -40,7 +40,6 @@ type metric struct {
 	kind   kind
 
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -150,14 +149,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return m.counter
 }
 
-// Gauge registers (or finds) an integer gauge.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	m := r.lookup(name, help, kindGauge, labels, func(m *metric) {
-		m.gauge = &Gauge{}
-	})
-	return m.gauge
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at encode
 // time — for values some other subsystem already maintains (store
 // generation, replication status). Re-registering the same name+labels
@@ -240,21 +231,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable int64 value.
-type Gauge struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // nShards is the shard count of a ShardedCounter: enough to spread a
 // many-core ingest fan-in, small enough that summing at scrape time is
 // trivial.
@@ -283,9 +259,6 @@ func (c *ShardedCounter) NextShard() int {
 
 // Inc adds 1 to the given shard.
 func (c *ShardedCounter) Inc(shard int) { c.shards[shard&(nShards-1)].v.Add(1) }
-
-// Add adds n to the given shard.
-func (c *ShardedCounter) Add(shard int, n uint64) { c.shards[shard&(nShards-1)].v.Add(n) }
 
 // Value sums the shards. The sum is not a point-in-time snapshot under
 // concurrent writers, which is fine for a monotone counter.
@@ -405,9 +378,6 @@ func (h *Histogram) observe(v int64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
 // exposedSum is _sum in the exposed unit: seconds, or the plain count.
 func (h *Histogram) exposedSum() float64 { return float64(h.sum.Load()) / h.scale }

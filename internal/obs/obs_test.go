@@ -31,7 +31,7 @@ func TestPromEscaping(t *testing.T) {
 func TestPromHeaders(t *testing.T) {
 	r := New()
 	r.Counter("a_total", "a help", "reason", "x").Inc()
-	r.Gauge("g", "g help").Set(-3)
+	r.GaugeFunc("g", "g help", func() float64 { return -3 })
 	r.Counter("a_total", "a help", "reason", "y").Add(2)
 	var sb strings.Builder
 	if err := r.WriteProm(&sb); err != nil {
@@ -92,8 +92,8 @@ func TestHistogramInvariants(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if h.Count() != 5 || h.Sum() != total {
-		t.Fatalf("count/sum: got %d/%v want 5/%v", h.Count(), h.Sum(), total)
+	if sum := time.Duration(h.sum.Load()); h.Count() != 5 || sum != total {
+		t.Fatalf("count/sum: got %d/%v want 5/%v", h.Count(), sum, total)
 	}
 	if !strings.Contains(out, "lat_seconds_sum "+formatFloat(total.Seconds())) {
 		t.Errorf("sum sample missing in:\n%s", out)
@@ -154,7 +154,7 @@ func TestGetOrRegister(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("x_total", "h")
+	r.Histogram("x_total", "h", nil)
 }
 
 // TestConcurrentHammer bumps every instrument kind from many
@@ -164,7 +164,6 @@ func TestConcurrentHammer(t *testing.T) {
 	r := New()
 	c := r.Counter("c_total", "h")
 	sc := r.ShardedCounter("sc_total", "h")
-	g := r.Gauge("g", "h")
 	h := r.Histogram("h_seconds", "h", nil)
 	const workers, iters = 8, 10000
 	var wg sync.WaitGroup
@@ -176,7 +175,6 @@ func TestConcurrentHammer(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Inc()
 				sc.Inc(shard)
-				g.Add(1)
 				h.Observe(time.Duration(i) * time.Microsecond)
 				if i%128 == 0 {
 					// Scrape concurrently with the writers.
@@ -192,9 +190,6 @@ func TestConcurrentHammer(t *testing.T) {
 	if sc.Value() != workers*iters {
 		t.Fatalf("sharded counter lost updates: %d", sc.Value())
 	}
-	if g.Value() != workers*iters {
-		t.Fatalf("gauge lost updates: %d", g.Value())
-	}
 	if h.Count() != workers*iters {
 		t.Fatalf("histogram lost updates: %d", h.Count())
 	}
@@ -209,14 +204,12 @@ func TestUpdateAllocs(t *testing.T) {
 	r := New()
 	c := r.Counter("c_total", "h")
 	sc := r.ShardedCounter("sc_total", "h")
-	g := r.Gauge("g", "h")
 	h := r.Histogram("h_seconds", "h", nil)
 	ch := r.CountHistogram("ch", "h", []uint64{1, 8})
 	shard := sc.NextShard()
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		sc.Inc(shard)
-		g.Set(7)
 		h.Observe(3 * time.Millisecond)
 		ch.ObserveCount(5)
 	}); n != 0 {

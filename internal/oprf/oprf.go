@@ -20,9 +20,6 @@
 //
 // The client verifies each response (y'^e ≡ H(x) mod N), so a misbehaving
 // server cannot silently corrupt the ad-ID mapping.
-//
-// MultiEval composes several independent OPRF servers by XOR, the
-// distributed-trust deployment sketched in footnote 4 of the paper.
 package oprf
 
 import (
@@ -86,27 +83,6 @@ func (s *Server) Evaluate(blinded *big.Int) (*big.Int, error) {
 		return nil, ErrBadElement
 	}
 	return new(big.Int).Exp(blinded, s.key.D, s.key.N), nil
-}
-
-// EvaluateBatch answers a batch of blinded requests in order.
-func (s *Server) EvaluateBatch(blinded []*big.Int) ([]*big.Int, error) {
-	out := make([]*big.Int, len(blinded))
-	for i, b := range blinded {
-		y, err := s.Evaluate(b)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = y
-	}
-	return out, nil
-}
-
-// Direct computes F(k, x) = G(H(x)^d) without blinding. Only the key
-// holder can do this; tests use it as the reference output.
-func (s *Server) Direct(x []byte) []byte {
-	hx := hashToZN(x, s.key.N)
-	y := new(big.Int).Exp(hx, s.key.D, s.key.N)
-	return finalize(y, s.key.N)
 }
 
 // PublicKey is the public half of the OPRF key.
@@ -180,26 +156,6 @@ func (c *Client) Finalize(req *Request, response *big.Int) ([]byte, error) {
 		return nil, ErrVerifyFailed
 	}
 	return finalize(y, n), nil
-}
-
-// MultiEval XORs the outputs of several already-computed evaluations of
-// the same input under independent keys, implementing the multi-server
-// trust split of footnote 4. It errors if the outputs disagree in length.
-func MultiEval(outputs ...[]byte) ([]byte, error) {
-	if len(outputs) == 0 {
-		return nil, errors.New("oprf: no outputs to combine")
-	}
-	out := make([]byte, len(outputs[0]))
-	copy(out, outputs[0])
-	for _, o := range outputs[1:] {
-		if len(o) != len(out) {
-			return nil, errors.New("oprf: output length mismatch")
-		}
-		for i := range out {
-			out[i] ^= o[i]
-		}
-	}
-	return out, nil
 }
 
 // hashToZN maps an arbitrary byte string into [0, N) by expanding SHA-256

@@ -30,6 +30,15 @@ func server(t testing.TB) *Server {
 	return testSrv
 }
 
+// direct computes F(k, x) = G(H(x)^d) without blinding. Only the key
+// holder can do this; it is the reference the blinded protocol is
+// checked against.
+func direct(s *Server, x []byte) []byte {
+	hx := hashToZN(x, s.key.N)
+	y := new(big.Int).Exp(hx, s.key.D, s.key.N)
+	return finalize(y, s.key.N)
+}
+
 func evaluate(t *testing.T, s *Server, c *Client, x []byte) []byte {
 	t.Helper()
 	req, err := c.Blind(x)
@@ -57,7 +66,7 @@ func TestBlindEvaluateMatchesDirect(t *testing.T) {
 		"a",
 	} {
 		got := evaluate(t, s, c, []byte(url))
-		want := s.Direct([]byte(url))
+		want := direct(s, []byte(url))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("blind evaluation of %q differs from direct", url)
 		}
@@ -131,40 +140,6 @@ func TestEvaluateRejectsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestEvaluateBatch(t *testing.T) {
-	s := server(t)
-	c := NewClient(s.PublicKey(), nil)
-	inputs := [][]byte{[]byte("a"), []byte("b"), []byte("c")}
-	reqs := make([]*Request, len(inputs))
-	blinded := make([]*big.Int, len(inputs))
-	for i, x := range inputs {
-		r, err := c.Blind(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs[i] = r
-		blinded[i] = r.Blinded
-	}
-	resps, err := s.EvaluateBatch(blinded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inputs {
-		out, err := c.Finalize(reqs[i], resps[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out, s.Direct(inputs[i])) {
-			t.Fatalf("batch output %d mismatch", i)
-		}
-	}
-	// A bad element anywhere fails the whole batch.
-	blinded[1] = big.NewInt(0)
-	if _, err := s.EvaluateBatch(blinded); err == nil {
-		t.Fatal("batch with bad element accepted")
-	}
-}
-
 func TestNewServerRejectsSmallKey(t *testing.T) {
 	if _, err := NewServer(512); err != ErrKeyTooSmall {
 		t.Fatalf("err = %v", err)
@@ -172,63 +147,6 @@ func TestNewServerRejectsSmallKey(t *testing.T) {
 	key, _ := rsa.GenerateKey(rand.Reader, 512)
 	if _, err := NewServerFromKey(key); err != ErrKeyTooSmall {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestMultiEval(t *testing.T) {
-	a := []byte{0xF0, 0x0F}
-	b := []byte{0x0F, 0xF0}
-	out, err := MultiEval(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, []byte{0xFF, 0xFF}) {
-		t.Fatalf("xor = %x", out)
-	}
-	// Single input passes through unchanged (copy, not alias).
-	single, err := MultiEval(a)
-	if err != nil || !bytes.Equal(single, a) {
-		t.Fatalf("single = %x, %v", single, err)
-	}
-	single[0] = 0
-	if a[0] != 0xF0 {
-		t.Fatal("MultiEval aliased its input")
-	}
-	if _, err := MultiEval(); err == nil {
-		t.Fatal("empty MultiEval accepted")
-	}
-	if _, err := MultiEval(a, []byte{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestMultiServerComposition(t *testing.T) {
-	// Two independent servers; composed ad ID differs from either alone
-	// and is stable across evaluations.
-	s1 := server(t)
-	key2, err := rsa.GenerateKey(rand.Reader, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewServerFromKey(key2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := NewClient(s1.PublicKey(), nil)
-	c2 := NewClient(s2.PublicKey(), nil)
-	x := []byte("https://ads.example.com/1")
-	o1 := evaluate(t, s1, c1, x)
-	o2 := evaluate(t, s2, c2, x)
-	combined, err := MultiEval(o1, o2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(combined, o1) || bytes.Equal(combined, o2) {
-		t.Fatal("composition degenerate")
-	}
-	again, _ := MultiEval(evaluate(t, s1, c1, x), evaluate(t, s2, c2, x))
-	if !bytes.Equal(combined, again) {
-		t.Fatal("composition not deterministic")
 	}
 }
 

@@ -56,16 +56,16 @@ func TestAggregatorRejectsStaleConfigVersion(t *testing.T) {
 		}
 	}
 	// The rejections must not have consumed the user's roster slot.
-	if agg.Reported() != 0 {
-		t.Fatalf("rejected report reserved a slot: Reported = %d", agg.Reported())
+	if len(agg.reported) != 0 {
+		t.Fatalf("rejected report reserved a slot: %d reported", len(agg.reported))
 	}
 
 	// An exact match folds.
 	if err := agg.Add(r); err != nil {
 		t.Fatalf("matching version err = %v", err)
 	}
-	if agg.Reported() != 1 {
-		t.Fatalf("Reported = %d, want 1", agg.Reported())
+	if len(agg.reported) != 1 {
+		t.Fatalf("%d reported, want 1", len(agg.reported))
 	}
 }
 

@@ -138,9 +138,6 @@ type Client struct {
 	party   *blind.Party
 	oprfCli *oprf.Client
 	eval    Evaluator
-	// campaign scopes the client's reports to one counting campaign; 0
-	// (the zero value) is the deployment's implicit legacy campaign.
-	campaign uint32
 
 	idCache map[string]uint64 // ad URL -> ad ID, computed once per unique ad
 	seen    map[uint64]bool   // distinct ad IDs observed in the open round
@@ -162,29 +159,6 @@ func NewClient(cfg RoundConfig, party *blind.Party, oprfPub oprf.PublicKey, eval
 		eval:    eval,
 		idCache: make(map[string]uint64),
 		seen:    make(map[uint64]bool),
-	}
-}
-
-// ForCampaign returns a client view scoped to one counting campaign:
-// its reports carry the campaign ID, its sketches use the campaign's
-// geometry and ID space, and its blinding expands the campaign-derived
-// pairwise keys under the campaign's keystream suite — so concurrent
-// campaigns blind with independent pads over the same roster. params
-// must be the campaign's resolved params (campaign.Params over the
-// deployment base). The view keeps its own observation state (ad IDs
-// depend on the campaign's ID space) but shares the roster-derived
-// party material, so N campaigns cost one DH exchange, not N.
-func (c *Client) ForCampaign(id uint32, params Params) *Client {
-	cfg := c.cfg
-	cfg.Params = params
-	return &Client{
-		cfg:      cfg,
-		campaign: id,
-		party:    c.party.ForCampaignKeystream(id, params.Keystream),
-		oprfCli:  c.oprfCli,
-		eval:     c.eval,
-		idCache:  make(map[string]uint64),
-		seen:     make(map[uint64]bool),
 	}
 }
 
@@ -214,10 +188,6 @@ func (c *Client) ObserveAd(url string) (adID uint64, err error) {
 	c.seen[id] = true
 	return id, nil
 }
-
-// SeenCount reports how many distinct ads the client has recorded in the
-// open round.
-func (c *Client) SeenCount() int { return len(c.seen) }
 
 // Rejoined returns the client re-keyed to a changed roster: cfg and
 // party replace the old negotiated state, while everything the user has
@@ -265,7 +235,6 @@ func (c *Client) BuildReport(round uint64) (*Report, error) {
 	}
 	return &Report{
 		User:          c.party.Index(),
-		Campaign:      c.campaign,
 		Round:         round,
 		Sketch:        cms,
 		Keystream:     c.party.Keystream(),
@@ -298,10 +267,6 @@ type Report struct {
 	// pre-campaign callers need not set it.
 	Campaign uint32
 }
-
-// SizeBytes returns the wire size of the report payload assuming the given
-// cell width in bytes (the paper assumes 4).
-func (r *Report) SizeBytes(cellBytes int) int { return r.Sketch.SizeBytes(cellBytes) }
 
 // Aggregator is the back-end's side of the protocol for a single round.
 //
@@ -529,13 +494,6 @@ func (a *Aggregator) SnapshotState() (d, w int, seed, n uint64, ks blind.Keystre
 	return a.agg.Depth(), a.agg.Width(), a.agg.Seed(), a.agg.N(), a.cfg.Params.Keystream, cells, reported
 }
 
-// Reported returns how many reports have been folded in.
-func (a *Aggregator) Reported() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.reported)
-}
-
 // Missing lists the roster indices that have not reported — the list the
 // back-end publishes to trigger the adjustment round.
 func (a *Aggregator) Missing() []int {
@@ -557,9 +515,9 @@ func (a *Aggregator) missingLocked() []int {
 
 // Progress returns the reported count and the missing list as ONE
 // consistent observation: both come from the same critical section, so
-// reported + len(missing) == RosterSize always holds. Separate
-// Reported() and Missing() calls can each be correct yet disagree when
-// a report folds in between them — a status poll racing submissions
+// reported + len(missing) == RosterSize always holds. A reported count
+// and a Missing call made separately can each be correct yet disagree
+// when a report folds in between them — a status poll racing submissions
 // would then publish a torn view (say, reported=3 alongside a missing
 // list of the other 2 in a 4-user roster).
 func (a *Aggregator) Progress() (reported int, missing []int) {

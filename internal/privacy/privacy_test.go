@@ -149,13 +149,13 @@ func TestReportClearsRound(t *testing.T) {
 	if _, err := c.ObserveAd("https://a.example/1"); err != nil {
 		t.Fatal(err)
 	}
-	if c.SeenCount() != 1 {
-		t.Fatalf("SeenCount = %d", c.SeenCount())
+	if len(c.seen) != 1 {
+		t.Fatalf("%d ads seen", len(c.seen))
 	}
 	if _, err := c.Report(1); err != nil {
 		t.Fatal(err)
 	}
-	if c.SeenCount() != 0 {
+	if len(c.seen) != 0 {
 		t.Fatal("Report did not reset the round's observations")
 	}
 }
@@ -286,8 +286,8 @@ func TestAggregatorValidation(t *testing.T) {
 	if err := agg.Add(bad); err == nil {
 		t.Fatal("out-of-roster user accepted")
 	}
-	if agg.Reported() != 1 {
-		t.Fatalf("Reported = %d", agg.Reported())
+	if len(agg.reported) != 1 {
+		t.Fatalf("%d reported", len(agg.reported))
 	}
 }
 

@@ -37,19 +37,15 @@
 package sketch
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-
-	"eyewnder/internal/vec"
 )
 
 // Errors returned by the package.
 var (
 	ErrDimensionMismatch = errors.New("sketch: dimension mismatch")
 	ErrBadParams         = errors.New("sketch: epsilon and delta must be in (0,1)")
-	ErrCorrupt           = errors.New("sketch: corrupt serialized data")
 )
 
 // CMS is a count-min sketch. The zero value is not usable; construct with
@@ -146,27 +142,6 @@ func (c *CMS) indexSeed(x []byte) (idx, step, width uint64) {
 	return idx, step, width
 }
 
-// Indexes computes the d column indices of x — one per row — hashing the
-// key exactly once. The indices are written into buf when it has capacity
-// d (no allocation) and the d-element slice is returned. Callers that
-// need the same key's cells more than once (e.g. a read-modify-write)
-// should call Indexes once and reuse the result instead of re-querying.
-func (c *CMS) Indexes(x []byte, buf []int) []int {
-	if cap(buf) < c.d {
-		buf = make([]int, c.d)
-	}
-	buf = buf[:c.d]
-	idx, step, width := c.indexSeed(x)
-	for j := range buf {
-		buf[j] = int(idx)
-		idx += step
-		if idx >= width {
-			idx -= width
-		}
-	}
-	return buf
-}
-
 // Update encodes one occurrence of x.
 func (c *CMS) Update(x []byte) { c.UpdateWeighted(x, 1) }
 
@@ -180,44 +155,6 @@ func (c *CMS) UpdateWeighted(x []byte, w uint64) {
 	row := 0
 	for j := 0; j < c.d; j++ {
 		c.cells[row+int(idx)] += w
-		row += c.w
-		idx += step
-		if idx >= width {
-			idx -= width
-		}
-	}
-	c.n += w
-}
-
-// ConservativeUpdate adds weight w using the conservative-update rule:
-// only counters that would otherwise fall below the new estimate are
-// raised. It strictly reduces over-estimation for skewed streams and is
-// provided for the sketch-geometry ablation; the paper's protocol uses the
-// plain Update because conservative update is NOT linear and therefore
-// incompatible with blinded aggregation.
-//
-// The key is hashed once and the derived row indices are replayed for
-// both the minimum pass and the write pass.
-func (c *CMS) ConservativeUpdate(x []byte, w uint64) {
-	idx0, step, width := c.indexSeed(x)
-	min := uint64(math.MaxUint64)
-	idx, row := idx0, 0
-	for j := 0; j < c.d; j++ {
-		if v := c.cells[row+int(idx)]; v < min {
-			min = v
-		}
-		row += c.w
-		idx += step
-		if idx >= width {
-			idx -= width
-		}
-	}
-	est := min + w
-	idx, row = idx0, 0
-	for j := 0; j < c.d; j++ {
-		if p := &c.cells[row+int(idx)]; *p < est {
-			*p = est
-		}
 		row += c.w
 		idx += step
 		if idx >= width {
@@ -288,40 +225,15 @@ func (c *CMS) QueryRange(lo uint64, dst []uint64) (nonzero int) {
 // QueryString returns the estimated frequency of the string s.
 func (c *CMS) QueryString(s string) uint64 { return c.Query([]byte(s)) }
 
-// ErrorBound returns the additive error ε·N that Query may exceed the true
-// count by, with probability at least 1−δ.
-func (c *CMS) ErrorBound() float64 {
-	eps, _ := c.EpsilonDelta()
-	return eps * float64(c.n)
-}
-
 // Seed returns the row-hash seed base. Together with (d, w) it defines
 // the cell layout; it is layout metadata, not a secret.
 func (c *CMS) Seed() uint64 { return c.seed }
-
-// SameLayout reports whether other shares c's dimensions and hash seed —
-// the precondition for cell-wise aggregation to be meaningful.
-func (c *CMS) SameLayout(other *CMS) bool {
-	return other != nil && c.d == other.d && c.w == other.w && c.seed == other.seed
-}
 
 // AddWeight adds delta to the update total n without touching cells: the
 // bookkeeping half of a merge whose cell adds happen externally (the
 // striped round aggregation). Not safe for concurrent use; callers
 // serialize (the aggregator does so under its bookkeeping lock).
 func (c *CMS) AddWeight(delta uint64) { c.n += delta }
-
-// Merge adds other into c cell-wise. Both sketches must share dimensions
-// (and therefore hash layout). Merge is the linear-aggregation primitive
-// used by the back-end server.
-func (c *CMS) Merge(other *CMS) error {
-	if !c.SameLayout(other) {
-		return ErrDimensionMismatch
-	}
-	vec.Add(c.cells, other.cells)
-	c.n += other.n
-	return nil
-}
 
 // Restore rebuilds a CMS from externally persisted state: dimensions,
 // hash seed, update total, and the flat cell vector, which is adopted
@@ -351,87 +263,10 @@ func (c *CMS) Reset() {
 	c.n = 0
 }
 
-// Cell returns the raw counter at row j, column k. It is exported so that
-// the blinding layer can blind each cell, per Section 6 of the paper.
-func (c *CMS) Cell(j, k int) uint64 { return c.cells[j*c.w+k] }
-
-// SetCell overwrites the raw counter at row j, column k.
-func (c *CMS) SetCell(j, k int, v uint64) { c.cells[j*c.w+k] = v }
-
-// AddToCell adds delta (mod 2^64) to the raw counter at flat index i.
-// Wrap-around is intentional: blinding factors are additive shares of zero
-// modulo 2^64.
-func (c *CMS) AddToCell(i int, delta uint64) { c.cells[i] += delta }
-
 // FlatCells returns the backing counter slice (row-major). Callers must
 // not grow it; mutating entries is allowed and is how the privacy protocol
 // applies blinding in place.
 func (c *CMS) FlatCells() []uint64 { return c.cells }
-
-// maxUnmarshalCells caps d·w for deserialized sketches: 2²⁸ cells is a
-// 2 GiB payload, far beyond any geometry the protocol uses, and keeps the
-// later int conversions and 8·d·w size arithmetic overflow-free even on
-// 32-bit platforms.
-const maxUnmarshalCells = 1 << 28
-
-// MarshalBinary serializes the sketch: header (d, w, n, seed) followed by
-// the cells in little-endian order. The cell block is encoded in bulk
-// (a single memmove on little-endian hosts), not cell by cell.
-func (c *CMS) MarshalBinary() ([]byte, error) {
-	return c.AppendBinary(make([]byte, 0, 32+8*len(c.cells)))
-}
-
-// AppendBinary appends the MarshalBinary encoding to b and returns the
-// extended slice (encoding.BinaryAppender). Callers that serialize
-// repeatedly — snapshot writers, report submitters — pass a reused
-// buffer and pay only the encode, not a fresh allocation per sketch.
-func (c *CMS) AppendBinary(b []byte) ([]byte, error) {
-	off := len(b)
-	b = append(b, make([]byte, 32+8*len(c.cells))...)
-	buf := b[off:]
-	binary.LittleEndian.PutUint64(buf[0:], uint64(c.d))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(c.w))
-	binary.LittleEndian.PutUint64(buf[16:], c.n)
-	binary.LittleEndian.PutUint64(buf[24:], c.seed)
-	vec.PutLE(buf[32:], c.cells)
-	return b, nil
-}
-
-// UnmarshalBinary restores a sketch serialized by MarshalBinary. The
-// header is validated in uint64 arithmetic before any size computation, so
-// adversarial (d, w) pairs cannot overflow the expected-length check or
-// provoke a huge allocation. A receiver whose existing cell slice has
-// enough capacity is decoded into in place — reusing one CMS across many
-// decodes (the ingest handler's shape) amortizes the allocation away —
-// so a sketch previously shared via FlatCells must not be reused as a
-// decode target.
-func (c *CMS) UnmarshalBinary(data []byte) error {
-	if len(data) < 32 {
-		return ErrCorrupt
-	}
-	d64 := binary.LittleEndian.Uint64(data[0:])
-	w64 := binary.LittleEndian.Uint64(data[8:])
-	if d64 < 1 || w64 < 1 || d64 > 1<<20 || w64 > 1<<32 {
-		return ErrCorrupt
-	}
-	cells := d64 * w64 // ≤ 2⁵² by the bounds above: no uint64 overflow
-	if cells > maxUnmarshalCells {
-		return ErrCorrupt
-	}
-	if uint64(len(data)) != 32+8*cells {
-		return ErrCorrupt
-	}
-	c.d, c.w = int(d64), int(w64)
-	c.n = binary.LittleEndian.Uint64(data[16:])
-	c.seed = binary.LittleEndian.Uint64(data[24:])
-	if uint64(cap(c.cells)) >= cells {
-		c.cells = c.cells[:cells]
-	} else {
-		c.cells = make([]uint64, cells)
-	}
-	vec.GetLE(c.cells, data[32:])
-	return nil
-}
 
 // String implements fmt.Stringer with a compact summary.
 func (c *CMS) String() string {

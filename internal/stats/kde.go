@@ -51,9 +51,6 @@ func NewKDE(xs []float64, bandwidth float64) (*KDE, error) {
 	return &KDE{xs: cp, h: bandwidth}, nil
 }
 
-// Bandwidth reports the bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.h }
-
 // PDF evaluates the density estimate at x.
 func (k *KDE) PDF(x float64) float64 {
 	const invSqrt2Pi = 0.3989422804014327
@@ -85,54 +82,3 @@ func (k *KDE) Curve(lo, hi float64, points int) (xs, ys []float64, err error) {
 	}
 	return xs, ys, nil
 }
-
-// Histogram is a fixed-width bin count over a closed interval.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram builds a histogram of xs with `bins` equal-width bins over
-// [lo, hi]. Values outside the range are clamped into the edge bins, which
-// matches how the paper buckets #Users counts for plotting.
-func NewHistogram(xs []float64, lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, errors.New("stats: histogram needs >= 1 bin")
-	}
-	if hi <= lo {
-		return nil, errors.New("stats: histogram needs hi > lo")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		h.Counts[i]++
-		h.total++
-	}
-	return h, nil
-}
-
-// Density returns the normalized bin densities (integrating to 1 over the
-// histogram support) — the discrete analogue of the Figure 2 y-axis.
-func (h *Histogram) Density() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	norm := 1 / (float64(h.total) * width)
-	for i, c := range h.Counts {
-		out[i] = float64(c) * norm
-	}
-	return out
-}
-
-// Total reports how many observations the histogram absorbed.
-func (h *Histogram) Total() int { return h.total }

@@ -61,8 +61,8 @@ func TestKDEPeaksNearMode(t *testing.T) {
 	if k.PDF(4) <= k.PDF(1) || k.PDF(4) <= k.PDF(9) {
 		t.Fatal("density should peak near the repeated value")
 	}
-	if k.Bandwidth() != 0.5 {
-		t.Fatalf("Bandwidth = %v", k.Bandwidth())
+	if k.h != 0.5 {
+		t.Fatalf("bandwidth = %v", k.h)
 	}
 }
 
@@ -86,50 +86,5 @@ func TestKDEEmptyAndCurveErrors(t *testing.T) {
 	}
 	if xs[0] != 0 || xs[3] != 3 {
 		t.Fatalf("curve endpoints %v", xs)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.5, 1.5, 1.6, 2.5, -10, 99}
-	h, err := NewHistogram(xs, 0, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// -10 clamps into bin 0, 99 clamps into bin 2.
-	want := []int{2, 2, 2}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Fatalf("Counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	d := h.Density()
-	var integral float64
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for _, v := range d {
-		integral += v * width
-	}
-	if math.Abs(integral-1) > 1e-12 {
-		t.Fatalf("density integral = %v", integral)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Fatal("0 bins should error")
-	}
-	if _, err := NewHistogram(nil, 2, 1, 3); err == nil {
-		t.Fatal("hi <= lo should error")
-	}
-	h, err := NewHistogram(nil, 0, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range h.Density() {
-		if v != 0 {
-			t.Fatal("empty histogram density should be zero")
-		}
 	}
 }

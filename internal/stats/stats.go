@@ -71,34 +71,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the smallest element of xs, or an error for an empty sample.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest element of xs, or an error for an empty sample.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the R default).
 // It does not mutate xs.
@@ -124,28 +96,4 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := h - float64(lo)
 	return tmp[lo]*(1-frac) + tmp[hi]*frac, nil
-}
-
-// Summary bundles the moments that the detector's threshold estimators use.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs in a single pass over sorted data.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.Median = Median(xs)
-	s.StdDev = StdDev(xs)
-	s.Min, _ = Min(xs)
-	s.Max, _ = Max(xs)
-	return s
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -53,24 +54,6 @@ func TestVarianceStdDev(t *testing.T) {
 	approx(t, Variance([]float64{1}), 0, 0, "Variance n=1")
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Fatalf("Min = %v, %v", mn, err)
-	}
-	mx, err := Max(xs)
-	if err != nil || mx != 7 {
-		t.Fatalf("Max = %v, %v", mx, err)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatalf("Min(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Fatalf("Max(nil) err = %v, want ErrEmpty", err)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	q, err := Quantile(xs, 0.5)
@@ -108,21 +91,6 @@ func TestQuantileMatchesMedian(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if s.N != 3 {
-		t.Fatalf("N = %d", s.N)
-	}
-	approx(t, s.Mean, 2, 1e-12, "Summary.Mean")
-	approx(t, s.Median, 2, 0, "Summary.Median")
-	approx(t, s.Min, 1, 0, "Summary.Min")
-	approx(t, s.Max, 3, 0, "Summary.Max")
-	empty := Summarize(nil)
-	if empty.N != 0 || empty.Mean != 0 {
-		t.Fatalf("empty summary = %+v", empty)
-	}
-}
-
 func TestMeanBoundsProperty(t *testing.T) {
 	// Property: min <= mean <= max and min <= median <= max.
 	f := func(raw []int16) bool {
@@ -133,8 +101,7 @@ func TestMeanBoundsProperty(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
+		mn, mx := slices.Min(xs), slices.Max(xs)
 		m := Mean(xs)
 		md := Median(xs)
 		return mn-1e-9 <= m && m <= mx+1e-9 && mn <= md && md <= mx

@@ -27,7 +27,10 @@ var ErrReadOnlyStore = errors.New("store: read-only")
 type Recovered struct {
 	view    *logView
 	tailOff int64
-	files   []FileInfo
+	// files lists the store files present in the recovered directory,
+	// ordered as scanned (snapshots then segments, each by generation).
+	// The tail segment is unsealed; everything else sealed.
+	files []FileInfo
 }
 
 // Recover scans the store directory at dir without modifying it and
@@ -83,11 +86,6 @@ func (r *Recovered) TailGen() uint64 { return r.view.tailGen() }
 // truncates its local tail to this offset and re-requests from here,
 // which is what makes a torn shipped tail converge instead of wedging.
 func (r *Recovered) TailOff() int64 { return r.tailOff }
-
-// Files returns the store files present in the recovered directory,
-// ordered as scanned (snapshots then segments, each by generation). The
-// tail segment is reported unsealed; everything else sealed.
-func (r *Recovered) Files() []FileInfo { return r.files }
 
 // Rounds is an audit view for the benchmark and offline tools; no
 // server path reads it. It replays the directory and returns every round

@@ -369,11 +369,11 @@ func TestRecoverTailOffsets(t *testing.T) {
 		t.Fatalf("clean tail = gen %d off %d, want gen 2 off %d", rec.TailGen(), rec.TailOff(), st.Size())
 	}
 	var sealed []bool
-	for _, fi := range rec.Files() {
+	for _, fi := range rec.files {
 		sealed = append(sealed, fi.Sealed)
 	}
 	if !reflect.DeepEqual(sealed, []bool{true, false}) {
-		t.Fatalf("recovered seal flags = %v (files %+v)", sealed, rec.Files())
+		t.Fatalf("recovered seal flags = %v (files %+v)", sealed, rec.files)
 	}
 
 	// Tear the tail: chop 5 bytes off the last record. Recovery stops at
@@ -427,7 +427,7 @@ func TestRecoverTailOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.TailGen() != 0 || empty.TailOff() != 0 || len(empty.Rounds()) != 0 || len(empty.Files()) != 0 {
+	if empty.TailGen() != 0 || empty.TailOff() != 0 || len(empty.Rounds()) != 0 || len(empty.files) != 0 {
 		t.Fatal("missing directory did not recover as empty")
 	}
 }

@@ -69,9 +69,6 @@ func (t Topic) String() string {
 	return names[t]
 }
 
-// Valid reports whether t is a taxonomy member.
-func (t Topic) Valid() bool { return t >= 0 && int(t) < Count }
-
 // ByName returns the topic with the given name.
 func ByName(name string) (Topic, bool) {
 	for i, n := range names {

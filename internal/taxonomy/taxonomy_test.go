@@ -1,6 +1,9 @@
 package taxonomy
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestNamesCoverAllTopics(t *testing.T) {
 	if len(names) != Count {
@@ -31,15 +34,11 @@ func TestByNameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestValid(t *testing.T) {
-	if !Computers.Valid() || !Photography.Valid() {
-		t.Fatal("valid topics reported invalid")
-	}
-	if Topic(-1).Valid() || Topic(Count).Valid() {
-		t.Fatal("invalid topics reported valid")
-	}
-	if Topic(999).String() == "" {
-		t.Fatal("out-of-range String should still describe")
+func TestStringOutOfRange(t *testing.T) {
+	for _, topic := range []Topic{-1, Topic(Count), 999} {
+		if got, want := topic.String(), fmt.Sprintf("Topic(%d)", int(topic)); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -81,12 +81,6 @@ func NewStriped(dst []uint64, stripes int) *Striped {
 	return s
 }
 
-// Stripes returns the number of stripes (1 means a single plain lock).
-func (s *Striped) Stripes() int { return len(s.locks) }
-
-// Len returns the length of the underlying vector.
-func (s *Striped) Len() int { return len(s.dst) }
-
 // Add folds src into the striped vector element-wise modulo 2⁶⁴. src
 // must have the underlying vector's length (mismatch panics, as in Add).
 // Safe for any number of concurrent callers.

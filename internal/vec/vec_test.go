@@ -111,8 +111,8 @@ func TestStripedAddMatchesSerial(t *testing.T) {
 	for _, stripes := range []int{0, 1, 3, 16} {
 		dst := make([]uint64, n)
 		s := NewStriped(dst, stripes)
-		if s.Len() != n || s.Stripes() < 1 {
-			t.Fatalf("stripes=%d: Len=%d Stripes=%d", stripes, s.Len(), s.Stripes())
+		if len(s.dst) != n || len(s.locks) < 1 {
+			t.Fatalf("stripes=%d: len=%d locks=%d", stripes, len(s.dst), len(s.locks))
 		}
 		srcs := make([][]uint64, adders)
 		want := make([]uint64, n)

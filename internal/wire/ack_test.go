@@ -136,7 +136,7 @@ func TestAckBarrierOrdering(t *testing.T) {
 			if err := rs.Close(); err != nil {
 				t.Errorf("conn %d close: %v", c, err)
 			}
-			sent[c] = rs.Sent()
+			sent[c] = rs.c.rsSent
 		}(c)
 	}
 	wg.Wait()
@@ -208,7 +208,7 @@ func TestAckStageMetrics(t *testing.T) {
 			t.Errorf("%s = 0 after a stream", key)
 		}
 	}
-	if got, want := snap["eyewnder_wire_ack_frames_sum"], float64(rs.Acked()); got != want {
+	if got, want := snap["eyewnder_wire_ack_frames_sum"], float64(rs.c.rsAcked); got != want {
 		t.Fatalf("ack frames sum = %v, want the %v slots acked", got, want)
 	}
 	if got, want := snap["eyewnder_wire_ack_frames_count"], snap["eyewnder_wire_ack_batches_total"]; got != want {

@@ -502,16 +502,6 @@ type ReportStream struct {
 	OnAck func(acked uint64)
 }
 
-// Sent returns the cumulative sequence slots written on the stream's
-// connection: every Submit consumes one, every Flush (and the flush
-// Close issues) one more. The slot a Submit occupied is Sent() right
-// after it returns; pairing that with OnAck timestamps per-slot ack
-// latency.
-func (s *ReportStream) Sent() uint64 { return s.c.rsSent }
-
-// Acked returns the cumulative acknowledged sequence slots.
-func (s *ReportStream) Acked() uint64 { return s.c.rsAcked }
-
 // OpenReportStream negotiates batched acknowledgements (first use only —
 // the mode is sticky per connection) and opens a windowed submission
 // stream. window bounds the unacknowledged frames in flight; 0 picks

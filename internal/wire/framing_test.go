@@ -38,7 +38,7 @@ func envelopeFrame(t *testing.T, typ string, payload interface{}) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
-// WriteMsg splices the envelope around the payload instead of marshalling
+// writeMsg splices the envelope around the payload instead of marshalling
 // it twice; the bytes must not change, for every message type.
 func TestWriteMsgByteIdentity(t *testing.T) {
 	html := "<b>&amp;</b> \u2028 é \x01"
@@ -83,14 +83,14 @@ func TestWriteMsgByteIdentity(t *testing.T) {
 	for _, tc := range cases {
 		want := envelopeFrame(t, tc.typ, tc.payload)
 		var got bytes.Buffer
-		if err := WriteMsg(&got, tc.typ, tc.payload); err != nil {
+		if err := writeMsg(&got, new([]byte), tc.typ, tc.payload); err != nil {
 			t.Fatalf("%q: %v", tc.typ, err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("%q: frame\n got %q\nwant %q", tc.typ, got.Bytes(), want)
 		}
 	}
-	if err := WriteMsg(io.Discard, "bad", func() {}); err == nil {
+	if err := writeMsg(io.Discard, new([]byte), "bad", func() {}); err == nil {
 		t.Fatal("unmarshallable payload accepted")
 	}
 }
@@ -215,9 +215,9 @@ func TestServerCoalescedInput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(WriteMsg(&in, "first", nil))
+	must(writeMsg(&in, new([]byte), "first", nil))
 	must(WriteHelloFrame(&in))
-	must(WriteMsg(&in, TypeAckBatch, AckBatchReq{}))
+	must(writeMsg(&in, new([]byte), TypeAckBatch, AckBatchReq{}))
 	var sent []*ReportFrame
 	for u := 0; u < 3; u++ {
 		f := testFrame(64)
@@ -229,7 +229,7 @@ func TestServerCoalescedInput(t *testing.T) {
 		must(WriteReportFrame(&in, f))
 	}
 	must(writeFlushMarker(&in))
-	must(WriteMsg(&in, "last", nil))
+	must(writeMsg(&in, new([]byte), "last", nil))
 	if in.Len() > readBufSize {
 		t.Fatalf("input is %d bytes; it must fit one server read buffer", in.Len())
 	}
@@ -519,9 +519,9 @@ func readMsgUnbuffered(r io.Reader) (*Msg, error) {
 // message by message, the same message or an error on both sides.
 func FuzzReadMsg(f *testing.F) {
 	var two bytes.Buffer
-	WriteMsg(&two, TypeAuditAd, AuditAdReq{Round: 1, AdID: 2})
-	WriteMsg(&two, "ping", nil)
-	WriteMsg(&two, "error", ErrorPayload{Error: "<x>"})
+	writeMsg(&two, new([]byte), TypeAuditAd, AuditAdReq{Round: 1, AdID: 2})
+	writeMsg(&two, new([]byte), "ping", nil)
+	writeMsg(&two, new([]byte), "error", ErrorPayload{Error: "<x>"})
 	f.Add(two.Bytes())
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
 	f.Add([]byte{0, 0, 0, 9, '{'})

@@ -61,17 +61,12 @@ func (m *Msg) Decode(v interface{}) error {
 	return json.Unmarshal(m.Payload, v)
 }
 
-// WriteMsg frames and writes one message in a single Write.
-func WriteMsg(w io.Writer, typ string, payload interface{}) error {
-	var buf []byte
-	return writeMsg(w, &buf, typ, payload)
-}
-
-// writeMsg is WriteMsg framing into *buf, which it keeps for reuse. The
-// bytes are those of json.Marshal(Msg{typ, json.Marshal(payload)}) behind
-// the length word, with the payload marshalled once: the envelope is
-// spliced around it rather than re-encoded, which would re-scan and
-// re-compact the whole payload.
+// writeMsg frames one message into *buf, which it keeps for reuse, and
+// writes it in a single Write. The bytes are those of
+// json.Marshal(Msg{typ, json.Marshal(payload)}) behind the length word,
+// with the payload marshalled once: the envelope is spliced around it
+// rather than re-encoded, which would re-scan and re-compact the whole
+// payload.
 func writeMsg(w io.Writer, buf *[]byte, typ string, payload interface{}) error {
 	quoted, err := json.Marshal(typ)
 	if err != nil {

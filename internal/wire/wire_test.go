@@ -15,7 +15,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		A int    `json:"a"`
 		B string `json:"b"`
 	}
-	if err := WriteMsg(&buf, "test.msg", payload{A: 7, B: "x"}); err != nil {
+	if err := writeMsg(&buf, new([]byte), "test.msg", payload{A: 7, B: "x"}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := ReadMsg(&buf)
@@ -36,7 +36,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestNilPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMsg(&buf, "ping", nil); err != nil {
+	if err := writeMsg(&buf, new([]byte), "ping", nil); err != nil {
 		t.Fatal(err)
 	}
 	m, err := ReadMsg(&buf)

@@ -9,6 +9,12 @@
 #     names is defined by some cmd/ binary
 #   - package guide: every internal/ package has an entry in
 #     internal/README.md
+#   - test-only exports: no exported function or method in internal/
+#     that only tests call, beyond a committed three-entry allowlist
+#     (TestNoTestOnlyExports, a go/types pass over the module and bench/)
+#   - round lifecycle: in internal/backend only round.go writes a
+#     round's sealed/closed flags, retiredBelow[…] or the rounds map
+#     (TestRoundLifecycleWritesInRoundGo)
 #
 # CI's docs job runs exactly this script; the lint job additionally
 # runs the godoc check on its own. The checks are plain Go tests in
