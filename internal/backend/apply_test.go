@@ -52,10 +52,11 @@ func servedStateOf(t *testing.T, b *Backend) servedState {
 		k := roundKey{rs.Campaign, rs.Round}
 		r, _ := b.lookupRound(k.campaign, k.round)
 		r.mu.RLock()
-		if r.closed {
-			s.Tables[k], s.Distinct[k], s.UsersTh[k] = r.counts, r.distinct, r.usersTh
-		}
+		closed := r.closed
 		r.mu.RUnlock()
+		if closed {
+			s.Tables[k], s.Distinct[k], s.UsersTh[k] = b.results(r)
+		}
 	}
 	s.Roster, s.ConfigVersion, s.RosterVersion = b.Roster()
 	s.Campaigns = b.Campaigns()

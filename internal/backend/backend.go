@@ -138,8 +138,9 @@ type Backend struct {
 	cells int             // sketch cell count implied by Params, for logged-round validation
 	m     *backendMetrics // pre-registered instrument handles, always non-nil
 	// refinalize is the time (ns) the WAL applier spent re-finalizing
-	// logged closes (eyewnder_restore_refinalize_seconds): at startup,
-	// and on a replica for every close the primary's stream carries.
+	// logged closes (eyewnder_restore_refinalize_seconds) — the subtract
+	// stage only; the results derive on first read: at startup, and on a
+	// replica for every close the primary's stream carries.
 	refinalize atomic.Int64
 
 	// store is the durability sink (store.Null when Config.Store is
@@ -295,7 +296,7 @@ func New(cfg Config) (*Backend, error) {
 				return float64(len(b.campaigns))
 			})
 		cfg.Metrics.GaugeFunc("eyewnder_restore_refinalize_seconds",
-			"Time this back-end spent re-finalizing closed rounds from the log (at startup, and on a replica for every replicated close).",
+			"Time this back-end spent re-finalizing closed rounds from the log, subtract stage only (at startup, and on a replica for every replicated close).",
 			func() float64 { return time.Duration(b.refinalize.Load()).Seconds() })
 		cfg.Metrics.GaugeFunc("eyewnder_replica",
 			"1 when this back-end is a read-only hot-standby replica.",

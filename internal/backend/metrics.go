@@ -45,10 +45,11 @@ type backendMetrics struct {
 	adjShares *obs.Counter
 
 	// The close, stage by stage (eyewnder_round_close_stage_seconds):
-	// subtract, extract and threshold are finalizeLocked's three steps —
-	// observed on a live close, a recovery re-finalize and a replica's
-	// close-apply alike — and log_sync is the close record's append +
-	// fsync, which only a live close pays.
+	// subtract is finalizeLocked — observed on a live close, a recovery
+	// re-finalize and a replica's close-apply alike; extract and threshold
+	// are deriveResults, observed once per round, at a live close or on
+	// the first read of a round the log closed; and log_sync is the close
+	// record's append + fsync, which only a live close pays.
 	closeSubtract  *obs.Histogram
 	closeExtract   *obs.Histogram
 	closeThreshold *obs.Histogram

@@ -82,11 +82,13 @@ func closedTable(t *testing.T, b *Backend, round uint64) ([]uint64, int) {
 		t.Fatalf("round %d missing", round)
 	}
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if !r.closed {
+	closed := r.closed
+	r.mu.RUnlock()
+	if !closed {
 		t.Fatalf("round %d not closed", round)
 	}
-	return r.counts, r.distinct
+	counts, distinct, _ := b.results(r)
+	return counts, distinct
 }
 
 // A replica fed a primary's raw WAL bytes — through the same streaming

@@ -20,9 +20,13 @@ import (
 // most three times, each written only here: sealed (a deadline close
 // freezes the missing set), closed (closeLocked live, refinalizeLocked
 // from the log) and retired (retireRounds, once its Users_th has been
-// served for the retention horizon). Closed is sticky, and a closed
-// round's results never change, so its readers (closedRound) need the
-// round lock only to observe the flag.
+// served for the retention horizon). Closing unblinds the final sketch
+// (finalizeLocked), the part that can fail; the count table and Users_th
+// are derived from it once (results) — by the live close before it
+// answers, and by the first read of a round the log closed, so a restart
+// or a replica never sweeps a round nobody reads. Closed is sticky, and
+// a closed round's results never change, so its readers (closedRound)
+// need the round lock only to observe the flag.
 
 type round struct {
 	mu      sync.RWMutex
@@ -39,12 +43,15 @@ type round struct {
 	adjCond *sync.Cond
 	closed  bool
 	final   *sketch.CMS
-	usersTh float64
-	// counts is the close-time count table — counts[id] is the final
+	// derive guards the results derived from final, written once by
+	// results: counts is the count table — counts[id] is the final
 	// sketch's estimate for ad ID id, over the round's whole ID space —
-	// and distinct the number of non-zero entries in it.
+	// distinct the number of non-zero entries in it, and usersTh the
+	// threshold over them.
+	derive   sync.Once
 	counts   []uint64
 	distinct int
+	usersTh  float64
 }
 
 // lookupRound returns an existing round without creating one.
@@ -194,8 +201,8 @@ func (b *Backend) CloseRound(c uint32, id uint64, wait time.Duration) (usersTh f
 			return 0, 0, err
 		}
 	}
-	usersTh, distinctAds = r.usersTh, r.distinct
 	r.mu.Unlock()
+	_, distinctAds, usersTh = b.results(r)
 	if closedNow {
 		b.retireRounds()
 	}
@@ -254,9 +261,11 @@ func owedLocked(r *round) []int {
 }
 
 // closeLocked runs the close body under r.mu (write): finalize, log,
-// sync, flip closed. The close record is durable before the flag flips,
-// so a crash straddling the close either replays it or leaves the round
-// open and retryable — never half-closed.
+// sync, flip closed, derive the results. The close record is durable
+// before the flag flips, so a crash straddling the close either replays
+// it or leaves the round open and retryable — never half-closed. Only a
+// logged close derives: a close that fails to log leaves the results
+// underived, so its retry publishes them from its own final sketch.
 //
 // A close with users missing requires EVERY reporter's adjustment share
 // first: a partial share set subtracts a partial set of pairwise terms
@@ -281,13 +290,15 @@ func (b *Backend) closeLocked(c uint32, id uint64, r *round) error {
 	b.m.closeLogSync.Observe(time.Since(logged))
 	r.closed = true
 	b.m.roundsClosed.Inc()
+	b.results(r)
 	return nil
 }
 
-// refinalizeLocked re-runs a logged close on the rebuilt aggregate —
-// its inputs are byte-identical to the original close's, so the counts
-// are too — times it into refinalize, and marks the round closed.
-// Caller holds r.mu (write).
+// refinalizeLocked re-runs a logged close's finalize on the rebuilt
+// aggregate — its inputs are byte-identical to the original close's, so
+// the final sketch is too — times it into refinalize, and marks the
+// round closed. The results are left to the round's first read
+// (results). Caller holds r.mu (write).
 func (b *Backend) refinalizeLocked(r *round) error {
 	start := time.Now()
 	if err := b.finalizeLocked(r); err != nil {
@@ -298,15 +309,15 @@ func (b *Backend) refinalizeLocked(r *round) error {
 	return nil
 }
 
-// finalizeLocked computes a round's close-time results — the unblinded
-// final sketch, the per-ad count table, and Users_th — without marking
-// it closed: clone the aggregate, subtract the adjustment shares, sweep
-// the ID space once, derive the threshold. Shared by CloseRound and
-// the WAL applier's close (restart and replica), which re-runs it on a
-// restored or replicated aggregate: the inputs are byte-identical to the
-// original close, and every step reads them in index order, so the
-// results are too. Each stage is timed into
-// eyewnder_round_close_stage_seconds. Caller holds r.mu (write).
+// finalizeLocked unblinds a round's final sketch without marking it
+// closed: clone the aggregate and subtract the adjustment shares. Shared
+// by CloseRound and the WAL applier's close (restart and replica), which
+// re-runs it on a restored or replicated aggregate: the inputs are
+// byte-identical to the original close, so the final sketch is too. It
+// is the part of a close that can fail, so a log whose close cannot
+// finalize is refused as it is applied. Timed into
+// eyewnder_round_close_stage_seconds{stage="subtract"}. Caller holds
+// r.mu (write).
 func (b *Backend) finalizeLocked(r *round) error {
 	// Adjustments are applied to a clone of the aggregate
 	// (FinalizeWithAdjustments), never to the live one: if the close
@@ -328,16 +339,36 @@ func (b *Backend) finalizeLocked(r *round) error {
 		return err
 	}
 	r.final = final
-	subtracted := time.Now()
-	b.m.closeSubtract.Observe(subtracted.Sub(start))
+	b.m.closeSubtract.Observe(time.Since(start))
+	return nil
+}
+
+// results returns a closed round's count table, its number of non-zero
+// entries and Users_th, deriving them from the final sketch on the first
+// call (deriveResults); every later call, on any goroutine, returns the
+// same values. The derivation reads only final and the round's pinned
+// params, which are byte-identical on the primary, a follower and a
+// recovered node, so all three publish the same numbers whichever read
+// comes first. Callers have observed r.closed.
+func (b *Backend) results(r *round) (counts []uint64, distinct int, usersTh float64) {
+	r.derive.Do(func() { b.deriveResults(r) })
+	return r.counts, r.distinct, r.usersTh
+}
+
+// deriveResults sweeps the final sketch over the round's ID space once
+// and derives the threshold from the table, each stage timed into
+// eyewnder_round_close_stage_seconds (extract, threshold). Every step
+// reads its input in index order, so the results are a pure function of
+// the final sketch.
+func (b *Backend) deriveResults(r *round) {
+	start := time.Now()
 	// The round's pinned params — not the deployment defaults — scope
 	// the count extraction: each campaign queries its own ID space.
-	r.counts, r.distinct = privacy.CountTable(final, r.agg.Config().Params)
+	r.counts, r.distinct = privacy.CountTable(r.final, r.agg.Config().Params)
 	extracted := time.Now()
-	b.m.closeExtract.Observe(extracted.Sub(subtracted))
+	b.m.closeExtract.Observe(extracted.Sub(start))
 	r.usersTh = detector.UsersThreshold(ascendingSample(r.counts, r.distinct), b.cfg.UsersEstimator)
 	b.m.closeThreshold.Observe(time.Since(extracted))
-	return nil
 }
 
 // ascendingSample renders the non-zero entries of a count table (there
@@ -437,10 +468,10 @@ func (b *Backend) retireBelowLocked(closedBy map[uint32][]uint64) map[uint32]uin
 	return cutoffs
 }
 
-// closedRound returns a closed round for the closed readers. Its close
-// results (final, counts, distinct, usersTh) were written before the
-// flag flipped under the write lock and never change afterwards, so the
-// caller reads them without the round lock.
+// closedRound returns a closed round for the closed readers. Its final
+// sketch was written before the flag flipped under the write lock and
+// never changes afterwards, so the caller reads it — and the results
+// derived from it, through results — without the round lock.
 func (b *Backend) closedRound(c uint32, id uint64) (*round, error) {
 	r, ok := b.lookupRound(c, id)
 	if !ok {
@@ -462,7 +493,8 @@ func (b *Backend) Threshold(c uint32, id uint64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.usersTh, nil
+	_, _, usersTh := b.results(r)
+	return usersTh, nil
 }
 
 // AuditAd answers a real-time audit: the estimated #Users for an ad ID in
@@ -485,5 +517,6 @@ func (b *Backend) UserCounts(c uint32, id uint64) (map[uint64]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return privacy.CountMap(r.counts, r.distinct), nil
+	counts, distinct, _ := b.results(r)
+	return privacy.CountMap(counts, distinct), nil
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -27,10 +26,6 @@ var ErrReadOnlyStore = errors.New("store: read-only")
 type Recovered struct {
 	view    *logView
 	tailOff int64
-	// files lists the store files present in the recovered directory,
-	// ordered as scanned (snapshots then segments, each by generation).
-	// The tail segment is unsealed; everything else sealed.
-	files []FileInfo
 }
 
 // Recover scans the store directory at dir without modifying it and
@@ -49,19 +44,7 @@ func Recover(dir string) (*Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Recovered{view: view}
-	tail := r.view.tailGen()
-	for _, g := range snapGens {
-		if st, err := os.Stat(filepath.Join(dir, snapName(g))); err == nil {
-			r.files = append(r.files, FileInfo{Kind: FileSnapshot, Gen: g, Size: st.Size(), Sealed: true})
-		}
-	}
-	for _, g := range walGens {
-		if st, err := os.Stat(filepath.Join(dir, walName(g))); err == nil {
-			r.files = append(r.files, FileInfo{Kind: FileWAL, Gen: g, Size: st.Size(), Sealed: g != tail})
-		}
-	}
-	return r, nil
+	return &Recovered{view: view}, nil
 }
 
 // Replay implements Store. It may run more than once (each run re-reads
