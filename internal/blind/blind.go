@@ -15,11 +15,14 @@
 //
 // The PRF is expanded in counter mode under one of two suites (see the
 // Keystream type): HMAC-SHA256 (suite 0x00, four factors per invocation)
-// or AES-256-CTR (suite 0x01, 64 factors per AES-NI-pipelined 512-byte
-// refill). The independent pairwise streams are fanned out across CPU
-// cores, and so are the n−1 key agreements that derive their keys. The
-// suite is protocol state — reports carry the byte and the aggregator
-// rejects mixed-suite rounds.
+// or AES-256-CTR (suite 0x01, up to 512 factors per AES-NI-pipelined
+// 4 KiB refill). Both streams are seekable, so a blinding vector is cut
+// into 64-cell-aligned stripes that CPU cores fill in place, each
+// expanding every pairwise stream over its own stripe only. The n−1 key
+// agreements that derive a party's keys fan out over cores too, and a
+// whole simulated roster derives each k_ij = k_ji once for both of its
+// holders. The suite is protocol state — reports carry the byte and the
+// aggregator rejects mixed-suite rounds.
 //
 // Fault tolerance (Section 6, "Fault-tolerance"): if a subset of users
 // fails to report, the residual noise in the aggregate is exactly the sum
@@ -34,11 +37,11 @@
 package blind
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"eyewnder/internal/group"
 	"eyewnder/internal/vec"
@@ -128,36 +131,50 @@ func NewPartyKeystream(priv group.PrivateKey, roster [][]byte, index int, ks Key
 	if index < 0 || index >= n {
 		return nil, ErrUnknownUser
 	}
-	own := priv.PublicKey()
-	if !bytesEqual(own, roster[index]) {
+	if !bytes.Equal(priv.PublicKey(), roster[index]) {
 		return nil, ErrNotInRoster
 	}
-	p := &Party{index: index, n: n, pairKeys: make([][]byte, n), peers: make([]int, 0, n-1), ks: ks}
 	// The key agreements are independent: each worker fills only its own
 	// pairKeys[j] and errs[j] slots, and the ascending walk after the join
 	// reports the lowest-index bad key, as a serial loop would.
+	pairKeys := make([][]byte, n)
 	errs := make([]error, n)
 	vec.Parallel(n, minPeersPerWorker, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			if j != index {
-				p.pairKeys[j], errs[j] = priv.SharedSecret(roster[j])
+				pairKeys[j], errs[j] = priv.SharedSecret(roster[j])
 			}
 		}
 	})
-	for j := range roster {
-		if j == index {
-			continue
+	for j, err := range errs {
+		if err != nil {
+			return nil, pairKeyError(j, err)
 		}
-		if errs[j] != nil {
-			return nil, fmt.Errorf("blind: deriving pair key with user %d: %w", j, errs[j])
-		}
-		p.peers = append(p.peers, j)
 	}
-	return p, nil
+	return newParty(index, pairKeys, ks), nil
 }
 
-// minPeersPerWorker bounds how finely NewPartyKeystream splits its key
-// agreements across workers. One P-256 ECDH costs about 70 µs, so eight
+// newParty is the one constructor of a Party: party index of a
+// len(pairKeys)-user roster, holding pairKeys[j] = k_ij for every j ≠
+// index. The key slices are only ever read, so parties may share them.
+func newParty(index int, pairKeys [][]byte, ks Keystream) *Party {
+	n := len(pairKeys)
+	p := &Party{index: index, n: n, pairKeys: pairKeys, peers: make([]int, 0, n-1), ks: ks}
+	for j := range pairKeys {
+		if j != index {
+			p.peers = append(p.peers, j)
+		}
+	}
+	return p
+}
+
+// pairKeyError wraps a failed key agreement with peer j.
+func pairKeyError(j int, err error) error {
+	return fmt.Errorf("blind: deriving pair key with user %d: %w", j, err)
+}
+
+// minPeersPerWorker bounds how finely NewPartyKeystream and
+// NewRosterKeystream split their key agreements across workers. One P-256 ECDH costs about 70 µs, so eight
 // of them dwarf the cost of starting a goroutine.
 const minPeersPerWorker = 8
 
@@ -171,51 +188,52 @@ func (p *Party) Keystream() Keystream { return p.ks }
 func (p *Party) RosterSize() int { return p.n }
 
 // parallelWork is the peer-count × cell-count product above which
-// accumulate fans out across workers. Below it the per-worker scratch
-// vectors and reduction cost more than the HMAC work they spread out.
+// accumulate fans out across workers. Below it the goroutine hand-off
+// and each worker's re-keying of every peer stream cost more than the
+// pad work they spread out.
 const parallelWork = 1 << 15
+
+// stripeCells is the unit accumulate splits out into: every worker owns
+// a run of whole stripes. 64 cells keep the stripes HMAC-block and
+// AES-block aligned while splitting even a small sketch evenly; the AES
+// refill is eight times wider, but aligning stripes to it left one
+// worker with three times the other's cells on a 1 360-cell sketch.
+const stripeCells = 64
 
 // accumulate folds the signed keystreams of the given peers into out:
 // out[m] += Σ_j ±PRF(k_ij, round, m), with +1 when p.index > j and −1
-// otherwise. Pairs are independent, so they are sharded across workers
-// via vec.Parallel, each accumulating into a private vector that is then
-// reduced into out.
+// otherwise. Every cell is independent, so out is cut into stripes via
+// vec.Parallel and each worker seeks every peer's stream to the start
+// of its own cells and folds them in place: no scratch vector, no
+// reduction, no lock.
 func (p *Party) accumulate(out []uint64, round uint64, peers []int) {
 	if len(peers)*len(out) < parallelWork {
-		p.accumulateSerial(out, round, peers)
+		p.accumulateSerial(out, round, peers, 0)
 		return
 	}
-	var mu sync.Mutex
-	vec.Parallel(len(peers), 1, func(lo, hi int) {
-		if lo == 0 && hi == len(peers) {
-			// Single worker (e.g. GOMAXPROCS=1): skip the scratch copy.
-			p.accumulateSerial(out, round, peers)
-			return
-		}
-		local := make([]uint64, len(out))
-		p.accumulateSerial(local, round, peers[lo:hi])
-		mu.Lock()
-		vec.Add(out, local)
-		mu.Unlock()
+	stripes := (len(out) + stripeCells - 1) / stripeCells
+	vec.Parallel(stripes, 1, func(lo, hi int) {
+		from, to := lo*stripeCells, min(hi*stripeCells, len(out))
+		p.accumulateSerial(out[from:to], round, peers, from)
 	})
 }
 
 // accumulateSerial is the single-goroutine kernel behind accumulate: one
-// counter-mode keystream per peer, expanded by the party's suite. The
-// switch hoists suite dispatch out of the per-cell loop so each suite's
-// next() stays a direct (inlinable) call.
-func (p *Party) accumulateSerial(out []uint64, round uint64, peers []int) {
+// counter-mode keystream per peer, expanded by the party's suite from
+// cell `cell` on into out. The switch hoists suite dispatch out of the
+// per-cell loop so each suite's fold stays a direct call.
+func (p *Party) accumulateSerial(out []uint64, round uint64, peers []int, cell int) {
 	switch p.ks {
 	case KeystreamAESCTR:
 		var ks aesKeystream
 		for _, j := range peers {
-			ks.init(p.pairKeys[j], round, 0)
+			ks.init(p.pairKeys[j], round, cell)
 			ks.accumulate(out, p.index > j)
 		}
 	default:
 		var ks keystream
 		for _, j := range peers {
-			ks.init(p.pairKeys[j], round, 0)
+			ks.init(p.pairKeys[j], round, cell)
 			ks.accumulate(out, p.index > j)
 		}
 	}
@@ -293,10 +311,15 @@ func NewRoster(suite group.Suite, n int, rng io.Reader) (*Roster, error) {
 }
 
 // NewRosterKeystream is NewRoster with an explicit factor-expansion
-// suite, applied uniformly to every party (as a deployment must).
+// suite, applied uniformly to every party (as a deployment must). The
+// roster derives each of the n(n−1)/2 pairwise secrets once, fanned out
+// over cores, and both holders of k_ij = k_ji share the one slice.
 func NewRosterKeystream(suite group.Suite, n int, rng io.Reader, ks Keystream) (*Roster, error) {
 	if n < 2 {
 		return nil, ErrRosterTooSmall
+	}
+	if !ks.Valid() {
+		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownSuite, byte(ks))
 	}
 	privs := make([]group.PrivateKey, n)
 	pubs := make([][]byte, n)
@@ -308,15 +331,54 @@ func NewRosterKeystream(suite group.Suite, n int, rng io.Reader, ks Keystream) (
 		privs[i] = k
 		pubs[i] = k.PublicKey()
 	}
-	parties := make([]*Party, n)
-	for i := 0; i < n; i++ {
-		p, err := NewPartyKeystream(privs[i], pubs, i, ks)
-		if err != nil {
-			return nil, err
+	// Splitting the flat pair index, not the rows, gives every worker the
+	// same number of key agreements, and the ascending walk after the
+	// join reports the lowest pair's error, as a serial loop would.
+	secrets := make([][]byte, n*(n-1)/2)
+	errs := make([]error, len(secrets))
+	vec.Parallel(len(secrets), minPeersPerWorker, func(lo, hi int) {
+		i, j := pairAt(lo, n)
+		for x := lo; x < hi; x++ {
+			secrets[x], errs[x] = privs[i].SharedSecret(pubs[j])
+			if j++; j == n {
+				i++
+				j = i + 1
+			}
 		}
-		parties[i] = p
+	})
+	for x, err := range errs {
+		if err != nil {
+			_, j := pairAt(x, n)
+			return nil, pairKeyError(j, err)
+		}
+	}
+	parties := make([]*Party, n)
+	for i := range parties {
+		pairKeys := make([][]byte, n)
+		for j := range pairKeys {
+			switch {
+			case j < i:
+				pairKeys[j] = secrets[pairIndex(j, i, n)]
+			case j > i:
+				pairKeys[j] = secrets[pairIndex(i, j, n)]
+			}
+		}
+		parties[i] = newParty(i, pairKeys, ks)
 	}
 	return &Roster{Suite: suite, Publics: pubs, Parties: parties}, nil
+}
+
+// pairIndex is the flat index of pair (i, j), i < j, among the n(n−1)/2
+// pairs of an n-user roster: row-major over the upper triangle.
+func pairIndex(i, j, n int) int { return i*n - i*(i+1)/2 + j - i - 1 }
+
+// pairAt inverts pairIndex.
+func pairAt(x, n int) (i, j int) {
+	for x >= n-1-i {
+		x -= n - 1 - i
+		i++
+	}
+	return i, i + 1 + x
 }
 
 // TrafficBytes estimates the bulletin-board exchange size for n users
@@ -338,16 +400,4 @@ func MissingSet(missing []int) []int {
 		}
 	}
 	return out
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

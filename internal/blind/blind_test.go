@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -329,6 +333,253 @@ func TestNewPartyReportsFirstBadKey(t *testing.T) {
 	}
 }
 
+// testSuite wraps P-256 for the roster tests: every key it generates
+// counts its SharedSecret calls, the keys are kept for the test to
+// rebuild parties from, and the users listed in bad publish a malformed
+// public key.
+type testSuite struct {
+	group.Suite
+	calls atomic.Int64
+	keys  []group.PrivateKey
+	bad   map[int]bool
+}
+
+func newTestSuite(bad ...int) *testSuite {
+	s := &testSuite{Suite: group.P256(), bad: map[int]bool{}}
+	for _, u := range bad {
+		s.bad[u] = true
+	}
+	return s
+}
+
+func (s *testSuite) GenerateKey(rng io.Reader) (group.PrivateKey, error) {
+	k, err := s.Suite.GenerateKey(rng)
+	if err != nil {
+		return nil, err
+	}
+	tk := &testKey{PrivateKey: k, calls: &s.calls, bad: s.bad[len(s.keys)]}
+	s.keys = append(s.keys, tk)
+	return tk, nil
+}
+
+type testKey struct {
+	group.PrivateKey
+	calls *atomic.Int64
+	bad   bool
+}
+
+func (k *testKey) PublicKey() []byte {
+	if k.bad {
+		return []byte{1, 2, 3}
+	}
+	return k.PrivateKey.PublicKey()
+}
+
+func (k *testKey) SharedSecret(peerPublic []byte) ([]byte, error) {
+	k.calls.Add(1)
+	return k.PrivateKey.SharedSecret(peerPublic)
+}
+
+// A roster derives each k_ij = k_ji once: n(n−1)/2 key agreements, not
+// one per holder.
+func TestNewRosterDerivesEachPairOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, n := range []int{2, 3, 13, 40} {
+		s := newTestSuite()
+		if _, err := NewRosterKeystream(s, n, rand.Reader, KeystreamAESCTR); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.calls.Load(), int64(n*(n-1)/2); got != want {
+			t.Errorf("n=%d: %d key agreements, want %d", n, got, want)
+		}
+	}
+}
+
+// Each roster party holds exactly the keys and peer list that
+// NewPartyKeystream derives from the same key pair, and the two holders
+// of a pair share one slice.
+func TestNewRosterMatchesNewParty(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 23
+	for _, ks := range []Keystream{KeystreamHMACSHA256, KeystreamAESCTR} {
+		s := newTestSuite()
+		r, err := NewRosterKeystream(s, n, rand.Reader, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, got := range r.Parties {
+			want, err := NewPartyKeystream(s.keys[i], r.Publics, i, ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Index() != i || got.RosterSize() != n || got.Keystream() != ks {
+				t.Fatalf("%v party %d: index %d, size %d, suite %v", ks, i, got.Index(), got.RosterSize(), got.Keystream())
+			}
+			if len(got.pairKeys) != n {
+				t.Fatalf("%v party %d: %d pair keys, want %d", ks, i, len(got.pairKeys), n)
+			}
+			for j := range want.pairKeys {
+				if !bytes.Equal(got.pairKeys[j], want.pairKeys[j]) || (got.pairKeys[j] == nil) != (j == i) {
+					t.Fatalf("%v party %d: pair key %d differs", ks, i, j)
+				}
+				if j != i && &got.pairKeys[j][0] != &r.Parties[j].pairKeys[i][0] {
+					t.Fatalf("%v: parties %d and %d hold separate copies of their key", ks, i, j)
+				}
+			}
+			if !slices.Equal(got.peers, want.peers) {
+				t.Fatalf("%v party %d: peers %v, want %v", ks, i, got.peers, want.peers)
+			}
+		}
+	}
+}
+
+// A roster with a bad public key fails with the error of the lowest
+// pair, wrapped as NewPartyKeystream wraps its own.
+func TestNewRosterReportsFirstBadPair(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, err := NewRosterKeystream(newTestSuite(7, 30), 32, rand.Reader, KeystreamHMACSHA256)
+	if !errors.Is(err, group.ErrBadPublicKey) {
+		t.Fatalf("err = %v, want ErrBadPublicKey", err)
+	}
+	// Pair (0, 7) is the first whose agreement parses key 7.
+	if !strings.HasPrefix(err.Error(), "blind: deriving pair key with user 7: ") {
+		t.Fatalf("err = %q, want it to name user 7", err)
+	}
+}
+
+// Parties i and j read one shared k_ij slice; blinding them at the same
+// time (under -race in CI) must give the vectors they give one by one.
+func TestRosterPartiesBlindConcurrently(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const cells = 19033
+	for _, ks := range []Keystream{KeystreamHMACSHA256, KeystreamAESCTR} {
+		r, err := NewRosterKeystream(group.P256(), 4, rand.Reader, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial := make([][]uint64, len(r.Parties))
+		for i, p := range r.Parties {
+			serial[i] = p.Blinding(5, cells)
+		}
+		concurrent := make([][]uint64, len(r.Parties))
+		var wg sync.WaitGroup
+		for i, p := range r.Parties {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				concurrent[i] = p.Blinding(5, cells)
+			}()
+		}
+		wg.Wait()
+		for i := range serial {
+			if !slices.Equal(serial[i], concurrent[i]) {
+				t.Fatalf("%v party %d: blinding differs when run concurrently", ks, i)
+			}
+		}
+	}
+}
+
+// refPeerTerm is peer j's signed term in party p's vectors over cells
+// [0, cells), computed factor by factor from the suites' spec
+// references.
+func refPeerTerm(t *testing.T, p *Party, j int, round uint64, cells int) []uint64 {
+	out := make([]uint64, cells)
+	for m := range out {
+		var f uint64
+		if p.ks == KeystreamAESCTR {
+			f = refAESFactor(t, p.pairKeys[j], round, m)
+		} else {
+			f = refFactor(p.pairKeys[j], round, m)
+		}
+		if p.index > j {
+			out[m] = f
+		} else {
+			out[m] = -f
+		}
+	}
+	return out
+}
+
+// Striping cells across workers must reproduce the serial per-peer fold
+// exactly, at stripe and AES-refill boundaries and at the sketch sizes
+// the deployment runs. Past one stripe the party has enough peers that
+// both vectors take the striped path at GOMAXPROCS 4; a vector of one
+// stripe runs on one worker whichever path it takes.
+func TestStripedBlindingMatchesReference(t *testing.T) {
+	const round = 31
+	for _, ks := range []Keystream{KeystreamHMACSHA256, KeystreamAESCTR} {
+		for _, cells := range []int{1, 63, 64, 65, 511, 512, 513, 1360, 4097, 19033} {
+			n := 4
+			if cells > stripeCells {
+				// n−2 missing peers must still reach parallelWork.
+				n = max(n, (parallelWork+cells-1)/cells+2)
+			}
+			pairKeys := make([][]byte, n)
+			for j := range pairKeys {
+				pairKeys[j] = make([]byte, 32)
+				rand.Read(pairKeys[j])
+			}
+			index := n / 2
+			pairKeys[index] = nil
+			p := newParty(index, pairKeys, ks)
+
+			wantBlind := make([]uint64, cells)
+			wantAdj := make([]uint64, cells)
+			// Every peer but one is missing, listed in descending order.
+			var missing []int
+			for k := len(p.peers) - 1; k >= 0; k-- {
+				j := p.peers[k]
+				term := refPeerTerm(t, p, j, round, cells)
+				vec.Add(wantBlind, term)
+				if k != 0 {
+					vec.Add(wantAdj, term)
+					missing = append(missing, j)
+				}
+			}
+			for _, procs := range []int{1, 4} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					if got := p.Blinding(round, cells); !slices.Equal(got, wantBlind) {
+						t.Fatalf("%v cells=%d procs=%d: blinding differs from the reference", ks, cells, procs)
+					}
+					got, err := p.Adjustment(round, cells, missing)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, wantAdj) {
+						t.Fatalf("%v cells=%d procs=%d: adjustment differs from the reference", ks, cells, procs)
+					}
+				}()
+			}
+		}
+	}
+}
+
+// Striped workers fill the output in place: a parallel blinding
+// allocates its output vector and per-worker keystream state, never a
+// scratch vector per worker. (AllocsPerRun pins GOMAXPROCS to 1, so
+// TestBlindingAllocCeiling cannot see the parallel path.)
+func TestParallelBlindingAllocBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	r, err := NewRosterKeystream(group.P256(), 16, rand.Reader, KeystreamAESCTR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cells, runs = 19033, 20
+	p := r.Parties[0]
+	p.Blinding(0, cells)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= runs; i++ {
+		p.Blinding(uint64(i), cells)
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if ceiling := uint64(8*cells + 64<<10); perRun > ceiling {
+		t.Errorf("parallel blinding of %d cells allocates %d B per run, ceiling %d", cells, perRun, ceiling)
+	}
+}
+
 func TestNewRosterValidation(t *testing.T) {
 	if _, err := NewRoster(group.P256(), 1, rand.Reader); err != ErrRosterTooSmall {
 		t.Fatalf("err = %v", err)
@@ -417,6 +668,38 @@ func BenchmarkNewParty96(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewPartyKeystream(privs[0], pubs, 0, KeystreamHMACSHA256); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewRoster96 builds a 96-user P-256 roster under the AES-CTR
+// suite: 4 560 key agreements, fanned out over cores.
+func BenchmarkNewRoster96(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRosterKeystream(group.P256(), 96, rand.Reader, KeystreamAESCTR); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAdjustment24of96 is one reporter's adjustment share for 24
+// missing users of a 96-user AES-CTR roster over the paper-geometry
+// sketch (19 033 cells), striped across cores.
+func BenchmarkAdjustment24of96(b *testing.B) {
+	privs, pubs := rosterKeys(b, group.P256(), 96)
+	p, err := NewPartyKeystream(privs[0], pubs, 0, KeystreamAESCTR)
+	if err != nil {
+		b.Fatal(err)
+	}
+	missing := make([]int, 24)
+	for k := range missing {
+		missing[k] = 1 + 4*k
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Adjustment(uint64(i), 19033, missing); err != nil {
 			b.Fatal(err)
 		}
 	}

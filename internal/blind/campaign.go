@@ -40,15 +40,9 @@ func (p *Party) ForCampaignKeystream(campaign uint32, ks Keystream) *Party {
 	if d, ok := p.derived[key]; ok {
 		return d
 	}
-	d := &Party{
-		index:    p.index,
-		pairKeys: p.pairKeys,
-		peers:    p.peers,
-		n:        p.n,
-		ks:       ks,
-	}
+	pairKeys := p.pairKeys
 	if campaign != 0 {
-		d.pairKeys = make([][]byte, len(p.pairKeys))
+		pairKeys = make([][]byte, len(p.pairKeys))
 		var prefix [len(campaignKDFLabel) + 4]byte
 		copy(prefix[:], campaignKDFLabel)
 		binary.BigEndian.PutUint32(prefix[len(campaignKDFLabel):], campaign)
@@ -59,9 +53,10 @@ func (p *Party) ForCampaignKeystream(campaign uint32, ks Keystream) *Party {
 			h := sha256.New()
 			h.Write(prefix[:])
 			h.Write(k)
-			d.pairKeys[j] = h.Sum(nil)
+			pairKeys[j] = h.Sum(nil)
 		}
 	}
+	d := newParty(p.index, pairKeys, ks)
 	if p.derived == nil {
 		p.derived = make(map[campaignKey]*Party)
 	}

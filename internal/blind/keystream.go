@@ -19,9 +19,9 @@ const factorsPerBlock = sha256.Size / 8
 // One HMAC invocation therefore covers four cells — a 4× cut in PRF
 // invocations versus the one-HMAC-per-cell layout — and any cell position
 // is randomly accessible by seeking the block counter (the `cell`
-// parameter of init). Production currently shards work per peer and
-// always starts at cell 0; the seek is what would let a future layout
-// stripe a single pair's cells across workers.
+// parameter of init). The seek is what lets Party.accumulate stripe the
+// cells of a blinding vector across workers: each worker starts every
+// pair's stream at its own first cell.
 //
 // The HMAC state and output buffer are allocated once at construction and
 // reused for every block, so factor generation is allocation-free after

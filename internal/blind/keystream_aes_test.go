@@ -59,6 +59,45 @@ func TestAESKeystreamSeek(t *testing.T) {
 	}
 }
 
+// Seeks around the refill width, read past the next refill both factor
+// by factor and through accumulate split at an odd point, must agree
+// with the reference: a refill starts at the seeked cell's AES block and
+// the last one stops at the end of the cells being folded.
+func TestAESKeystreamSeekAcrossRefill(t *testing.T) {
+	key := []byte("refill-boundary-pair-secret")
+	const round = 13
+	const span = aesFactorsPerFill + 5
+	for _, start := range []int{511, 512, 513, 4095, 4096, 4097} {
+		want := make([]uint64, span)
+		for m := range want {
+			want[m] = refAESFactor(t, key, round, start+m)
+		}
+		var ks aesKeystream
+		ks.init(key, round, start)
+		for m, w := range want {
+			if got := ks.next(); got != w {
+				t.Fatalf("start %d: factor %d = %#x, want %#x", start, start+m, got, w)
+			}
+		}
+		for _, split := range []int{0, 1, 3, aesFactorsPerFill - 1, aesFactorsPerFill + 1} {
+			for _, add := range []bool{true, false} {
+				out := make([]uint64, span)
+				ks.init(key, round, start)
+				ks.accumulate(out[:split], add)
+				ks.accumulate(out[split:], add)
+				for m, w := range want {
+					if !add {
+						w = -w
+					}
+					if out[m] != w {
+						t.Fatalf("start %d, split %d, add %v: factor %d = %#x, want %#x", start, split, add, start+m, out[m], w)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAESKeystreamRoundsDiffer(t *testing.T) {
 	key := []byte("same-key-different-round")
 	var a, b aesKeystream
