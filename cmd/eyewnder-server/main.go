@@ -57,7 +57,7 @@ func main() {
 		keystream   = flag.String("keystream", "hmac-sha256", "blinding keystream suite, advertised to clients in the config handshake: hmac-sha256 or aes-ctr")
 		retain      = flag.Int("retain-rounds", 0, "age a closed round out of memory and snapshots once its Users_th has been served for N newer closed rounds (0 = keep forever)")
 		dataDir     = flag.String("data-dir", "", "durable round store directory: WAL + snapshots, crash recovery on restart (empty = in-memory rounds only)")
-		fsync       = flag.String("fsync", "batch", "WAL fsync policy with -data-dir: batch (group-committed at ack barriers), always (every append), off (OS page cache only)")
+		fsync       = flag.String("fsync", "batch", "WAL fsync policy with -data-dir: batch (group-committed at ack barriers), off (OS page cache only)")
 		snapEvery   = flag.Int("snapshot-every", 0, "reports between WAL-compacting snapshots with -data-dir (0 = default, negative = never)")
 		replAddr    = flag.String("repl", "", "segment-shipping listen address: serve WAL segments and snapshots to followers (requires -data-dir)")
 		follow      = flag.String("follow", "", "run as a hot-standby follower of the primary's -repl address, mirroring into -data-dir (promote with SIGUSR1 or a repl.promote message)")
@@ -81,12 +81,10 @@ func main() {
 	switch *fsync {
 	case "batch":
 		mode = store.SyncBatch
-	case "always":
-		mode = store.SyncAlways
 	case "off":
 		mode = store.SyncOff
 	default:
-		log.Fatalf("-fsync %q: want batch, always, or off", *fsync)
+		log.Fatalf("-fsync %q: want batch or off", *fsync)
 	}
 	// One registry for the whole process: every layer registers its
 	// instruments here, and the admin endpoint (when enabled) serves the

@@ -1,6 +1,6 @@
 // Command eyewnder-sim runs the whole-system harnesses, each seeded and
 // checked against an oracle (the paper's numbers come from
-// eyewnder-eval):
+// eyewnder-eval <study>; eyewnder-eval -list names them):
 //
 //	eyewnder-sim -churn 64     # population-lifecycle trace vs. its oracle
 //	eyewnder-sim -pipeline     # adsim pages → detector → blinded campaigns

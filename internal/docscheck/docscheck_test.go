@@ -2,10 +2,12 @@
 // coverage over the protocol/durability packages, relative-link
 // integrity across every markdown file, README coverage of every
 // command-line flag the main binaries define, the reverse (every flag a
-// README flag-table row names exists), and the package guide's coverage
-// of every internal package. Two structure checks ride along: no
-// exported function in internal/ that only tests call, and no round
-// lifecycle write in internal/backend outside round.go. CI's lint and
+// README flag-table row names exists), README coverage of every
+// eyewnder-eval study, OPERATIONS.md coverage of every registered
+// metric, and the package guide's coverage of every internal package.
+// Two structure checks ride along: no exported function in internal/
+// that only tests call, and no round lifecycle write in
+// internal/backend outside round.go. CI's lint and
 // docs jobs run these tests (see scripts/checkdocs.sh for the local
 // entry point); they exist so the documentation cannot silently drift
 // from the code, nor the code grow a second door.
@@ -221,9 +223,10 @@ func TestMarkdownLinks(t *testing.T) {
 	}
 }
 
-// flagDefRE matches a standard-library flag definition and captures the
-// flag name: flag.String("name", ...), flag.Int("name", ...), etc.
-var flagDefRE = regexp.MustCompile(`\bflag\.[A-Za-z0-9]+\(\s*"([^"]+)"`)
+// flagDefRE matches a standard-library flag definition, on the flag
+// package or a FlagSet named fs, and captures the flag name:
+// flag.String("name", ...), fs.IntVar(&v, "name", ...), etc.
+var flagDefRE = regexp.MustCompile(`\b(?:flag|fs)\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(?:Var)?\(\s*(?:&[\w.]+,\s*)?"([^"]+)"`)
 
 // flagCoveredBinaries are the commands whose every flag OPERATIONS.md
 // and the README promise is documented in the README.

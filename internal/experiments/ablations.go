@@ -17,13 +17,9 @@ type EstimatorAblation struct {
 }
 
 // AblateEstimators runs every estimator pair (same estimator on both
-// thresholds, as in the paper) over the same simulation.
-func AblateEstimators(cfg adsim.Config) ([]EstimatorAblation, error) {
-	sim, err := adsim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := sim.Run()
+// thresholds, as in the paper) over one simulated run. The ablations
+// share the run: each takes the simulator and its result.
+func AblateEstimators(sim *adsim.Simulator, res *adsim.Result) []EstimatorAblation {
 	ests := []detector.Estimator{
 		detector.EstimatorMean,
 		detector.EstimatorMedian,
@@ -37,7 +33,7 @@ func AblateEstimators(cfg adsim.Config) ([]EstimatorAblation, error) {
 			Conf:      EvaluateWeek(sim, res, 0, e, e, 4),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // WindowAblation evaluates the detector when only the first `days` days
@@ -48,12 +44,7 @@ type WindowAblation struct {
 }
 
 // AblateWindow sweeps observation windows of 1..7 days.
-func AblateWindow(cfg adsim.Config, days []int) ([]WindowAblation, error) {
-	sim, err := adsim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := sim.Run()
+func AblateWindow(sim *adsim.Simulator, res *adsim.Result, days []int) []WindowAblation {
 	out := make([]WindowAblation, 0, len(days))
 	for _, d := range days {
 		filtered := res.Impressions[:0:0]
@@ -70,7 +61,7 @@ func AblateWindow(cfg adsim.Config, days []int) ([]WindowAblation, error) {
 				detector.EstimatorMean, detector.EstimatorMean, 4),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // MinDomainsAblation evaluates the minimum-data rule's trade-off: lower
@@ -81,12 +72,7 @@ type MinDomainsAblation struct {
 }
 
 // AblateMinDomains sweeps the minimum-data rule.
-func AblateMinDomains(cfg adsim.Config, values []int) ([]MinDomainsAblation, error) {
-	sim, err := adsim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := sim.Run()
+func AblateMinDomains(sim *adsim.Simulator, res *adsim.Result, values []int) []MinDomainsAblation {
 	out := make([]MinDomainsAblation, 0, len(values))
 	for _, v := range values {
 		out = append(out, MinDomainsAblation{
@@ -95,7 +81,7 @@ func AblateMinDomains(cfg adsim.Config, values []int) ([]MinDomainsAblation, err
 				detector.EstimatorMean, detector.EstimatorMean, v),
 		})
 	}
-	return out, nil
+	return out
 }
 
 // SketchAblation reports the mean relative overestimation of per-ad user
@@ -108,14 +94,9 @@ type SketchAblation struct {
 	MeanOverestimate float64
 }
 
-// AblateSketchGeometry measures estimate inflation across geometries on a
-// fixed workload of per-user ad sets.
-func AblateSketchGeometry(cfg adsim.Config, geometries [][2]float64) ([]SketchAblation, error) {
-	sim, err := adsim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := sim.Run()
+// AblateSketchGeometry measures estimate inflation across geometries on
+// the per-user ad sets of one simulated run.
+func AblateSketchGeometry(res *adsim.Result, geometries [][2]float64) ([]SketchAblation, error) {
 	counters := adsim.Count(res.Impressions, map[int]bool{0: true})
 	out := make([]SketchAblation, 0, len(geometries))
 	for _, g := range geometries {
@@ -131,19 +112,17 @@ func AblateSketchGeometry(cfg adsim.Config, geometries [][2]float64) ([]SketchAb
 			}
 		}
 		var relSum float64
-		var n int
 		for ad, users := range counters.UsersPerAd {
 			truth := float64(len(users))
 			est := float64(cms.QueryString(fmt.Sprintf("ad-%d", ad)))
 			relSum += (est - truth) / truth
-			n++
 		}
 		ab := SketchAblation{
 			Epsilon: eps,
 			Delta:   delta,
 			SizeKB:  float64(cms.SizeBytes(4)) / 1000,
 		}
-		if n > 0 {
+		if n := len(counters.UsersPerAd); n > 0 {
 			ab.MeanOverestimate = relSum / float64(n)
 		}
 		out = append(out, ab)

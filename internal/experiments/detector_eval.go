@@ -1,8 +1,8 @@
 // Package experiments contains the drivers that regenerate every table
 // and figure of the paper's evaluation (Section 7 and Section 8). Each
 // experiment is a pure function from a configuration to a typed result,
-// so the cmd binaries print them, the root-level benchmarks time them,
-// and the tests assert the paper's qualitative shape on them.
+// so Studies — the table eyewnder-eval runs, one study per paper result —
+// prints them, and the tests assert the paper's qualitative shape on them.
 package experiments
 
 import (
@@ -36,6 +36,11 @@ func (c Confusion) FPRate() float64 {
 		return 0
 	}
 	return float64(c.FP) / float64(c.FP+c.TN)
+}
+
+// add returns the tally of c and o together.
+func (c Confusion) add(o Confusion) Confusion {
+	return Confusion{c.TP + o.TP, c.FP + o.FP, c.TN + o.TN, c.FN + o.FN, c.Unknown + o.Unknown}
 }
 
 // String implements fmt.Stringer.

@@ -207,8 +207,8 @@ func TestFig4TreePopulatedAndPrecise(t *testing.T) {
 
 func TestTable2RecoversPlantedBiases(t *testing.T) {
 	cfg := DefaultTable2Config()
-	cfg.Sim.Users = 300
-	cfg.Sim.AvgVisitsPerWeek = 80
+	cfg.Users = 300
+	cfg.AvgVisitsPerWeek = 80
 	res, err := Table2(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -257,11 +257,18 @@ func TestTable2RecoversPlantedBiases(t *testing.T) {
 	}
 }
 
-func TestAblateEstimators(t *testing.T) {
-	res, err := AblateEstimators(fastSim())
+// fastRun simulates fastSim once, for the ablations that share a run.
+func fastRun(t *testing.T) (*adsim.Simulator, *adsim.Result) {
+	t.Helper()
+	sim, err := adsim.New(fastSim())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sim, sim.Run()
+}
+
+func TestAblateEstimators(t *testing.T) {
+	res := AblateEstimators(fastRun(t))
 	if len(res) != 4 {
 		t.Fatalf("ablations = %d", len(res))
 	}
@@ -273,10 +280,8 @@ func TestAblateEstimators(t *testing.T) {
 }
 
 func TestAblateWindow(t *testing.T) {
-	res, err := AblateWindow(fastSim(), []int{1, 3, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim, run := fastRun(t)
+	res := AblateWindow(sim, run, []int{1, 3, 7})
 	if len(res) != 3 {
 		t.Fatalf("windows = %d", len(res))
 	}
@@ -288,10 +293,8 @@ func TestAblateWindow(t *testing.T) {
 }
 
 func TestAblateMinDomains(t *testing.T) {
-	res, err := AblateMinDomains(fastSim(), []int{2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim, run := fastRun(t)
+	res := AblateMinDomains(sim, run, []int{2, 4, 8})
 	// Stricter minimum-data rule → at least as many Unknowns.
 	if res[2].Conf.Unknown < res[0].Conf.Unknown {
 		t.Fatalf("min=8 unknowns %d < min=2 unknowns %d",
@@ -300,7 +303,8 @@ func TestAblateMinDomains(t *testing.T) {
 }
 
 func TestAblateSketchGeometry(t *testing.T) {
-	res, err := AblateSketchGeometry(fastSim(), [][2]float64{
+	_, run := fastRun(t)
+	res, err := AblateSketchGeometry(run, [][2]float64{
 		{0.1, 0.1}, {0.01, 0.01}, {0.001, 0.001},
 	})
 	if err != nil {

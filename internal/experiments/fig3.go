@@ -14,8 +14,6 @@ type Fig3Point struct {
 	FrequencyCap    int
 	FNMeanPct       float64
 	FNMeanMedianPct float64
-	// MeanConf and MeanMedianConf carry the full confusion matrices.
-	MeanConf, MeanMedianConf Confusion
 }
 
 // Fig3Config parametrizes the sweep.
@@ -40,12 +38,9 @@ func DefaultFig3Config() Fig3Config {
 // Fig3 runs the false-negatives-vs-frequency-cap sweep. Both estimators
 // are applied to BOTH thresholds (#Users and #Domains), as in the figure.
 func Fig3(cfg Fig3Config) ([]Fig3Point, error) {
-	if cfg.Repetitions < 1 {
-		cfg.Repetitions = 1
-	}
 	out := make([]Fig3Point, 0, len(cfg.Caps))
 	for _, cap := range cfg.Caps {
-		pt := Fig3Point{FrequencyCap: cap}
+		var mean, mm Confusion // summed over the repetitions
 		for rep := 0; rep < cfg.Repetitions; rep++ {
 			simCfg := cfg.Base
 			simCfg.FrequencyCap = cap
@@ -55,24 +50,13 @@ func Fig3(cfg Fig3Config) ([]Fig3Point, error) {
 				return nil, err
 			}
 			res := sim.Run()
-			mean := EvaluateWeek(sim, res, 0,
-				detector.EstimatorMean, detector.EstimatorMean, 4)
-			mm := EvaluateWeek(sim, res, 0,
-				detector.EstimatorMeanPlusMedian, detector.EstimatorMeanPlusMedian, 4)
-			pt.MeanConf.TP += mean.TP
-			pt.MeanConf.FP += mean.FP
-			pt.MeanConf.TN += mean.TN
-			pt.MeanConf.FN += mean.FN
-			pt.MeanConf.Unknown += mean.Unknown
-			pt.MeanMedianConf.TP += mm.TP
-			pt.MeanMedianConf.FP += mm.FP
-			pt.MeanMedianConf.TN += mm.TN
-			pt.MeanMedianConf.FN += mm.FN
-			pt.MeanMedianConf.Unknown += mm.Unknown
+			mean = mean.add(EvaluateWeek(sim, res, 0,
+				detector.EstimatorMean, detector.EstimatorMean, 4))
+			mm = mm.add(EvaluateWeek(sim, res, 0,
+				detector.EstimatorMeanPlusMedian, detector.EstimatorMeanPlusMedian, 4))
 		}
-		pt.FNMeanPct = 100 * pt.MeanConf.FNRate()
-		pt.FNMeanMedianPct = 100 * pt.MeanMedianConf.FNRate()
-		out = append(out, pt)
+		out = append(out, Fig3Point{FrequencyCap: cap,
+			FNMeanPct: 100 * mean.FNRate(), FNMeanMedianPct: 100 * mm.FNRate()})
 	}
 	return out, nil
 }
@@ -92,10 +76,7 @@ type FPStudyResult struct {
 // across domains. The paper reports FP below 2% over 30+ configurations;
 // the sweep here varies cohort tightness, static reach, and inventory mix.
 func FPStudy(base adsim.Config, configs int) ([]FPStudyResult, error) {
-	if configs < 1 {
-		configs = 30
-	}
-	out := make([]FPStudyResult, 0, configs)
+	var out []FPStudyResult
 	for i := 0; i < configs; i++ {
 		cfg := base
 		cfg.Seed = base.Seed + int64(i)*17
@@ -116,16 +97,12 @@ func FPStudy(base adsim.Config, configs int) ([]FPStudyResult, error) {
 		res := sim.Run()
 		conf := EvaluateWeek(sim, res, 0, detector.EstimatorMean, detector.EstimatorMean, 4)
 		out = append(out, FPStudyResult{
-			Label: fmtLabel(cfg),
+			Label: fmt.Sprintf("affinity=%.2f static=%d..%d interests=%d..%d",
+				cfg.InterestAffinity, cfg.StaticSitesMin, cfg.StaticSitesMax,
+				cfg.MinInterests, cfg.MaxInterests),
 			Conf:  conf,
 			FPPct: 100 * conf.FPRate(),
 		})
 	}
 	return out, nil
-}
-
-func fmtLabel(cfg adsim.Config) string {
-	return fmt.Sprintf("affinity=%.2f static=%d..%d interests=%d..%d",
-		cfg.InterestAffinity, cfg.StaticSitesMin, cfg.StaticSitesMax,
-		cfg.MinInterests, cfg.MaxInterests)
 }

@@ -5,16 +5,11 @@ import (
 	"eyewnder/internal/logit"
 )
 
-// Table2Config parametrizes the socio-economic bias analysis (Section 8).
-type Table2Config struct {
-	// Sim must have DemographicBias enabled so the planted gender /
-	// income / age effects exist to be recovered.
-	Sim adsim.Config
-}
-
-// DefaultTable2Config plants the paper's biases into a moderately sized
-// population.
-func DefaultTable2Config() Table2Config {
+// DefaultTable2Config is the workload of the socio-economic bias
+// analysis (Section 8): the paper's biases planted into a moderately
+// sized population. Table2 needs DemographicBias set, so the planted
+// gender / income / age effects exist to be recovered.
+func DefaultTable2Config() adsim.Config {
 	sim := adsim.DefaultConfig()
 	sim.Users = 400
 	sim.Sites = 500
@@ -27,15 +22,13 @@ func DefaultTable2Config() Table2Config {
 	sim.Weeks = 2
 	sim.DemographicBias = true
 	sim.Seed = 7
-	return Table2Config{Sim: sim}
+	return sim
 }
 
 // Table2Result carries the regression outputs.
 type Table2Result struct {
-	// Model is the final D ~ G + A + L fit.
-	Model *logit.Model
-	// Rows are the Table 2 rows (gender, income, age levels; the
-	// intercept row is first).
+	// Rows are the Table 2 rows of the final D ~ G + A + L fit (gender,
+	// income, age levels; the intercept row is first).
 	Rows []logit.CoefSummary
 	// EmploymentLRT is the anova-style test that justified dropping the
 	// employment factor (statistic, df, p).
@@ -61,8 +54,8 @@ var (
 // demographic biases, regress ad type on gender + age + income, test
 // whether employment adds signal (it should not), and compute the
 // Figure 5 predicted probabilities.
-func Table2(cfg Table2Config) (*Table2Result, error) {
-	sim, err := adsim.New(cfg.Sim)
+func Table2(cfg adsim.Config) (*Table2Result, error) {
+	sim, err := adsim.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +106,6 @@ func Table2(cfg Table2Config) (*Table2Result, error) {
 	}
 
 	out := &Table2Result{
-		Model:             model,
 		Rows:              model.Summary(),
 		EmploymentLRTStat: lrtStat,
 		EmploymentLRTDF:   lrtDF,

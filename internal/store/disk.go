@@ -327,7 +327,7 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 }
 
 // append runs one encoded record append under the store lock, honoring
-// the sticky error and the SyncAlways policy.
+// the sticky error. Durability waits for Sync.
 func (d *Disk) append(encode func(w io.Writer) error) error {
 	d.mu.Lock()
 	if err := d.usableLocked(); err != nil {
@@ -341,16 +341,10 @@ func (d *Disk) append(encode func(w io.Writer) error) error {
 	}
 	d.seq++
 	wrote := d.enc.lastWrote
-	if d.opts.Sync != SyncAlways {
-		d.mu.Unlock()
-		d.m.walAppends.Inc()
-		d.m.walBytes.Add(uint64(wrote))
-		return nil
-	}
 	d.mu.Unlock()
 	d.m.walAppends.Inc()
 	d.m.walBytes.Add(uint64(wrote))
-	return d.Sync()
+	return nil
 }
 
 // usableLocked reports the sticky failure state. Caller holds d.mu.
@@ -390,13 +384,9 @@ func (d *Disk) AppendRegister(user int, publicKey []byte) error {
 	d.seq++
 	wrote := d.enc.lastWrote
 	d.roster[user] = append([]byte(nil), publicKey...)
-	sync := d.opts.Sync == SyncAlways
 	d.mu.Unlock()
 	d.m.walAppends.Inc()
 	d.m.walBytes.Add(uint64(wrote))
-	if sync {
-		return d.Sync()
-	}
 	return nil
 }
 
@@ -418,13 +408,9 @@ func (d *Disk) AppendConfig(configVersion, rosterVersion uint32) error {
 	d.seq++
 	wrote := d.enc.lastWrote
 	d.bumpVersionsLocked(configVersion, rosterVersion)
-	sync := d.opts.Sync == SyncAlways
 	d.mu.Unlock()
 	d.m.walAppends.Inc()
 	d.m.walBytes.Add(uint64(wrote))
-	if sync {
-		return d.Sync()
-	}
 	return nil
 }
 
@@ -451,14 +437,10 @@ func (d *Disk) AppendReport(campaign uint32, round uint64, user, dRows, wCols in
 	}
 	d.seq++
 	wrote := d.enc.lastWrote
-	sync := d.opts.Sync == SyncAlways
 	d.mu.Unlock()
 	d.reports.Add(1)
 	d.m.walAppends.Inc()
 	d.m.walBytes.Add(uint64(wrote))
-	if sync {
-		return d.Sync()
-	}
 	return nil
 }
 
@@ -490,13 +472,9 @@ func (d *Disk) AppendCampaign(def []byte) error {
 	d.seq++
 	wrote := d.enc.lastWrote
 	d.campaigns[binary.LittleEndian.Uint32(def)] = append([]byte(nil), def...)
-	sync := d.opts.Sync == SyncAlways
 	d.mu.Unlock()
 	d.m.walAppends.Inc()
 	d.m.walBytes.Add(uint64(wrote))
-	if sync {
-		return d.Sync()
-	}
 	return nil
 }
 

@@ -53,8 +53,6 @@ func observeSince(h *obs.Histogram, start time.Time) {
 // String names the fsync policy — the form /statusz reports.
 func (m SyncMode) String() string {
 	switch m {
-	case SyncAlways:
-		return "always"
 	case SyncOff:
 		return "off"
 	default:

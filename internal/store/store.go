@@ -223,9 +223,6 @@ const (
 	// With batched acknowledgements on the wire this costs one fsync per
 	// ack window, not per report.
 	SyncBatch SyncMode = iota
-	// SyncAlways fsyncs every append before it returns. Maximum
-	// durability, one fsync per record.
-	SyncAlways
 	// SyncOff never fsyncs: appends and Sync only flush to the OS.
 	// Survives a process kill but not a host crash.
 	SyncOff

@@ -7,6 +7,11 @@
 #   - flag coverage: every eyewnder-server / -sim / -eval flag is
 #     mentioned in README.md, and every flag a README flag-table row
 #     names is defined by some cmd/ binary
+#   - study coverage: every experiments.Studies name is in README.md's
+#     eyewnder-eval paragraph (TestREADMEStudyCoverage)
+#   - metric coverage: every "eyewnder_…" name a registry constructor
+#     gets in internal/ or cmd/ is in OPERATIONS.md
+#     (TestOperationsMetricCoverage)
 #   - package guide: every internal/ package has an entry in
 #     internal/README.md
 #   - test-only exports: no exported function or method in internal/
